@@ -74,7 +74,8 @@ def canonical_angles() -> BellAngles:
 
 
 def _check_contrast(c) -> None:
-    if np.any(np.abs(c) > 1.0 + 1e-12):
+    # written so that NaN fails the comparison
+    if not np.all(np.abs(c) <= 1.0 + 1e-12):
         raise ValueError("contrast c must lie in [-1, 1]")
 
 

@@ -58,6 +58,34 @@ def _angle_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid angle {text!r}") from None
 
 
+def _finite_arg(text: str) -> float:
+    """A plain float flag value; NaN and inf are rejected like malformed numbers."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite number {text!r}")
+    return value
+
+
+def _positive_int_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"invalid positive integer {text!r}")
+    return value
+
+
+def _checked_contrast(mu_lambda: float) -> float:
+    """c = cos(2*mu*lambda), as a usage error unless mu*lambda and c are finite."""
+    if not np.isfinite(2.0 * float(mu_lambda)):
+        raise UsageError(f"mu*lambda = {float(mu_lambda)!r} has no finite contrast")
+    return chsh.contrast(mu_lambda)
+
+
 def _emit_records(records: list[dict], fmt: str) -> None:
     """Print records as CSV (header + rows) or a JSON array of flat objects."""
     if fmt == "csv":
@@ -87,34 +115,34 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=[s.value for s in Scenario])
     sim.add_argument("--theta-l", required=True, type=_angle_arg)
     sim.add_argument("--theta-r", required=True, type=_angle_arg)
-    sim.add_argument("--mu", type=float, default=None)
-    sim.add_argument("--lambda-l", type=float, default=None)
-    sim.add_argument("--lambda-r", type=float, default=None)
-    sim.add_argument("--flux", type=float, default=None)
-    sim.add_argument("--i-u-l", type=float, default=None)
-    sim.add_argument("--i-d-l", type=float, default=None)
-    sim.add_argument("--i-u-r", type=float, default=None)
-    sim.add_argument("--i-d-r", type=float, default=None)
+    sim.add_argument("--mu", type=_finite_arg, default=None)
+    sim.add_argument("--lambda-l", type=_finite_arg, default=None)
+    sim.add_argument("--lambda-r", type=_finite_arg, default=None)
+    sim.add_argument("--flux", type=_finite_arg, default=None)
+    sim.add_argument("--i-u-l", type=_finite_arg, default=None)
+    sim.add_argument("--i-d-l", type=_finite_arg, default=None)
+    sim.add_argument("--i-u-r", type=_finite_arg, default=None)
+    sim.add_argument("--i-d-r", type=_finite_arg, default=None)
     sim.add_argument("--format", choices=("json", "csv"), default="json")
 
     swp = sub.add_parser("sweep", help="sweep mu*lambda and tabulate the S curves")
-    swp.add_argument("--min", required=True, type=float, help="smallest mu*lambda (radians)")
-    swp.add_argument("--max", required=True, type=float, help="largest mu*lambda (radians)")
+    swp.add_argument("--min", required=True, type=_finite_arg, help="smallest mu*lambda (radians)")
+    swp.add_argument("--max", required=True, type=_finite_arg, help="largest mu*lambda (radians)")
     swp.add_argument("--points", required=True, type=int)
     swp.add_argument("--roles", choices=[r.value for r in chsh.RoleAssignment],
                      default=chsh.RoleAssignment.STANDARD.value)
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
-    swp.add_argument("--budget", type=int, default=GridSpec().budget,
+    swp.add_argument("--budget", type=_positive_int_arg, default=GridSpec().budget,
                      help="total grid-search evaluation budget for the sweep")
 
     opt = sub.add_parser("optimize", help="maximize S at fixed contrast")
-    opt.add_argument("--mu", type=float, default=1.0)
-    opt.add_argument("--lambda-l", type=float, default=0.0)
-    opt.add_argument("--lambda-r", type=float, default=0.0)
+    opt.add_argument("--mu", type=_finite_arg, default=1.0)
+    opt.add_argument("--lambda-l", type=_finite_arg, default=0.0)
+    opt.add_argument("--lambda-r", type=_finite_arg, default=0.0)
     opt.add_argument("--method", choices=("analytic", "grid"), default="analytic")
     opt.add_argument("--roles", choices=[r.value for r in chsh.RoleAssignment],
                      default=chsh.RoleAssignment.STANDARD.value)
-    opt.add_argument("--budget", type=int, default=GridSpec().budget)
+    opt.add_argument("--budget", type=_positive_int_arg, default=GridSpec().budget)
     opt.add_argument("--format", choices=("json", "csv"), default="json")
 
     ver = sub.add_parser("verify", help="run every invariant suite")
@@ -134,20 +162,20 @@ def _topo_from_flags(args: argparse.Namespace, scenario: Scenario) -> TopoPhaseS
             raise UsageError(f"{flag} is not valid for scenario {scenario.value}")
     if scenario is Scenario.B:
         return None
-    if scenario is Scenario.A:
-        provided = [n for n in ("mu", "i_u_l", "i_d_l", "i_u_r", "i_d_r")
-                    if getattr(args, n) is not None]
-        if not provided:
-            return None
-        return TopoPhaseSpec.path_integrals(
-            args.mu if args.mu is not None else 1.0,
-            args.i_u_l or 0.0, args.i_d_l or 0.0,
-            args.i_u_r or 0.0, args.i_d_r or 0.0)
-    if scenario is Scenario.C:
-        return TopoPhaseSpec.spin_conditioned(
-            args.mu if args.mu is not None else 1.0,
-            args.lambda_l or 0.0, args.lambda_r or 0.0)
-    return TopoPhaseSpec.aharonov_bohm(args.flux or 0.0)
+    if scenario is Scenario.A and not any(getattr(args, n) is not None for n in allowed):
+        return None
+    mu = args.mu if args.mu is not None else 1.0
+    try:
+        if scenario is Scenario.A:
+            return TopoPhaseSpec.path_integrals(
+                mu, args.i_u_l or 0.0, args.i_d_l or 0.0,
+                args.i_u_r or 0.0, args.i_d_r or 0.0)
+        if scenario is Scenario.C:
+            return TopoPhaseSpec.spin_conditioned(
+                mu, args.lambda_l or 0.0, args.lambda_r or 0.0)
+        return TopoPhaseSpec.aharonov_bohm(args.flux or 0.0)
+    except ValueError as exc:  # finite flags whose phase products overflow
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -186,6 +214,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--points must be at least 2")
     if not args.min < args.max:
         raise UsageError("--min must be smaller than --max")
+    if not np.isfinite(args.max - args.min):
+        raise UsageError("--max - --min must be finite")
     roles = chsh.RoleAssignment(args.roles)
     spec = GridSpec(budget=args.budget)
     needed = args.points * spec.total_evaluations()
@@ -194,9 +224,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
 
+    mu_lambdas = np.linspace(args.min, args.max, args.points)
+    contrasts = [_checked_contrast(mu_lambda) for mu_lambda in mu_lambdas]
     records = []
-    for mu_lambda in np.linspace(args.min, args.max, args.points):
-        c = chsh.contrast(mu_lambda)
+    for mu_lambda, c in zip(mu_lambdas, contrasts):
         search = grid_search_max_S(c, roles, spec)
         records.append({
             "mu_lambda": float(mu_lambda),
@@ -213,7 +244,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     mu_lambda = args.mu * (args.lambda_l - args.lambda_r)
     roles = chsh.RoleAssignment(args.roles)
-    c = chsh.contrast(mu_lambda)
+    c = _checked_contrast(mu_lambda)
     if args.method == "analytic":
         angles = chsh.analytic_optimal_angles(mu_lambda)
         if roles is chsh.RoleAssignment.LITERAL:

@@ -97,6 +97,16 @@ class TopoPhaseSpec:
                     raise ValueError(f"field {name!r} must be finite")
             elif value is not None:
                 raise ValueError(f"field {name!r} is not part of {self.mode.value} mode")
+        if self.mu is not None:
+            # finite fields can still give an infinite phase, and exp(-i*inf) is NaN
+            phases = {f"mu*{name}": float(self.mu) * float(getattr(self, name))
+                      for name in wanted if name != "mu"}
+            if self.mode is PhaseMode.SPIN_CONDITIONED:
+                phases["mu*(lambda_l - lambda_r)"] = float(self.mu) * (
+                    float(self.lambda_l) - float(self.lambda_r))
+            for label, phase in phases.items():
+                if not math.isfinite(phase):
+                    raise ValueError(f"phase {label} must be finite")
 
     @classmethod
     def spin_conditioned(cls, mu: float, lambda_l: float, lambda_r: float) -> "TopoPhaseSpec":

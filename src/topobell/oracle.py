@@ -119,6 +119,10 @@ class GridSpec:
     budget: int = 50_000_000
 
     def __post_init__(self):
+        for name in ("points_per_angle", "refinement_rounds", "budget"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.points_per_angle < 2:
             raise ValueError("points_per_angle must be at least 2")
         if self.refinement_rounds < 0:
@@ -147,14 +151,20 @@ class StationarityOutcome(enum.Enum):
 
 def _evaluate_grid(axes: list[np.ndarray], c: float,
                    roles: RoleAssignment) -> tuple[np.ndarray, float]:
-    """Best (angles, S) over the grid product, first hit in lexicographic order."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    values = chsh_S_values(flat[0], flat[1], flat[2], flat[3], c, roles)
-    # np.argmax returns the first maximum; with 'ij' meshes and C-order
-    # ravel that is the lexicographically smallest tying angle tuple.
-    best = int(np.argmax(values))
-    angles = np.array([flat[0][best], flat[1][best], flat[2][best], flat[3][best]])
+    """Best (angles, S) over the grid product, first hit in lexicographic order.
+
+    ``np.ix_`` reshapes axis k to vary along dimension k only, so
+    broadcasting builds each E(x, y) term as a points x points table over
+    its two angles and each absolute-value term over its three; only the
+    final sum spans all points**4 cells. Every cell still gets the same
+    elementwise operations on the same inputs as a full 4-D mesh would,
+    so the values are bit-identical to evaluating every cell separately.
+    """
+    values = chsh_S_values(*np.ix_(*axes), c, roles)
+    # np.argmax returns the first maximum in C order, i.e. the
+    # lexicographically smallest tying angle tuple.
+    best = np.unravel_index(int(np.argmax(values)), values.shape)
+    angles = np.array([axis[i] for axis, i in zip(axes, best)])
     return angles, float(values[best])
 
 
@@ -170,7 +180,7 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
     inputs give identical results: the grids are deterministic and ties
     resolve to the lexicographically smallest angle tuple.
     """
-    if abs(c) > 1.0 + 1e-12:
+    if not abs(c) <= 1.0 + 1e-12:
         raise ValueError("contrast c must lie in [-1, 1]")
     spec = grid if grid is not None else GridSpec()
     needed = spec.total_evaluations()
@@ -219,8 +229,8 @@ def stationarity_check(angles: BellAngles, c: float, roles: RoleAssignment,
     scale = max(1, |S|), the expected truncation error at a smooth
     stationary point.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not h > 0:
+        raise ValueError(f"step h must be positive, got {h!r}")
     first, second = chsh_terms(angles, c, roles)
     if min(abs(first), abs(second)) <= 10.0 * h:
         return StationarityOutcome.SKIPPED

@@ -44,6 +44,11 @@ class TestExpectationClosedForm:
         with pytest.raises(ValueError):
             chsh.expectation_closed_form(0.0, 0.0, 1.5)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, np.array([0.5, np.nan])])
+    def test_rejects_non_finite_contrast(self, c):
+        with pytest.raises(ValueError):
+            chsh.expectation_closed_form(0.0, 0.0, c)
+
     def test_matches_pipeline_distribution(self, rng):
         for _ in range(100):
             theta_l, theta_r = rng.uniform(0, 2 * np.pi, 2)

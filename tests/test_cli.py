@@ -13,6 +13,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_exit(capsys, *argv):
+    """Exit code and stderr of an invocation that argparse or main may reject."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
 def parse_csv(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -95,6 +106,35 @@ class TestSimulate:
         assert "invalid angle" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--scenario", "C", "--mu", "nan", "--lambda-l", "0", "--lambda-r", "0"],
+        ["--scenario", "C", "--mu", "1", "--lambda-l=-inf"],
+        ["--scenario", "C", "--mu", "1", "--lambda-r", "1e309"],
+        ["--scenario", "AB", "--flux", "inf"],
+        ["--scenario", "A", "--i-u-l", "nan"],
+        ["--scenario", "A", "--i-d-l", "inf"],
+        ["--scenario", "A", "--i-u-r=-inf"],
+        ["--scenario", "A", "--i-d-r", "nan"],
+    ])
+    def test_non_finite_phase_flag_is_a_usage_error(self, capsys, flags):
+        code, err = usage_exit(capsys, "simulate", "--theta-l", "0", "--theta-r", "0", *flags)
+        assert code == 2
+        assert "invalid finite number" in err
+
+    @pytest.mark.parametrize("flags, phase", [
+        (["--scenario", "C", "--mu", "1e308", "--lambda-l", "1e308", "--lambda-r", "0"],
+         "mu*lambda_l"),
+        (["--scenario", "C", "--mu", "1", "--lambda-l", "1e308", "--lambda-r=-1e308"],
+         "mu*(lambda_l - lambda_r)"),
+        (["--scenario", "A", "--mu", "1e308", "--i-u-l", "1e308"], "mu*i_u_l"),
+    ])
+    def test_overflowing_phase_product_is_a_usage_error(self, capsys, flags, phase):
+        code, err = usage_exit(capsys, "simulate", "--theta-l", "0", "--theta-r", "0", *flags)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert phase in err
+
+
 class TestSweep:
     def test_full_contrast_endpoints(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--min", "0",
@@ -167,6 +207,21 @@ class TestSweep:
         assert "--min" in err
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--min=-inf", "--max", "1"],
+        ["--min", "0", "--max", "nan"],
+        ["--min", "0", "--max", "1", "--budget", "0"],
+        ["--min", "0", "--max", "1", "--budget=-5"],
+        ["--min", "0", "--max", "1", "--budget", "1e6"],
+        ["--min=-1e308", "--max", "1e308"],
+        ["--min", "1e308", "--max", "1.5e308"],
+    ])
+    def test_non_finite_range_or_bad_budget_is_a_usage_error(self, capsys, flags):
+        code, err = usage_exit(capsys, "sweep", "--points", "2", *flags)
+        assert code == 2
+        assert "error:" in err
+
+
 class TestOptimize:
     def test_analytic_at_zero_loop(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--method", "analytic")
@@ -201,6 +256,23 @@ class TestOptimize:
         s_grid = json.loads(grid_out)[0]["s"]
         s_analytic = json.loads(analytic_out)[0]["s"]
         assert abs(s_grid - s_analytic) <= 1e-6
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--mu", "nan"],
+        ["--lambda-l", "inf"],
+        ["--lambda-r=-inf"],
+        ["--method", "grid", "--mu", "1e308", "--lambda-l", "1e308"],
+        ["--method", "analytic", "--mu", "1e308", "--lambda-l", "1e308"],
+        ["--method", "grid", "--mu", "0", "--lambda-l", "1e308", "--lambda-r=-1e308"],
+        ["--method", "grid", "--budget=-1"],
+        ["--method", "grid", "--budget", "0"],
+        ["--method", "grid", "--budget", "2.5"],
+    ])
+    def test_non_finite_phase_or_bad_budget_is_a_usage_error(self, capsys, flags):
+        code, err = usage_exit(capsys, "optimize", *flags)
+        assert code == 2
+        assert "error:" in err
 
 
 class TestVerify:

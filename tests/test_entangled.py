@@ -87,6 +87,16 @@ class TestTopoPhaseSpec:
         with pytest.raises(ValueError):
             TopoPhaseSpec.aharonov_bohm(np.inf)
 
+    @pytest.mark.parametrize("build, label", [
+        (lambda: TopoPhaseSpec.spin_conditioned(1e308, 1e308, 0.0), "mu\\*lambda_l"),
+        (lambda: TopoPhaseSpec.spin_conditioned(1e308, 0.0, -1e308), "mu\\*lambda_r"),
+        (lambda: TopoPhaseSpec.spin_conditioned(1.0, 1e308, -1e308), "lambda_l - lambda_r"),
+        (lambda: TopoPhaseSpec.path_integrals(1e308, 0.0, 0.0, 0.0, 1e308), "mu\\*i_d_r"),
+    ])
+    def test_rejects_phase_products_that_overflow(self, build, label):
+        with pytest.raises(ValueError, match=label):
+            build()
+
 
 class TestDetectionDistribution:
     def test_rejects_bad_sum(self):

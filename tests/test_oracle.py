@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from topobell import chsh
+from topobell import chsh, oracle
 from topobell.chsh import BellAngles, RoleAssignment
 from topobell.entangled import Scenario, TopoPhaseSpec, run_scenario
 from topobell.oracle import (
@@ -74,6 +74,11 @@ class TestGridSpec:
         {"shrink_factor": 0.0},
         {"shrink_factor": 1.0},
         {"budget": 0},
+        {"points_per_angle": 2.5},
+        {"points_per_angle": 24.0},
+        {"refinement_rounds": 1.5},
+        {"budget": 1e6},
+        {"shrink_factor": np.nan},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -136,6 +141,47 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_max_S(1.2, RoleAssignment.STANDARD)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_rejects_non_finite_contrast(self, c):
+        with pytest.raises(ValueError, match="contrast"):
+            grid_search_max_S(c, RoleAssignment.STANDARD)
+
+
+def _evaluate_grid_on_full_mesh(axes, c, roles):
+    """Reference: S on every cell of the raveled 4-D meshgrid, first maximum wins."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    flat = [m.ravel() for m in mesh]
+    values = chsh.chsh_S_values(flat[0], flat[1], flat[2], flat[3], c, roles)
+    best = int(np.argmax(values))
+    angles = np.array([flat[0][best], flat[1][best], flat[2][best], flat[3][best]])
+    return angles, float(values[best])
+
+
+class TestBroadcastGridMatchesFullMesh:
+    """The broadcast per-pair evaluation must reproduce the full mesh bit for bit."""
+
+    def _both(self, monkeypatch, *args, **kwargs):
+        broadcast = grid_search_max_S(*args, **kwargs)
+        monkeypatch.setattr(oracle, "_evaluate_grid", _evaluate_grid_on_full_mesh)
+        full = grid_search_max_S(*args, **kwargs)
+        return broadcast, full
+
+    @pytest.mark.parametrize("roles", list(RoleAssignment))
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 0.0022, 0.5, 1.0])
+    @pytest.mark.parametrize("points", [5, 6, 7])
+    def test_search_results_are_identical(self, monkeypatch, roles, c, points):
+        spec = GridSpec(points_per_angle=points, refinement_rounds=3)
+        broadcast, full = self._both(monkeypatch, c, roles, spec)
+        assert broadcast == full
+
+    def test_bounded_search_with_a_zero_width_bound(self, monkeypatch):
+        bounds = [(0.1, 1.3), (0.7, 0.7), (-2.0, 2.0), (2.5, 3.0)]
+        spec = GridSpec(points_per_angle=6, refinement_rounds=2)
+        broadcast, full = self._both(monkeypatch, 0.37, RoleAssignment.LITERAL, spec,
+                                     bounds=bounds)
+        assert broadcast == full
+        assert broadcast.best_angles.theta_r == 0.7
+
 
 class TestStationarityCheck:
     def test_analytic_optimum_is_stationary(self):
@@ -172,3 +218,7 @@ class TestStationarityCheck:
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):
             stationarity_check(BellAngles(1, 2, 3, 4), 0.5, RoleAssignment.STANDARD, 0.0)
+
+    def test_rejects_nan_step_naming_h(self):
+        with pytest.raises(ValueError, match="step h"):
+            stationarity_check(BellAngles(1, 2, 3, 4), 0.5, RoleAssignment.STANDARD, np.nan)
