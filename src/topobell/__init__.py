@@ -24,15 +24,12 @@ from .entangled import (
     DetectionDistribution,
     PhaseMode,
     Scenario,
-    SpinBranch,
     TopoPhaseSpec,
-    TwoQuantonState,
     run_scenario,
     run_scenario_a,
     run_scenario_ab,
     run_scenario_b,
     run_scenario_c,
-    singlet_source,
 )
 from .optics import (
     NonUnitaryError,
@@ -67,11 +64,9 @@ __all__ = [
     "RoleAssignment",
     "Scenario",
     "SearchResult",
-    "SpinBranch",
     "StationarityOutcome",
     "TSIRELSON_BOUND",
     "TopoPhaseSpec",
-    "TwoQuantonState",
     "analytic_max_S",
     "analytic_optimal_angles",
     "beam_splitter",
@@ -93,7 +88,6 @@ __all__ = [
     "run_scenario_ab",
     "run_scenario_b",
     "run_scenario_c",
-    "singlet_source",
     "spin_eigenstates",
     "spin_loop_phase",
     "stationarity_check",

@@ -146,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--format", choices=("json", "csv"), default="json")
 
     ver = sub.add_parser("verify", help="run every invariant suite")
-    ver.add_argument("--budget", type=int, default=None,
+    ver.add_argument("--budget", type=_positive_int_arg, default=None,
                      help="random draws for the heavy suites (default 10000)")
     ver.add_argument("--inject-fault", choices=verify.KNOWN_FAULTS, default=None,
                      help="test-harness hook: force a known failure")

@@ -1,12 +1,14 @@
 """Branch-decomposed two-quanton states and the interferometer scenarios.
 
 A source emits a spatially correlated pair in the path singlet
-(|0>_L |1>_R - |1>_L |0>_R)/sqrt(2). Each singlet term is tracked as a
-:class:`SpinBranch`: the spin pair (+1,-1) or (-1,+1) rides along with the
-term it descended from and conditions any spin-dependent loop phase, while
-splitters and retarders act on the path amplitudes only. Detection reads
-out paths, not spins, and the branches interfere coherently; this is what
-makes the spin-conditioned loop phase observable in scenario C.
+(|0>_L |1>_R - |1>_L |0>_R)/sqrt(2). Each singlet term is kept as a
+``(spin_l, spin_r, amplitudes)`` branch: the spin pair (+1,-1) or (-1,+1)
+rides along with the term it descended from and conditions any
+spin-dependent loop phase, while splitters and retarders act on the path
+amplitudes only. Detection reads out paths, not spins, and the branches
+interfere coherently; this is what makes the spin-conditioned loop phase
+observable in scenario C. Scenarios A, C and AB share one branch loop,
+:func:`_branch_sum`.
 
 Scenarios:
 
@@ -30,13 +32,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .optics import beam_splitter, path_phase_operator, phase_retarder, spin_loop_phase
 
-NORM_TOL = 1e-12
 PROB_TOL = 1e-12
 
 
@@ -126,69 +128,6 @@ class TopoPhaseSpec:
 
 
 @dataclass(frozen=True)
-class SpinBranch:
-    """One singlet term: a spin pair and its 4-component joint path amplitude."""
-
-    spin_l: int
-    spin_r: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.spin_l not in (1, -1) or self.spin_r not in (1, -1):
-            raise ValueError("spin labels must be +1 or -1")
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (4,):
-            raise ValueError(f"branch amplitudes must have shape (4,), got {amp.shape}")
-        if not np.all(np.isfinite(amp.view(float))):
-            raise ValueError("branch amplitudes must be finite")
-        amp = amp.copy()
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def spin_pair(self) -> tuple[int, int]:
-        return (self.spin_l, self.spin_r)
-
-
-@dataclass(frozen=True)
-class TwoQuantonState:
-    """At most two spin branches with unit total norm."""
-
-    branches: tuple[SpinBranch, ...]
-
-    def __post_init__(self):
-        branches = tuple(self.branches)
-        if not 1 <= len(branches) <= 2:
-            raise ValueError("a two-quanton state holds one or two spin branches")
-        pairs = [b.spin_pair for b in branches]
-        if len(set(pairs)) != len(pairs):
-            raise ValueError("branch spin pairs must be distinct")
-        total = sum(float(np.sum(np.abs(b.amplitudes) ** 2)) for b in branches)
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"total squared norm is {total}, expected 1")
-        object.__setattr__(self, "branches", branches)
-
-    def coherent_amplitudes(self) -> np.ndarray:
-        """Path amplitudes summed coherently over branches."""
-        total = np.zeros(4, dtype=complex)
-        for b in self.branches:
-            total = total + b.amplitudes
-        return total
-
-    def joint_path_probabilities(self) -> np.ndarray:
-        """Detection probabilities over the joint path basis."""
-        return np.abs(self.coherent_amplitudes()) ** 2
-
-    def swapped_sides(self) -> "TwoQuantonState":
-        """Exchange the left and right labels of both quantons."""
-        swapped = []
-        for b in self.branches:
-            amp = b.amplitudes.reshape(2, 2).T.reshape(4)
-            swapped.append(SpinBranch(b.spin_r, b.spin_l, amp))
-        return TwoQuantonState(tuple(swapped))
-
-
-@dataclass(frozen=True)
 class DetectionDistribution:
     """Joint detection probabilities indexed (D0',D0), (D0',D1), (D1',D0), (D1',D1)."""
 
@@ -217,26 +156,23 @@ class DetectionDistribution:
         return cls(*(float(x) for x in arr))
 
 
-def singlet_source() -> TwoQuantonState:
-    """Path singlet (|0,1> - |1,0>)/sqrt(2) with anticorrelated spin labels."""
-    up_down = np.zeros(4, dtype=complex)
-    up_down[1] = 1.0 / np.sqrt(2.0)
-    down_up = np.zeros(4, dtype=complex)
-    down_up[2] = -1.0 / np.sqrt(2.0)
-    return TwoQuantonState((
-        SpinBranch(1, -1, up_down),
-        SpinBranch(-1, 1, down_up),
-    ))
-
+_SidePair = tuple[np.ndarray, np.ndarray]  # (left, right) 2x2 operators
 
 # shared read-only instances for the scenario hot paths
-_SINGLET = singlet_source()
 _BS = beam_splitter()
 _BS.setflags(write=False)
+_SPLITTERS: _SidePair = (_BS, _BS)
 
 # the splitter as plain Python numbers, for scenario B
 _R = 1.0 / math.sqrt(2.0)
 _SPLITTER = ((_R, 1j * _R), (1j * _R, _R))
+
+# the two singlet branches as (spin_l, spin_r, amplitudes): +1/sqrt(2) on
+# |0>_L |1>_R with spins (+1,-1), -1/sqrt(2) on |1>_L |0>_R with (-1,+1)
+_UP_DOWN = (1, -1, np.array([0.0, _R, 0.0, 0.0], dtype=complex))
+_DOWN_UP = (-1, 1, np.array([0.0, 0.0, -_R, 0.0], dtype=complex))
+_UP_DOWN[2].setflags(write=False)
+_DOWN_UP[2].setflags(write=False)
 
 
 def _interferometer_side(theta: float) -> tuple[tuple[complex, complex], ...]:
@@ -250,6 +186,24 @@ def _interferometer_side(theta: float) -> tuple[tuple[complex, complex], ...]:
 def _apply_sides(amp: np.ndarray, m_l: np.ndarray, m_r: np.ndarray) -> np.ndarray:
     """Apply per-side 2x2 operators to a joint 4-amplitude (L index major)."""
     return (m_l @ amp.reshape(2, 2) @ m_r.T).reshape(4)
+
+
+def _branch_sum(first: _SidePair, second: _SidePair, phases: Sequence[complex],
+                third: _SidePair) -> np.ndarray:
+    """Joint path amplitudes summed coherently over the two singlet branches.
+
+    ``first``, ``second`` and ``third`` are (left, right) pairs of 2x2
+    operators applied in that order; ``phases`` holds one scalar factor
+    per branch (up-down, then down-up), applied between the second and
+    the third pair.
+    """
+    (m1_l, m1_r), (m2_l, m2_r), (m3_l, m3_r) = first, second, third
+
+    def branch(amp: np.ndarray, phase: complex) -> np.ndarray:
+        return _apply_sides(_apply_sides(_apply_sides(amp, m1_l, m1_r), m2_l, m2_r) * phase,
+                            m3_l, m3_r)
+
+    return branch(_UP_DOWN[2], phases[0]) + branch(_DOWN_UP[2], phases[1])
 
 
 def _require_mode(topo: TopoPhaseSpec, mode: PhaseMode, scenario: str) -> None:
@@ -273,14 +227,9 @@ def run_scenario_a(theta_l: float, theta_r: float,
         t_r = path_phase_operator(topo.i_u_r, topo.i_d_r, topo.mu)
     else:
         t_l = t_r = np.eye(2, dtype=complex)
-    p_l, p_r = phase_retarder(theta_l), phase_retarder(theta_r)
-
-    total = np.zeros(4, dtype=complex)
-    for branch in _SINGLET.branches:
-        amp = _apply_sides(branch.amplitudes, p_l, p_r)
-        amp = _apply_sides(amp, t_l, t_r)
-        amp = _apply_sides(amp, _BS, _BS)
-        total = total + amp
+    # the open geometry multiplies no branch by a scalar phase
+    total = _branch_sum((phase_retarder(theta_l), phase_retarder(theta_r)), (t_l, t_r),
+                        (1 + 0j, 1 + 0j), _SPLITTERS)
     # mirrored right side: detector j reads splitter port 1-j
     probs = np.abs(total.reshape(2, 2)[:, ::-1].reshape(4)) ** 2
     return DetectionDistribution.from_array(probs)
@@ -312,16 +261,11 @@ def run_scenario_c(theta_l: float, theta_r: float,
     survives in the probabilities.
     """
     _require_mode(topo, PhaseMode.SPIN_CONDITIONED, "C")
-    p_l, p_r = phase_retarder(theta_l), phase_retarder(theta_r)
-
-    total = np.zeros(4, dtype=complex)
-    for branch in _SINGLET.branches:
-        amp = _apply_sides(branch.amplitudes, _BS, _BS)
-        amp = _apply_sides(amp, p_l, p_r)
-        amp = amp * (spin_loop_phase(branch.spin_l, topo.mu, topo.lambda_l)
-                     * spin_loop_phase(branch.spin_r, topo.mu, topo.lambda_r))
-        amp = _apply_sides(amp, _BS, _BS)
-        total = total + amp
+    phases = [spin_loop_phase(s_l, topo.mu, topo.lambda_l)
+              * spin_loop_phase(s_r, topo.mu, topo.lambda_r)
+              for s_l, s_r, _ in (_UP_DOWN, _DOWN_UP)]
+    total = _branch_sum(_SPLITTERS, (phase_retarder(theta_l), phase_retarder(theta_r)),
+                        phases, _SPLITTERS)
     return DetectionDistribution.from_array(np.abs(total) ** 2)
 
 
@@ -333,16 +277,9 @@ def run_scenario_ab(theta_l: float, theta_r: float,
     so the distribution equals scenario B for every flux.
     """
     _require_mode(topo, PhaseMode.SPIN_INDEPENDENT_AB, "AB")
-    p_l, p_r = phase_retarder(theta_l), phase_retarder(theta_r)
     flux_phase = np.exp(-1j * topo.flux)
-
-    total = np.zeros(4, dtype=complex)
-    for branch in _SINGLET.branches:
-        amp = _apply_sides(branch.amplitudes, _BS, _BS)
-        amp = _apply_sides(amp, p_l, p_r)
-        amp = amp * flux_phase
-        amp = _apply_sides(amp, _BS, _BS)
-        total = total + amp
+    total = _branch_sum(_SPLITTERS, (phase_retarder(theta_l), phase_retarder(theta_r)),
+                        (flux_phase, flux_phase), _SPLITTERS)
     return DetectionDistribution.from_array(np.abs(total) ** 2)
 
 

@@ -18,24 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-12
-
-
-def as_operator(m: np.ndarray) -> np.ndarray:
-    """Coerce to a square complex operator of size 2 or 4."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"expected a 2x2 or 4x4 operator, got shape {arr.shape}")
-    return arr
-
-
-def as_state(v: np.ndarray) -> np.ndarray:
-    """Coerce to a complex state vector of length 2 or 4."""
-    arr = np.asarray(v, dtype=complex)
-    if arr.shape not in ((2,), (4,)):
-        raise ValueError(f"expected a 2- or 4-component state vector, got shape {arr.shape}")
-    return arr
-
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two single-quanton operators.
@@ -50,11 +32,6 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(left, right)
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
-
-
 def unitarity_deviation(m: np.ndarray) -> float:
     """Max-entry magnitude of M^dag M - I."""
     arr = np.asarray(m, dtype=complex)
@@ -62,34 +39,3 @@ def unitarity_deviation(m: np.ndarray) -> float:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     gram = arr.conj().T @ arr
     return float(np.max(np.abs(gram - np.eye(arr.shape[0]))))
-
-
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the max-entry magnitude of M^dag M - I is within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return unitarity_deviation(m) <= tol
-
-
-def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply an operator to a state vector, checking dimensions."""
-    op = np.asarray(m, dtype=complex)
-    vec = np.asarray(v, dtype=complex)
-    if op.ndim != 2 or vec.ndim != 1 or op.shape[1] != vec.shape[0]:
-        raise ValueError(f"dimension mismatch: operator {op.shape} applied to vector {vec.shape}")
-    return op @ vec
-
-
-def joint_probabilities(v: np.ndarray) -> np.ndarray:
-    """Squared magnitude of each basis amplitude.
-
-    Sums to the squared norm of the vector, which is 1 for a normalized
-    state.
-    """
-    vec = np.asarray(v, dtype=complex)
-    return np.abs(vec) ** 2
-
-
-def norm(v: np.ndarray) -> float:
-    """Euclidean norm of a state vector."""
-    return float(np.linalg.norm(np.asarray(v, dtype=complex)))

@@ -195,6 +195,9 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
         if len(bounds) != 4:
             raise ValueError("bounds must give (low, high) for each of the four angles")
         widths = np.array([float(hi) - float(lo) for lo, hi in bounds])
+        # a NaN or infinite edge, or an overflowing span, makes its width non-finite
+        if not np.all(np.isfinite(widths)):
+            raise ValueError(f"bounds must be finite with finite widths, got {bounds!r}")
         if np.any(widths < 0):
             raise ValueError("each bound must satisfy low <= high")
         axes = [np.linspace(float(lo), float(hi), spec.points_per_angle)

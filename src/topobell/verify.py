@@ -48,8 +48,7 @@ def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _suite_linalg(draws: int) -> SuiteResult:
-    rng = _rng(1)
+def _suite_linalg(rng: np.random.Generator, draws: int) -> SuiteResult:
     worst = 0.0
     for theta in rng.uniform(-10.0, 10.0, size=64):
         worst = max(worst, unitarity_deviation(phase_retarder(theta)))
@@ -78,8 +77,7 @@ def _suite_linalg(draws: int) -> SuiteResult:
     return SuiteResult("linalg-unitarity", worst <= 1e-12, worst, 1e-12)
 
 
-def _suite_optics(draws: int) -> SuiteResult:
-    rng = _rng(2)
+def _suite_optics(rng: np.random.Generator) -> SuiteResult:
     bs = beam_splitter()
     worst = 0.0
     for theta in rng.uniform(-10.0, 10.0, size=1000):
@@ -111,8 +109,7 @@ def _random_scenario_params(rng: np.random.Generator, scenario: Scenario):
     return theta_l, theta_r, topo
 
 
-def _suite_distribution_validity(draws: int) -> SuiteResult:
-    rng = _rng(3)
+def _suite_distribution_validity(rng: np.random.Generator, draws: int) -> SuiteResult:
     worst = 0.0
     for scenario in Scenario:
         for _ in range(draws):
@@ -123,7 +120,7 @@ def _suite_distribution_validity(draws: int) -> SuiteResult:
     return SuiteResult("distribution-validity", worst <= 1e-12, worst, 1e-12)
 
 
-def _suite_scenario_b_closed_form(draws: int) -> SuiteResult:
+def _suite_scenario_b_closed_form() -> SuiteResult:
     grid = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
     worst = 0.0
     for theta_l in grid:
@@ -131,10 +128,14 @@ def _suite_scenario_b_closed_form(draws: int) -> SuiteResult:
             simulated = run_scenario_b(theta_l, theta_r).as_array()
             reference = closed_form.scenario_b_distribution(theta_l, theta_r).as_array()
             worst = max(worst, float(np.max(np.abs(simulated - reference))))
+            # p(D0',D0) and p(D1',D0) against the formulas written out here
+            half = 0.5 * (theta_l - theta_r)
+            worst = max(worst, float(abs(simulated[0] - 0.5 * np.sin(half) ** 2)),
+                        float(abs(simulated[2] - 0.5 * np.cos(half) ** 2)))
     return SuiteResult("scenario-b-closed-form", worst <= 1e-12, worst, 1e-12)
 
 
-def _suite_scenario_c_closed_form(draws: int, inject_fault: str | None) -> SuiteResult:
+def _suite_scenario_c_closed_form(inject_fault: str | None) -> SuiteResult:
     angles = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
     mu_lambdas = np.linspace(0.0, np.pi, 25, endpoint=False)
     worst = 0.0
@@ -151,8 +152,7 @@ def _suite_scenario_c_closed_form(draws: int, inject_fault: str | None) -> Suite
     return SuiteResult("scenario-c-closed-form", worst <= 1e-12, worst, 1e-12)
 
 
-def _suite_scenario_c_gauge(draws: int) -> SuiteResult:
-    rng = _rng(4)
+def _suite_scenario_c_gauge(rng: np.random.Generator, draws: int) -> SuiteResult:
     worst = 0.0
     for _ in range(draws):
         theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=2)
@@ -169,8 +169,7 @@ def _suite_scenario_c_gauge(draws: int) -> SuiteResult:
     return SuiteResult("scenario-c-gauge", worst <= 1e-12, worst, 1e-12)
 
 
-def _suite_scenario_a_topo_invariance(draws: int) -> SuiteResult:
-    rng = _rng(5)
+def _suite_scenario_a_topo_invariance(rng: np.random.Generator, draws: int) -> SuiteResult:
     worst = 0.0
     for _ in range(draws):
         theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=2)
@@ -182,8 +181,7 @@ def _suite_scenario_a_topo_invariance(draws: int) -> SuiteResult:
     return SuiteResult("scenario-a-topo-invariance", worst <= 1e-12, worst, 1e-12)
 
 
-def _suite_scenario_ab_reduction(draws: int) -> SuiteResult:
-    rng = _rng(6)
+def _suite_scenario_ab_reduction(rng: np.random.Generator, draws: int) -> SuiteResult:
     worst = 0.0
     for _ in range(draws):
         theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=2)
@@ -195,8 +193,7 @@ def _suite_scenario_ab_reduction(draws: int) -> SuiteResult:
     return SuiteResult("scenario-ab-reduction", worst <= 1e-12, worst, 1e-12)
 
 
-def _suite_degiorgio(draws: int) -> SuiteResult:
-    rng = _rng(7)
+def _suite_degiorgio(rng: np.random.Generator, draws: int) -> SuiteResult:
     worst = 0.0
     for _ in range(draws):
         theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=2)
@@ -209,8 +206,7 @@ def _suite_degiorgio(draws: int) -> SuiteResult:
     return SuiteResult("degiorgio-offset", worst <= 1e-12, worst, 1e-12)
 
 
-def _suite_oracle_equivalence(draws: int) -> SuiteResult:
-    rng = _rng(8)
+def _suite_oracle_equivalence(rng: np.random.Generator, draws: int) -> SuiteResult:
     worst = 0.0
     for scenario in Scenario:
         for _ in range(draws):
@@ -221,8 +217,7 @@ def _suite_oracle_equivalence(draws: int) -> SuiteResult:
     return SuiteResult("oracle-equivalence", worst <= 1e-12, worst, 1e-12)
 
 
-def _suite_chsh_consistency(draws: int) -> SuiteResult:
-    rng = _rng(9)
+def _suite_chsh_consistency() -> SuiteResult:
     worst = 0.0
     # channel consistency: pipeline distribution vs closed-form expectation
     for theta_l in np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False):
@@ -232,7 +227,11 @@ def _suite_chsh_consistency(draws: int) -> SuiteResult:
                                     TopoPhaseSpec.spin_conditioned(1.0, mu_lambda, 0.0))
                 expected = chsh.expectation_closed_form(
                     theta_l, theta_r, np.cos(2.0 * mu_lambda))
-                worst = max(worst, abs(chsh.expectation_from_distribution(dist) - expected))
+                measured = chsh.expectation_from_distribution(dist)
+                worst = max(worst, abs(measured - expected))
+                if mu_lambda == 0.0:
+                    # zero loop: E reduces to -cos(theta_l - theta_r)
+                    worst = max(worst, abs(measured + np.cos(theta_l - theta_r)))
     # fixed-angle curve against the literal combination
     for mu_lambda in np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False):
         literal = chsh.chsh_S(chsh.canonical_angles(), chsh.contrast(mu_lambda),
@@ -241,8 +240,7 @@ def _suite_chsh_consistency(draws: int) -> SuiteResult:
     return SuiteResult("chsh-consistency", worst <= 1e-12, worst, 1e-12)
 
 
-def _suite_chsh_bounds(draws: int) -> SuiteResult:
-    rng = _rng(10)
+def _suite_chsh_bounds(rng: np.random.Generator, draws: int) -> SuiteResult:
     samples = max(1000, 100 * draws)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(4, samples))
     contrasts = rng.uniform(-1.0, 1.0, size=samples)
@@ -278,24 +276,27 @@ def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,
     """Run every invariant suite; returns one result per suite.
 
     heavy_draws scales the per-scenario random-draw suites (default 10^4),
-    light_draws the cheaper pairwise-comparison suites (default 10^3). The
-    fixed verification grids never shrink.
+    light_draws the cheaper pairwise-comparison suites (default 10^3); a
+    count below 1 raises ValueError. The fixed verification grids never
+    shrink.
     """
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; known: {KNOWN_FAULTS}")
-    heavy = DEFAULT_HEAVY_DRAWS if heavy_draws is None else max(1, int(heavy_draws))
-    light = DEFAULT_LIGHT_DRAWS if light_draws is None else max(1, int(light_draws))
+    heavy = DEFAULT_HEAVY_DRAWS if heavy_draws is None else int(heavy_draws)
+    light = DEFAULT_LIGHT_DRAWS if light_draws is None else int(light_draws)
+    if heavy < 1 or light < 1:
+        raise ValueError(f"draw counts must be at least 1, got {heavy} and {light}")
     return [
-        _suite_linalg(heavy),
-        _suite_optics(heavy),
-        _suite_distribution_validity(heavy),
-        _suite_scenario_b_closed_form(heavy),
-        _suite_scenario_c_closed_form(heavy, inject_fault),
-        _suite_scenario_c_gauge(light),
-        _suite_scenario_a_topo_invariance(light),
-        _suite_scenario_ab_reduction(light),
-        _suite_degiorgio(light),
-        _suite_oracle_equivalence(heavy),
-        _suite_chsh_consistency(heavy),
-        _suite_chsh_bounds(heavy),
+        _suite_linalg(_rng(1), heavy),
+        _suite_optics(_rng(2)),
+        _suite_distribution_validity(_rng(3), heavy),
+        _suite_scenario_b_closed_form(),
+        _suite_scenario_c_closed_form(inject_fault),
+        _suite_scenario_c_gauge(_rng(4), light),
+        _suite_scenario_a_topo_invariance(_rng(5), light),
+        _suite_scenario_ab_reduction(_rng(6), light),
+        _suite_degiorgio(_rng(7), light),
+        _suite_oracle_equivalence(_rng(8), heavy),
+        _suite_chsh_consistency(),
+        _suite_chsh_bounds(_rng(10), heavy),
     ]

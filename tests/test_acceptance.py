@@ -8,21 +8,17 @@ import time
 
 import numpy as np
 
-from topobell import chsh, closed_form, verify
+from topobell import chsh, verify
 from topobell.chsh import RoleAssignment
 from topobell.cli import main
-from topobell.entangled import (
-    Scenario,
-    TopoPhaseSpec,
-    run_scenario,
-    run_scenario_a,
-    run_scenario_ab,
-    run_scenario_b,
-    run_scenario_c,
-)
-from topobell.oracle import GridSpec, brute_force_distribution, grid_search_max_S
+from topobell.oracle import GridSpec, grid_search_max_S
 
 RNG_SEED = 424242
+
+
+def _check(result: verify.SuiteResult, tolerance: float) -> None:
+    assert result.passed, f"{result.name}: residual {result.worst_residual}"
+    assert result.worst_residual <= tolerance
 
 
 def _report(number: int, description: str, residual: float) -> None:
@@ -31,61 +27,29 @@ def _report(number: int, description: str, residual: float) -> None:
 
 def test_criterion_01_scenario_b_closed_form():
     start = time.perf_counter()
-    grid = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
-    worst = 0.0
-    for theta_l in grid:
-        for theta_r in grid:
-            simulated = run_scenario_b(theta_l, theta_r).as_array()
-            half = 0.5 * (theta_l - theta_r)
-            worst = max(worst, abs(simulated[0] - 0.5 * np.sin(half) ** 2))
-            worst = max(worst, abs(simulated[2] - 0.5 * np.cos(half) ** 2))
-            reference = closed_form.scenario_b_distribution(theta_l, theta_r).as_array()
-            worst = max(worst, float(np.max(np.abs(simulated - reference))))
+    result = verify._suite_scenario_b_closed_form()
     elapsed = time.perf_counter() - start
-    assert worst <= 1e-12
+    _check(result, 1e-12)
     assert elapsed < 1.0, f"criterion 1 took {elapsed:.2f}s, budget 1s"
     _report(1, f"interferometer pipeline matches closed form on 100x100 grid "
-               f"in {elapsed:.2f}s", worst)
+               f"in {elapsed:.2f}s", result.worst_residual)
 
 
 def test_criterion_02_scenario_c_closed_form():
     start = time.perf_counter()
-    angles = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
-    loops = np.linspace(0.0, np.pi, 25, endpoint=False)
-    worst = 0.0
-    for theta_l in angles:
-        for theta_r in angles:
-            for mu_lambda in loops:
-                topo = TopoPhaseSpec.spin_conditioned(1.0, mu_lambda, 0.0)
-                simulated = run_scenario_c(theta_l, theta_r, topo).as_array()
-                reference = closed_form.scenario_c_distribution(
-                    theta_l, theta_r, 2.0 * mu_lambda).as_array()
-                worst = max(worst, float(np.max(np.abs(simulated - reference))))
+    result = verify._suite_scenario_c_closed_form(None)
     elapsed = time.perf_counter() - start
-    assert worst <= 1e-12
+    _check(result, 1e-12)
     assert elapsed < 5.0, f"criterion 2 took {elapsed:.2f}s, budget 5s"
     _report(2, f"loop-phase pipeline matches closed form on 20x20x25 grid "
-               f"in {elapsed:.2f}s", worst)
+               f"in {elapsed:.2f}s", result.worst_residual)
 
 
 def test_criterion_03_expectation_closed_form():
-    worst = 0.0
-    for theta_l in np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False):
-        for theta_r in np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False):
-            for mu_lambda in np.linspace(0.0, np.pi, 25, endpoint=False):
-                dist = run_scenario_c(theta_l, theta_r,
-                                      TopoPhaseSpec.spin_conditioned(1.0, mu_lambda, 0.0))
-                measured = chsh.expectation_from_distribution(dist)
-                expected = chsh.expectation_closed_form(theta_l, theta_r,
-                                                        np.cos(2.0 * mu_lambda))
-                worst = max(worst, abs(measured - expected))
-            zero_loop = run_scenario_c(theta_l, theta_r,
-                                       TopoPhaseSpec.spin_conditioned(1.0, 0.0, 0.0))
-            worst = max(worst, abs(chsh.expectation_from_distribution(zero_loop)
-                                   + np.cos(theta_l - theta_r)))
-    assert worst <= 1e-12
+    result = verify._suite_chsh_consistency()
+    _check(result, 1e-12)
     _report(3, "expectation values match the closed form, reducing to "
-               "-cos(difference) at zero loop", worst)
+               "-cos(difference) at zero loop", result.worst_residual)
 
 
 def test_criterion_04_fixed_angle_curve():
@@ -140,70 +104,31 @@ def test_criterion_06_bounds_over_a_million_draws():
 
 
 def test_criterion_07_open_geometry_topo_invariance():
-    rng = np.random.default_rng(RNG_SEED + 7)
-    worst = 0.0
-    for _ in range(1000):
-        theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, 2)
-        mu, i_u, i_d = rng.uniform(-3.0, 3.0, 3)
-        topo = TopoPhaseSpec.path_integrals(mu, i_u, i_d, i_u, i_d)
-        with_topo = run_scenario_a(theta_l, theta_r, topo).as_array()
-        without = run_scenario_a(theta_l, theta_r).as_array()
-        worst = max(worst, float(np.max(np.abs(with_topo - without))))
-    assert worst <= 1e-12
+    result = verify._suite_scenario_a_topo_invariance(np.random.default_rng(RNG_SEED + 7), 1000)
+    _check(result, 1e-12)
     _report(7, "symmetric arm integrals leave the open geometry unchanged "
-               "over 10^3 draws", worst)
+               "over 10^3 draws", result.worst_residual)
 
 
 def test_criterion_08_flux_invariance():
-    rng = np.random.default_rng(RNG_SEED + 8)
-    worst = 0.0
-    for _ in range(1000):
-        theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, 2)
-        flux = rng.uniform(-10.0, 10.0)
-        ab = run_scenario_ab(theta_l, theta_r, TopoPhaseSpec.aharonov_bohm(flux))
-        plain = run_scenario_b(theta_l, theta_r)
-        worst = max(worst, float(np.max(np.abs(ab.as_array() - plain.as_array()))))
-    assert worst <= 1e-12
+    result = verify._suite_scenario_ab_reduction(np.random.default_rng(RNG_SEED + 8), 1000)
+    _check(result, 1e-12)
     _report(8, "spin-independent flux leaves the interferometer unchanged "
-               "over 10^3 draws", worst)
+               "over 10^3 draws", result.worst_residual)
 
 
 def test_criterion_09_degiorgio_offset():
-    rng = np.random.default_rng(RNG_SEED + 9)
-    worst = 0.0
-    for _ in range(1000):
-        theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, 2)
-        a = run_scenario_a(theta_l, theta_r)
-        b = run_scenario_b(theta_l, theta_r)
-        worst = max(worst, abs(a.p_d0p_d0 - b.p_d1p_d0))
-    assert worst <= 1e-12
+    result = verify._suite_degiorgio(np.random.default_rng(RNG_SEED + 9), 1000)
+    _check(result, 1e-12)
     _report(9, "open-geometry p(D0',D0) equals interferometer p(D1',D0) "
-               "over 10^3 draws", worst)
+               "over 10^3 draws", result.worst_residual)
 
 
 def test_criterion_10_oracle_equivalence():
-    rng = np.random.default_rng(RNG_SEED + 10)
-    worst = 0.0
-    for scenario in Scenario:
-        for _ in range(10_000):
-            theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, 2)
-            if scenario is Scenario.A:
-                topo = TopoPhaseSpec.path_integrals(rng.uniform(-2, 2),
-                                                    *rng.uniform(-3, 3, 4))
-            elif scenario is Scenario.B:
-                topo = None
-            elif scenario is Scenario.C:
-                topo = TopoPhaseSpec.spin_conditioned(rng.uniform(-2, 2),
-                                                      *rng.uniform(-3, 3, 2))
-            else:
-                topo = TopoPhaseSpec.aharonov_bohm(rng.uniform(-6, 6))
-            brute = brute_force_distribution(scenario, theta_l, theta_r, topo)
-            simulated = run_scenario(scenario, theta_l, theta_r, topo)
-            worst = max(worst, float(np.max(np.abs(brute.as_array()
-                                                   - simulated.as_array()))))
-    assert worst <= 1e-12
+    result = verify._suite_oracle_equivalence(np.random.default_rng(RNG_SEED + 10), 10_000)
+    _check(result, 1e-12)
     _report(10, "explicit matrix oracle matches every scenario over 10^4 "
-                "draws each", worst)
+                "draws each", result.worst_residual)
 
 
 def test_criterion_11_invariant_suites_pass(capsys):

@@ -290,3 +290,9 @@ class TestVerify:
         failing = [line for line in out.strip().split("\n") if "FAIL" in line]
         assert len(failing) == 1
         assert failing[0].startswith("scenario-c-closed-form")
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "abc"])
+    def test_budget_must_be_a_positive_integer(self, capsys, budget):
+        code, err = usage_exit(capsys, "verify", f"--budget={budget}")
+        assert code == 2
+        assert "positive integer" in err

@@ -7,62 +7,13 @@ from topobell.entangled import (
     DetectionDistribution,
     PhaseMode,
     Scenario,
-    SpinBranch,
     TopoPhaseSpec,
-    TwoQuantonState,
     run_scenario,
     run_scenario_a,
     run_scenario_ab,
     run_scenario_b,
     run_scenario_c,
-    singlet_source,
 )
-
-
-class TestSingletSource:
-    def test_joint_path_probabilities(self):
-        probs = singlet_source().joint_path_probabilities()
-        assert_allclose(probs, [0.0, 0.5, 0.5, 0.0], atol=1e-15)
-
-    def test_unit_norm(self):
-        total = sum(np.sum(np.abs(b.amplitudes) ** 2) for b in singlet_source().branches)
-        assert abs(total - 1.0) < 1e-15
-
-    def test_swapping_sides_negates_the_state(self):
-        state = singlet_source()
-        swapped = state.swapped_sides()
-        by_pair = {b.spin_pair: b.amplitudes for b in swapped.branches}
-        for branch in state.branches:
-            assert_allclose(by_pair[branch.spin_pair], -branch.amplitudes, atol=0)
-
-    def test_spin_pairs_are_anticorrelated(self):
-        pairs = {b.spin_pair for b in singlet_source().branches}
-        assert pairs == {(1, -1), (-1, 1)}
-
-
-class TestStateValidation:
-    def test_rejects_unnormalized_state(self):
-        amp = np.zeros(4, dtype=complex)
-        amp[0] = 0.5
-        with pytest.raises(ValueError, match="norm"):
-            TwoQuantonState((SpinBranch(1, -1, amp),))
-
-    def test_rejects_duplicate_spin_pairs(self):
-        amp = np.zeros(4, dtype=complex)
-        amp[0] = 1 / np.sqrt(2)
-        with pytest.raises(ValueError, match="distinct"):
-            TwoQuantonState((SpinBranch(1, -1, amp), SpinBranch(1, -1, amp)))
-
-    def test_rejects_bad_spin_labels(self):
-        amp = np.zeros(4, dtype=complex)
-        amp[0] = 1.0
-        with pytest.raises(ValueError):
-            SpinBranch(0, -1, amp)
-
-    def test_branch_amplitudes_are_read_only(self):
-        branch = singlet_source().branches[0]
-        with pytest.raises(ValueError):
-            branch.amplitudes[0] = 1.0
 
 
 class TestTopoPhaseSpec:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -145,6 +147,18 @@ class TestGridSearch:
     def test_rejects_non_finite_contrast(self, c):
         with pytest.raises(ValueError, match="contrast"):
             grid_search_max_S(c, RoleAssignment.STANDARD)
+
+    @pytest.mark.parametrize("bad", [(0.0, np.nan), (-np.inf, 1.0), (-1e308, 1e308)])
+    @pytest.mark.parametrize("slot", [1, 3])
+    def test_rejects_non_finite_bounds_naming_them(self, slot, bad):
+        bounds = [(0.0, 1.0)] * 4
+        bounds[slot] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bounds"):
+                grid_search_max_S(0.5, RoleAssignment.STANDARD,
+                                  GridSpec(points_per_angle=2, refinement_rounds=0),
+                                  bounds=bounds)
 
 
 def _evaluate_grid_on_full_mesh(axes, c, roles):

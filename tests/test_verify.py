@@ -26,6 +26,12 @@ def test_unknown_fault_is_rejected():
         verify.run_suites(heavy_draws=10, light_draws=10, inject_fault="no-such-fault")
 
 
+@pytest.mark.parametrize("heavy, light", [(0, 0), (0, 10), (10, -1)])
+def test_draw_counts_below_one_are_rejected(heavy, light):
+    with pytest.raises(ValueError, match="at least 1"):
+        verify.run_suites(heavy, light)
+
+
 def test_results_are_reproducible():
     first = verify.run_suites(heavy_draws=50, light_draws=20)
     second = verify.run_suites(heavy_draws=50, light_draws=20)
