@@ -63,9 +63,19 @@ class RoleAssignment(enum.Enum):
 
     def slots(self, angles: BellAngles) -> tuple[float, float, float, float]:
         """Return (a, a_prime, b, b_prime) for these angles."""
+        return self._roles_of(*angles.as_tuple())
+
+    def _roles_of(self, theta_l, theta_r, theta_lp, theta_rp):
+        # the one forward copy of the map; the slot values may be arrays
         if self is RoleAssignment.LITERAL:
-            return (angles.theta_l, angles.theta_rp, angles.theta_r, angles.theta_lp)
-        return (angles.theta_l, angles.theta_lp, angles.theta_r, angles.theta_rp)
+            return (theta_l, theta_rp, theta_r, theta_lp)
+        return (theta_l, theta_lp, theta_r, theta_rp)
+
+    def bell_angles(self, a: float, a_prime: float, b: float, b_prime: float) -> BellAngles:
+        """Inverse of :meth:`slots`: the angles whose roles are (a, a', b, b')."""
+        if self is RoleAssignment.LITERAL:
+            return BellAngles(a, b, b_prime, a_prime)
+        return BellAngles(a, b, a_prime, b_prime)
 
 
 def canonical_angles() -> BellAngles:
@@ -112,10 +122,7 @@ def chsh_S_values(theta_l, theta_r, theta_lp, theta_rp, c,
                   roles: RoleAssignment):
     """CHSH statistic over angle arrays (broadcasting), given slot arrays."""
     _check_contrast(c)
-    if roles is RoleAssignment.LITERAL:
-        a, ap, b, bp = theta_l, theta_rp, theta_r, theta_lp
-    else:
-        a, ap, b, bp = theta_l, theta_lp, theta_r, theta_rp
+    a, ap, b, bp = roles._roles_of(theta_l, theta_r, theta_lp, theta_rp)
     e_ab = expectation_closed_form(a, b, c)
     e_abp = expectation_closed_form(a, bp, c)
     e_apb = expectation_closed_form(ap, b, c)

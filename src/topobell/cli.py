@@ -246,12 +246,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     roles = chsh.RoleAssignment(args.roles)
     c = _checked_contrast(mu_lambda)
     if args.method == "analytic":
-        angles = chsh.analytic_optimal_angles(mu_lambda)
-        if roles is chsh.RoleAssignment.LITERAL:
-            # the literal assignment reads a'/b' from the swapped slots, so
-            # the extremal tuple swaps its primed entries
-            angles = chsh.BellAngles(angles.theta_l, angles.theta_r,
-                                     angles.theta_rp, angles.theta_lp)
+        standard = chsh.analytic_optimal_angles(mu_lambda)
+        angles = roles.bell_angles(*chsh.RoleAssignment.STANDARD.slots(standard))
         best_s = chsh.chsh_S(angles, c, roles)
         evaluations = 0
     else:

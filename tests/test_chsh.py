@@ -100,6 +100,12 @@ class TestChshS:
             standard, abs=1e-15)
         assert literal != pytest.approx(standard, abs=1e-3)
 
+    @pytest.mark.parametrize("roles", list(RoleAssignment))
+    def test_bell_angles_inverts_slots(self, roles):
+        angles = BellAngles(0.1, 0.7, 1.9, 2.6)
+        assert roles.bell_angles(*roles.slots(angles)) == angles
+        assert roles.slots(roles.bell_angles(0.1, 0.7, 1.9, 2.6)) == (0.1, 0.7, 1.9, 2.6)
+
     def test_array_evaluation_matches_scalar(self, rng):
         thetas = rng.uniform(0, 2 * np.pi, size=(4, 50))
         values = chsh.chsh_S_values(*thetas, 0.3, RoleAssignment.STANDARD)

@@ -195,6 +195,16 @@ class TestSweep:
             for key in obj:
                 assert obj[key] == pytest.approx(float(row[key]), abs=1e-12)
 
+    def test_grid_maximum_matches_analytic_near_zero_contrast(self, capsys):
+        # near c = 0 the maximum exceeds 2 by only about c², which a coarse grid can miss
+        code, out, _ = run_cli(capsys, "sweep", "--min", "0.7835", "--max", "0.786",
+                               "--points", "6")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 6
+        for row in rows:
+            assert abs(float(row["s_max_grid"]) - float(row["s_max_analytic"])) <= 1e-6
+
     def test_budget_exceeded_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--min", "0", "--max", "1",
                                "--points", "5", "--budget", "1000")
