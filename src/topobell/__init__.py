@@ -32,14 +32,10 @@ from .entangled import (
     run_scenario_c,
 )
 from .optics import (
-    NonUnitaryError,
     beam_splitter,
-    custom_beam_splitter,
     mach_zehnder,
     path_phase_operator,
     phase_retarder,
-    polarizing_splitter_candidate,
-    spin_eigenstates,
     spin_loop_phase,
 )
 from .oracle import (
@@ -59,7 +55,6 @@ __all__ = [
     "BudgetExceededError",
     "DetectionDistribution",
     "GridSpec",
-    "NonUnitaryError",
     "PhaseMode",
     "RoleAssignment",
     "Scenario",
@@ -74,7 +69,6 @@ __all__ = [
     "canonical_angles",
     "chsh_S",
     "contrast",
-    "custom_beam_splitter",
     "expectation_closed_form",
     "expectation_from_distribution",
     "fixed_angle_curve_S",
@@ -82,13 +76,11 @@ __all__ = [
     "mach_zehnder",
     "path_phase_operator",
     "phase_retarder",
-    "polarizing_splitter_candidate",
     "run_scenario",
     "run_scenario_a",
     "run_scenario_ab",
     "run_scenario_b",
     "run_scenario_c",
-    "spin_eigenstates",
     "spin_loop_phase",
     "stationarity_check",
 ]

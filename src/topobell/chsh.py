@@ -23,6 +23,8 @@ from .entangled import DetectionDistribution
 
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 
+_HALF_MAX_FLOAT = np.finfo(float).max / 2.0
+
 #: Fixed angle tuple (0, pi/4, 3pi/4, pi/2) that maximizes the literal
 #: combination at full contrast.
 CANONICAL_ANGLES_TUPLE = (0.0, np.pi / 4, 3 * np.pi / 4, np.pi / 2)
@@ -89,6 +91,15 @@ def _check_contrast(c) -> None:
         raise ValueError("contrast c must lie in [-1, 1]")
 
 
+def _doubled_mu_lambda(mu_lambda):
+    """2*mu*lambda as a float array; ValueError unless every entry is finite."""
+    arr = np.asarray(mu_lambda, dtype=float)
+    # doubling is exact, so 2*x is finite iff |x| <= max/2; NaN fails the comparison
+    if not np.all(np.abs(arr) <= _HALF_MAX_FLOAT):
+        raise ValueError(f"mu*lambda = {mu_lambda!r} has no finite contrast")
+    return 2.0 * arr
+
+
 def expectation_from_distribution(dist: DetectionDistribution) -> float:
     """Observable product expectation from a joint detection distribution.
 
@@ -140,15 +151,16 @@ def fixed_angle_curve_S(mu_lambda) -> float | np.ndarray:
 
     Equals sqrt(2) + sqrt(2)*|cos(2*mu*lambda)|: full contrast gives
     2*sqrt(2), vanishing contrast sqrt(2). Even in mu*lambda and periodic
-    with period pi.
+    with period pi. Raises ``ValueError`` unless 2*mu*lambda is finite for
+    every entry.
     """
-    curve = np.sqrt(2.0) * (1.0 + np.abs(np.cos(2.0 * np.asarray(mu_lambda, dtype=float))))
+    curve = np.sqrt(2.0) * (1.0 + np.abs(np.cos(_doubled_mu_lambda(mu_lambda))))
     return float(curve) if np.ndim(mu_lambda) == 0 else curve
 
 
 def contrast(mu_lambda: float) -> float:
-    """Interference contrast c = cos(2*mu*lambda)."""
-    return float(np.cos(2.0 * float(mu_lambda)))
+    """Interference contrast c = cos(2*mu*lambda); 2*mu*lambda must be finite."""
+    return float(np.cos(_doubled_mu_lambda(float(mu_lambda))))
 
 
 def analytic_max_S(c: float) -> float:

@@ -80,10 +80,11 @@ def _positive_int_arg(text: str) -> int:
 
 
 def _checked_contrast(mu_lambda: float) -> float:
-    """c = cos(2*mu*lambda), as a usage error unless mu*lambda and c are finite."""
-    if not np.isfinite(2.0 * float(mu_lambda)):
-        raise UsageError(f"mu*lambda = {float(mu_lambda)!r} has no finite contrast")
-    return chsh.contrast(mu_lambda)
+    """c = cos(2*mu*lambda), with the library's rejection as a usage error."""
+    try:
+        return chsh.contrast(mu_lambda)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _emit_records(records: list[dict], fmt: str) -> None:

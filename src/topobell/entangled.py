@@ -1,26 +1,30 @@
-"""Branch-decomposed two-quanton states and the interferometer scenarios.
+"""The four two-quanton interferometer scenarios on the path singlet.
 
 A source emits a spatially correlated pair in the path singlet
-(|0>_L |1>_R - |1>_L |0>_R)/sqrt(2). Each singlet term is kept as a
-``(spin_l, spin_r, amplitudes)`` branch: the spin pair (+1,-1) or (-1,+1)
-rides along with the term it descended from and conditions any
-spin-dependent loop phase, while splitters and retarders act on the path
-amplitudes only. Detection reads out paths, not spins, and the branches
-interfere coherently; this is what makes the spin-conditioned loop phase
-observable in scenario C. Scenarios A, C and AB share one branch loop,
-:func:`_branch_sum`.
+(|0>_L |1>_R - |1>_L |0>_R)/sqrt(2). Each singlet term is a branch that
+carries its spin pair: (+1,-1) on |0>_L |1>_R (up-down) and (-1,+1) on
+|1>_L |0>_R (down-up). Splitters and retarders act on the path amplitudes
+only, so each side's optics is one 2x2 transfer matrix M, and a
+topological phase reaches the pair only as one scalar phase per branch.
+All four scenarios therefore share one joint amplitude for detectors
+(j, k), :func:`_joint_distribution`:
+
+    (phi_1 M_L[j,0] M_R[k,1] - phi_2 M_L[j,1] M_R[k,0]) / sqrt(2)
+
+with phi_1 and phi_2 the up-down and down-up branch phases. Detection
+reads out paths, not spins, and the two branches interfere coherently;
+this is what makes the spin-conditioned loop phase observable in
+scenario C.
 
 Scenarios:
 
-* A: source, retarders, one splitter per side (open geometry). The two
-  sides are mirror images, so the right-hand detectors are labeled
-  opposite to the right splitter's ports; the swap commutes with the
-  splitter, so it is applied to the readout column.
-* B: full splitter-retarder-splitter interferometer per side. With no
-  spin-dependent phase both branches see the same optics, so B skips the
-  branch loop: it multiplies out each side's transfer matrix from the
-  splitter and retarder entries and applies the pair to the singlet
-  amplitudes directly.
+* A: source, retarders, one splitter per side (open geometry),
+  M = BS @ T @ P(theta) with T the per-arm phases. The two sides are
+  mirror images, so the right-hand detectors are labeled opposite to the
+  right splitter's ports: the right matrix is read with its rows
+  reversed. No branch phase.
+* B: full splitter-retarder-splitter interferometer per side,
+  M = BS @ P(theta) @ BS. No branch phase.
 * C: scenario B with a confined field source between the interferometers;
   each branch picks up exp(-i*s*mu*lambda) per side.
 * AB: scenario B with a spin-independent flux phase, identical for both
@@ -29,10 +33,8 @@ Scenarios:
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,54 +158,30 @@ class DetectionDistribution:
         return cls(*(float(x) for x in arr))
 
 
-_SidePair = tuple[np.ndarray, np.ndarray]  # (left, right) 2x2 operators
-
-# shared read-only instances for the scenario hot paths
+# shared read-only instance for the scenario hot paths
 _BS = beam_splitter()
 _BS.setflags(write=False)
-_SPLITTERS: _SidePair = (_BS, _BS)
 
-# the splitter as plain Python numbers, for scenario B
-_R = 1.0 / math.sqrt(2.0)
-_SPLITTER = ((_R, 1j * _R), (1j * _R, _R))
-
-# the two singlet branches as (spin_l, spin_r, amplitudes): +1/sqrt(2) on
-# |0>_L |1>_R with spins (+1,-1), -1/sqrt(2) on |1>_L |0>_R with (-1,+1)
-_UP_DOWN = (1, -1, np.array([0.0, _R, 0.0, 0.0], dtype=complex))
-_DOWN_UP = (-1, 1, np.array([0.0, 0.0, -_R, 0.0], dtype=complex))
-_UP_DOWN[2].setflags(write=False)
-_DOWN_UP[2].setflags(write=False)
+_R = 1.0 / math.sqrt(2.0)  # magnitude of each singlet amplitude
 
 
-def _interferometer_side(theta: float) -> tuple[tuple[complex, complex], ...]:
-    """Splitter @ diag(e^{i theta}, 1) @ splitter, multiplied out entry by entry."""
-    (s00, s01), (s10, s11) = _SPLITTER
-    e = cmath.exp(1j * float(theta))
-    return ((s00 * e * s00 + s01 * s10, s00 * e * s01 + s01 * s11),
-            (s10 * e * s00 + s11 * s10, s10 * e * s01 + s11 * s11))
+def _interferometer(theta: float) -> np.ndarray:
+    """Splitter, retarder, splitter: one side of scenarios B, C and AB."""
+    return _BS @ phase_retarder(theta) @ _BS
 
 
-def _apply_sides(amp: np.ndarray, m_l: np.ndarray, m_r: np.ndarray) -> np.ndarray:
-    """Apply per-side 2x2 operators to a joint 4-amplitude (L index major)."""
-    return (m_l @ amp.reshape(2, 2) @ m_r.T).reshape(4)
+def _joint_distribution(m_l: np.ndarray, m_r: np.ndarray,
+                        phases: tuple[complex, complex]) -> DetectionDistribution:
+    """Detection distribution of the path singlet behind per-side optics.
 
-
-def _branch_sum(first: _SidePair, second: _SidePair, phases: Sequence[complex],
-                third: _SidePair) -> np.ndarray:
-    """Joint path amplitudes summed coherently over the two singlet branches.
-
-    ``first``, ``second`` and ``third`` are (left, right) pairs of 2x2
-    operators applied in that order; ``phases`` holds one scalar factor
-    per branch (up-down, then down-up), applied between the second and
-    the third pair.
+    ``m_l`` and ``m_r`` are the sides' 2x2 transfer matrices (row =
+    detector, column = input port); ``phases`` holds the up-down, then the
+    down-up branch phase. The amplitude at detectors (j, k) is
+    (phi_1 M_L[j,0] M_R[k,1] - phi_2 M_L[j,1] M_R[k,0]) / sqrt(2).
     """
-    (m1_l, m1_r), (m2_l, m2_r), (m3_l, m3_r) = first, second, third
-
-    def branch(amp: np.ndarray, phase: complex) -> np.ndarray:
-        return _apply_sides(_apply_sides(_apply_sides(amp, m1_l, m1_r), m2_l, m2_r) * phase,
-                            m3_l, m3_r)
-
-    return branch(_UP_DOWN[2], phases[0]) + branch(_DOWN_UP[2], phases[1])
+    phi_ud, phi_du = phases
+    amp = phi_ud * (m_l[:, 0, None] * m_r[:, 1]) - phi_du * (m_l[:, 1, None] * m_r[:, 0])
+    return DetectionDistribution(*(np.abs(_R * amp.ravel()) ** 2).tolist())
 
 
 def _require_mode(topo: TopoPhaseSpec, mode: PhaseMode, scenario: str) -> None:
@@ -227,29 +205,18 @@ def run_scenario_a(theta_l: float, theta_r: float,
         t_r = path_phase_operator(topo.i_u_r, topo.i_d_r, topo.mu)
     else:
         t_l = t_r = np.eye(2, dtype=complex)
-    # the open geometry multiplies no branch by a scalar phase
-    total = _branch_sum((phase_retarder(theta_l), phase_retarder(theta_r)), (t_l, t_r),
-                        (1 + 0j, 1 + 0j), _SPLITTERS)
-    # mirrored right side: detector j reads splitter port 1-j
-    probs = np.abs(total.reshape(2, 2)[:, ::-1].reshape(4)) ** 2
-    return DetectionDistribution.from_array(probs)
+    m_l = _BS @ t_l @ phase_retarder(theta_l)
+    m_r = _BS @ t_r @ phase_retarder(theta_r)
+    # mirrored right side: detector k reads splitter port 1-k
+    return _joint_distribution(m_l, m_r[::-1], (1, 1))
 
 
 def run_scenario_b(theta_l: float, theta_r: float) -> DetectionDistribution:
     """Full interferometer per side: splitter, retarder, splitter.
 
-    Both spin branches pass the same optics, so no branch loop is run:
-    the output amplitude for detectors (j, k) is
-    (M_L[j,0] M_R[k,1] - M_L[j,1] M_R[k,0]) / sqrt(2), with each side's
-    transfer matrix M built from the splitter and retarder entries in
-    plain complex arithmetic.
+    Both spin branches pass the same optics and pick up no phase.
     """
-    m_l = _interferometer_side(theta_l)
-    m_r = _interferometer_side(theta_r)
-    # singlet amplitudes: +1/sqrt(2) on |0>_L |1>_R, -1/sqrt(2) on |1>_L |0>_R
-    probs = [abs(_R * (l0 * r1 - l1 * r0)) ** 2
-             for l0, l1 in m_l for r0, r1 in m_r]
-    return DetectionDistribution(*probs)
+    return _joint_distribution(_interferometer(theta_l), _interferometer(theta_r), (1, 1))
 
 
 def run_scenario_c(theta_l: float, theta_r: float,
@@ -261,12 +228,9 @@ def run_scenario_c(theta_l: float, theta_r: float,
     survives in the probabilities.
     """
     _require_mode(topo, PhaseMode.SPIN_CONDITIONED, "C")
-    phases = [spin_loop_phase(s_l, topo.mu, topo.lambda_l)
-              * spin_loop_phase(s_r, topo.mu, topo.lambda_r)
-              for s_l, s_r, _ in (_UP_DOWN, _DOWN_UP)]
-    total = _branch_sum(_SPLITTERS, (phase_retarder(theta_l), phase_retarder(theta_r)),
-                        phases, _SPLITTERS)
-    return DetectionDistribution.from_array(np.abs(total) ** 2)
+    phases = tuple(spin_loop_phase(s, topo.mu, topo.lambda_l)
+                   * spin_loop_phase(-s, topo.mu, topo.lambda_r) for s in (1, -1))
+    return _joint_distribution(_interferometer(theta_l), _interferometer(theta_r), phases)
 
 
 def run_scenario_ab(theta_l: float, theta_r: float,
@@ -278,14 +242,13 @@ def run_scenario_ab(theta_l: float, theta_r: float,
     """
     _require_mode(topo, PhaseMode.SPIN_INDEPENDENT_AB, "AB")
     flux_phase = np.exp(-1j * topo.flux)
-    total = _branch_sum(_SPLITTERS, (phase_retarder(theta_l), phase_retarder(theta_r)),
-                        (flux_phase, flux_phase), _SPLITTERS)
-    return DetectionDistribution.from_array(np.abs(total) ** 2)
+    return _joint_distribution(_interferometer(theta_l), _interferometer(theta_r),
+                               (flux_phase, flux_phase))
 
 
 def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
                  topo: TopoPhaseSpec | None = None) -> DetectionDistribution:
-    """Dispatch to the scenario runners with mode validation."""
+    """Dispatch to the scenario runners; each runner validates the phase spec."""
     if scenario is Scenario.A:
         return run_scenario_a(theta_l, theta_r, topo)
     if scenario is Scenario.B:
@@ -293,11 +256,7 @@ def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
             raise ValueError("scenario B takes no topological phase spec")
         return run_scenario_b(theta_l, theta_r)
     if scenario is Scenario.C:
-        if topo is None:
-            raise ValueError("scenario C requires a spin-conditioned phase spec")
         return run_scenario_c(theta_l, theta_r, topo)
     if scenario is Scenario.AB:
-        if topo is None:
-            raise ValueError("scenario AB requires a flux phase spec")
         return run_scenario_ab(theta_l, theta_r, topo)
     raise ValueError(f"unknown scenario {scenario!r}")

@@ -10,23 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import unitarity_deviation
-
 SQRT2 = np.sqrt(2.0)
-
-CUSTOM_SPLITTER_TOL = 1e-9
-
-
-class NonUnitaryError(ValueError):
-    """Raised when a user-supplied splitter matrix fails the unitarity check.
-
-    Carries the max-entry deviation of M^dag M from the identity so the
-    failure can be quantified instead of silently rescaled.
-    """
-
-    def __init__(self, deviation: float):
-        self.deviation = float(deviation)
-        super().__init__(f"matrix is not unitary (deviation {self.deviation:.6e})")
 
 
 def beam_splitter() -> np.ndarray:
@@ -40,7 +24,7 @@ def beam_splitter() -> np.ndarray:
 
 def phase_retarder(theta: float) -> np.ndarray:
     """Retarder adding phase exp(i*theta) to the port-0 arm: diag(e^{i theta}, 1)."""
-    return np.diag([np.exp(1j * float(theta)), 1.0]).astype(complex)
+    return np.array([[np.exp(1j * float(theta)), 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def mach_zehnder(theta: float) -> np.ndarray:
@@ -89,47 +73,3 @@ def spin_loop_phase(s: int, mu: float, lam: float) -> complex:
     if s not in (1, -1):
         raise ValueError(f"spin label must be +1 or -1, got {s!r}")
     return complex(np.exp(-1j * s * float(mu) * float(lam)))
-
-
-def custom_beam_splitter(entries: np.ndarray) -> np.ndarray:
-    """Validate a user-supplied 2x2 splitter matrix.
-
-    Returns the matrix when it is unitary within 1e-9; otherwise raises
-    :class:`NonUnitaryError` carrying the deviation. Validation instead of
-    renormalization keeps ill-posed coefficient choices visible.
-    """
-    arr = np.asarray(entries, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {arr.shape}")
-    deviation = unitarity_deviation(arr)
-    if deviation > CUSTOM_SPLITTER_TOL:
-        raise NonUnitaryError(deviation)
-    return arr.copy()
-
-
-def polarizing_splitter_candidate(theta_l: float, theta_r: float) -> np.ndarray:
-    """Candidate coefficient matrix for a polarizing splitter.
-
-    Builds (1/sqrt 2) [[-sin(tL/2), -i sin(tR/2)], [i cos(tL/2), cos(tR/2)]].
-    The column norms are generally not 1, so this candidate usually fails
-    :func:`custom_beam_splitter`; it is provided so the normalization
-    problem can be studied directly.
-    """
-    hl, hr = 0.5 * float(theta_l), 0.5 * float(theta_r)
-    return np.array(
-        [[-np.sin(hl), -1j * np.sin(hr)], [1j * np.cos(hl), np.cos(hr)]],
-        dtype=complex,
-    ) / SQRT2
-
-
-def spin_eigenstates(theta_n: float) -> tuple[np.ndarray, np.ndarray]:
-    """Spin up/down eigenstates along a direction at angle theta_n.
-
-    Returns (up, down) with up = (1/sqrt 2)(-e^{-i theta}, 1)^T and
-    down = (1/sqrt 2)(e^{-i theta}, 1)^T. The pair is orthonormal for
-    every angle.
-    """
-    phase = np.exp(-1j * float(theta_n))
-    up = np.array([-phase, 1.0], dtype=complex) / SQRT2
-    down = np.array([phase, 1.0], dtype=complex) / SQRT2
-    return up, down

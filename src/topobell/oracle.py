@@ -217,17 +217,20 @@ def stationarity_check(angles: BellAngles, c: float, roles: RoleAssignment,
     differences are meaningless. Otherwise PASSED iff every one-angle
     central difference quotient has magnitude at most 10*h^2*scale with
     scale = max(1, |S|), the expected truncation error at a smooth
-    stationary point.
+    stationary point. Raises ``ValueError`` unless h is positive, finite
+    and large enough that x + h and x - h differ from every angle x.
     """
-    if not 0 < h < np.inf:
-        raise ValueError(f"step h must be positive and finite, got {h!r}")
+    values = np.array(angles.as_tuple())
+    # a step below an angle's resolution makes every difference quotient 0
+    if not (0 < h < np.inf and np.all(values + h != values) and np.all(values - h != values)):
+        raise ValueError(f"step h must be positive and finite and must move every angle, "
+                         f"got {h!r}")
     first, second = chsh_terms(angles, c, roles)
     if min(abs(first), abs(second)) <= 10.0 * h:
         return StationarityOutcome.SKIPPED
 
     base = chsh_S(angles, c, roles)
     threshold = 10.0 * h * h * max(1.0, abs(base))
-    values = np.array(angles.as_tuple())
     for i in range(4):
         forward, backward = values.copy(), values.copy()
         forward[i] += h

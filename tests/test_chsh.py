@@ -138,6 +138,20 @@ class TestFixedAngleCurve:
                         chsh.fixed_angle_curve_S(probe + np.pi), atol=1e-12)
 
 
+    @pytest.mark.parametrize("mu_lambda", [np.nan, np.inf, -np.inf, 1e308,
+                                           np.array([0.1, np.nan]), np.array([0.1, 1e308])])
+    def test_rejects_mu_lambda_without_a_finite_contrast(self, mu_lambda):
+        with pytest.raises(ValueError, match="finite contrast"):
+            chsh.fixed_angle_curve_S(mu_lambda)
+
+
+class TestContrast:
+    @pytest.mark.parametrize("mu_lambda", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+    def test_rejects_mu_lambda_without_a_finite_contrast(self, mu_lambda):
+        with pytest.raises(ValueError, match="finite contrast"):
+            chsh.contrast(mu_lambda)
+
+
 class TestAnalyticOptimum:
     def test_full_contrast_angles_and_value(self):
         angles = chsh.analytic_optimal_angles(0.0)

@@ -219,6 +219,20 @@ class TestScenarioAB:
             run_scenario_ab(0.0, 0.0, TopoPhaseSpec.spin_conditioned(1.0, 0.0, 0.0))
 
 
+class TestOneFormula:
+    def test_zero_phases_reproduce_scenario_b_exactly(self, rng):
+        # B, C and AB share one joint amplitude and one side matrix, so
+        # branch phases of exactly 1 must give B's numbers bit for bit
+        for _ in range(10_000):
+            theta_l, theta_r = rng.uniform(-10, 10, 2)
+            mu = rng.uniform(-2, 2)
+            b = run_scenario_b(theta_l, theta_r).as_array()
+            ab = run_scenario_ab(theta_l, theta_r, TopoPhaseSpec.aharonov_bohm(0.0))
+            c = run_scenario_c(theta_l, theta_r, TopoPhaseSpec.spin_conditioned(mu, 0.0, 0.0))
+            assert np.array_equal(ab.as_array(), b)
+            assert np.array_equal(c.as_array(), b)
+
+
 class TestDispatcher:
     def test_dispatches_each_scenario(self):
         assert_allclose(run_scenario(Scenario.B, 0.1, 0.2).as_array(),
@@ -232,8 +246,12 @@ class TestDispatcher:
             run_scenario(Scenario.B, 0.0, 0.0, TopoPhaseSpec.aharonov_bohm(0.0))
 
     def test_scenario_c_requires_topo(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="spin-conditioned"):
             run_scenario(Scenario.C, 0.0, 0.0)
+
+    def test_scenario_ab_requires_topo(self):
+        with pytest.raises(ValueError, match="spin-independent-ab"):
+            run_scenario(Scenario.AB, 0.0, 0.0)
 
     def test_distributions_are_valid_for_random_draws(self, rng):
         for _ in range(500):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from topobell import linalg
-from topobell.optics import beam_splitter, polarizing_splitter_candidate
+from topobell.optics import beam_splitter
 
 from conftest import random_unitary
 
@@ -65,7 +65,7 @@ class TestUnitarityDeviation:
 
     def test_polarizing_candidate_at_zero_angles_is_not(self):
         # column norms are 1/sqrt(2), deviation 1/2
-        candidate = polarizing_splitter_candidate(0.0, 0.0)
+        candidate = np.array([[0.0, 0.0], [1j / np.sqrt(2), 1 / np.sqrt(2)]])
         assert_allclose(linalg.unitarity_deviation(candidate), 0.5, atol=1e-15)
 
     def test_norm_preserved_by_random_unitaries(self, rng):

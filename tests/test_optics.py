@@ -107,46 +107,3 @@ class TestSpinLoopPhase:
     def test_rejects_non_spin_labels(self, bad):
         with pytest.raises(ValueError):
             optics.spin_loop_phase(bad, 1.0, 1.0)
-
-
-class TestCustomBeamSplitter:
-    def test_accepts_the_symmetric_splitter(self):
-        accepted = optics.custom_beam_splitter(optics.beam_splitter())
-        assert_allclose(accepted, optics.beam_splitter(), atol=0)
-
-    def test_rejects_polarizing_candidate_at_zero(self):
-        with pytest.raises(optics.NonUnitaryError) as excinfo:
-            optics.custom_beam_splitter(optics.polarizing_splitter_candidate(0.0, 0.0))
-        assert excinfo.value.deviation == pytest.approx(0.5, abs=1e-12)
-
-    def test_rejects_zero_matrix(self):
-        with pytest.raises(optics.NonUnitaryError) as excinfo:
-            optics.custom_beam_splitter(np.zeros((2, 2)))
-        assert excinfo.value.deviation == pytest.approx(1.0, abs=1e-15)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            optics.custom_beam_splitter(np.eye(4))
-
-    def test_polarizing_candidate_mixes_both_angles(self):
-        m = optics.polarizing_splitter_candidate(np.pi / 3, np.pi / 5)
-        assert_allclose(m[0, 0], -np.sin(np.pi / 6) / np.sqrt(2), atol=1e-15)
-        assert_allclose(m[1, 1], np.cos(np.pi / 10) / np.sqrt(2), atol=1e-15)
-
-
-class TestSpinEigenstates:
-    def test_reference_direction(self):
-        up, down = optics.spin_eigenstates(0.0)
-        assert_allclose(up, np.array([-1.0, 1.0]) / np.sqrt(2), atol=1e-15)
-        assert_allclose(down, np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-15)
-
-    def test_orthogonality(self):
-        up, down = optics.spin_eigenstates(1.2345)
-        assert abs(np.vdot(up, down)) < 1e-15
-
-    @given(theta=angles)
-    @settings(max_examples=100, deadline=None)
-    def test_unit_norms(self, theta):
-        up, down = optics.spin_eigenstates(theta)
-        assert abs(np.linalg.norm(up) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(down) - 1.0) < 1e-12

@@ -215,7 +215,8 @@ class TestStationarityCheck:
         with pytest.raises(ValueError):
             stationarity_check(BellAngles(1, 2, 3, 4), 0.5, RoleAssignment.STANDARD, 0.0)
 
-    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    # 1e-17 and 1e-300 leave every angle unchanged, so all quotients would be 0
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 1e-17, 1e-300])
     def test_rejects_nan_step_naming_h(self, h):
         with pytest.raises(ValueError, match="step h"):
             stationarity_check(BellAngles(1, 2, 3, 4), 0.5, RoleAssignment.STANDARD, h)

@@ -1,12 +1,14 @@
 import pytest
 
 import topobell
-from topobell import entangled, linalg
+from topobell import entangled, linalg, optics
 
 REMOVED = {
     entangled: ("SpinBranch", "TwoQuantonState", "singlet_source"),
     linalg: ("as_operator", "as_state", "dagger", "is_unitary", "apply",
              "joint_probabilities", "norm", "DEFAULT_TOL"),
+    optics: ("custom_beam_splitter", "NonUnitaryError", "CUSTOM_SPLITTER_TOL",
+             "polarizing_splitter_candidate", "spin_eigenstates"),
 }
 
 
