@@ -18,6 +18,7 @@ from .chsh import (
     contrast,
     expectation_closed_form,
     expectation_from_distribution,
+    expectation_from_probabilities,
     fixed_angle_curve_S,
 )
 from .entangled import (
@@ -30,6 +31,7 @@ from .entangled import (
     run_scenario_ab,
     run_scenario_b,
     run_scenario_c,
+    scenario_probabilities,
 )
 from .optics import (
     beam_splitter,
@@ -44,6 +46,7 @@ from .oracle import (
     SearchResult,
     StationarityOutcome,
     brute_force_distribution,
+    brute_force_probabilities,
     grid_search_max_S,
     stationarity_check,
 )
@@ -66,11 +69,13 @@ __all__ = [
     "analytic_optimal_angles",
     "beam_splitter",
     "brute_force_distribution",
+    "brute_force_probabilities",
     "canonical_angles",
     "chsh_S",
     "contrast",
     "expectation_closed_form",
     "expectation_from_distribution",
+    "expectation_from_probabilities",
     "fixed_angle_curve_S",
     "grid_search_max_S",
     "mach_zehnder",
@@ -81,6 +86,7 @@ __all__ = [
     "run_scenario_ab",
     "run_scenario_b",
     "run_scenario_c",
+    "scenario_probabilities",
     "spin_loop_phase",
     "stationarity_check",
 ]

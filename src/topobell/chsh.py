@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entangled import DetectionDistribution
+from .entangled import DetectionDistribution, _finite_array
 
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 
@@ -109,10 +109,31 @@ def expectation_from_distribution(dist: DetectionDistribution) -> float:
     return float(dist.p_d0p_d0 - dist.p_d0p_d1 - dist.p_d1p_d0 + dist.p_d1p_d1)
 
 
-def expectation_closed_form(theta_l, theta_r, c):
-    """E(tL, tR) = -cos tL cos tR - sin tL sin tR * c. Broadcasts over arrays."""
-    _check_contrast(c)
+def expectation_from_probabilities(p) -> np.ndarray:
+    """:func:`expectation_from_distribution` over arrays of shape (..., 4).
+
+    Each row is (p(D0',D0), p(D0',D1), p(D1',D0), p(D1',D1)); raises
+    ``ValueError`` unless the last axis has length 4 and every entry is
+    finite.
+    """
+    arr = _finite_array("p", p)
+    if arr.shape[-1:] != (4,):
+        raise ValueError(f"expected probabilities along a last axis of length 4, "
+                         f"got shape {arr.shape}")
+    return arr[..., 0] - arr[..., 1] - arr[..., 2] + arr[..., 3]
+
+
+def _expectation(theta_l, theta_r, c):
     return -np.cos(theta_l) * np.cos(theta_r) - np.sin(theta_l) * np.sin(theta_r) * c
+
+
+def expectation_closed_form(theta_l, theta_r, c):
+    """E(tL, tR) = -cos tL cos tR - sin tL sin tR * c. Broadcasts over arrays.
+
+    Raises ``ValueError`` for a non-finite angle or a contrast outside [-1, 1].
+    """
+    _check_contrast(c)
+    return _expectation(_finite_array("theta_l", theta_l), _finite_array("theta_r", theta_r), c)
 
 
 def chsh_terms(angles: BellAngles, c: float,
@@ -131,13 +152,19 @@ def chsh_terms(angles: BellAngles, c: float,
 
 def chsh_S_values(theta_l, theta_r, theta_lp, theta_rp, c,
                   roles: RoleAssignment):
-    """CHSH statistic over angle arrays (broadcasting), given slot arrays."""
+    """CHSH statistic over angle arrays (broadcasting), given slot arrays.
+
+    Raises ``ValueError`` naming the first non-finite angle, or for a
+    contrast outside [-1, 1].
+    """
     _check_contrast(c)
-    a, ap, b, bp = roles._roles_of(theta_l, theta_r, theta_lp, theta_rp)
-    e_ab = expectation_closed_form(a, b, c)
-    e_abp = expectation_closed_form(a, bp, c)
-    e_apb = expectation_closed_form(ap, b, c)
-    e_apbp = expectation_closed_form(ap, bp, c)
+    slots = zip(("theta_l", "theta_r", "theta_lp", "theta_rp"),
+                (theta_l, theta_r, theta_lp, theta_rp))
+    a, ap, b, bp = roles._roles_of(*(_finite_array(name, value) for name, value in slots))
+    e_ab = _expectation(a, b, c)
+    e_abp = _expectation(a, bp, c)
+    e_apb = _expectation(ap, b, c)
+    e_apbp = _expectation(ap, bp, c)
     return np.abs(e_ab - e_abp) + np.abs(e_apb + e_apbp)
 
 
@@ -158,9 +185,13 @@ def fixed_angle_curve_S(mu_lambda) -> float | np.ndarray:
     return float(curve) if np.ndim(mu_lambda) == 0 else curve
 
 
-def contrast(mu_lambda: float) -> float:
-    """Interference contrast c = cos(2*mu*lambda); 2*mu*lambda must be finite."""
-    return float(np.cos(_doubled_mu_lambda(float(mu_lambda))))
+def contrast(mu_lambda) -> float | np.ndarray:
+    """Interference contrast c = cos(2*mu*lambda); 2*mu*lambda must be finite.
+
+    Broadcasts over arrays, like :func:`fixed_angle_curve_S`.
+    """
+    c = np.cos(_doubled_mu_lambda(mu_lambda))
+    return float(c) if np.ndim(mu_lambda) == 0 else c
 
 
 def analytic_max_S(c: float) -> float:

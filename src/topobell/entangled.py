@@ -14,7 +14,10 @@ All four scenarios therefore share one joint amplitude for detectors
 with phi_1 and phi_2 the up-down and down-up branch phases. Detection
 reads out paths, not spins, and the two branches interfere coherently;
 this is what makes the spin-conditioned loop phase observable in
-scenario C.
+scenario C. The formula takes stacks of side matrices and arrays of
+phases with any leading axes (:func:`_joint_probabilities`): the scalar
+runners evaluate it at one point, :func:`scenario_probabilities` over
+arrays of points.
 
 Scenarios:
 
@@ -59,6 +62,50 @@ class Scenario(enum.Enum):
     AB = "AB"
 
 
+#: The phase mode each scenario takes; scenario A may also go without one.
+_SCENARIO_MODES = {
+    Scenario.A: PhaseMode.PATH_INTEGRALS,
+    Scenario.B: None,
+    Scenario.C: PhaseMode.SPIN_CONDITIONED,
+    Scenario.AB: PhaseMode.SPIN_INDEPENDENT_AB,
+}
+
+
+def _finite_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array; ValueError naming it unless every entry is finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _checked_fields(mode: PhaseMode, values: dict) -> dict[str, np.ndarray]:
+    """The fields of ``mode`` from ``values`` as float arrays, in the mode's order.
+
+    Raises ValueError for a missing or foreign field, a non-finite value,
+    or a finite pair whose phase product overflows.
+    """
+    wanted = TopoPhaseSpec._FIELDS_BY_MODE[mode]
+    for name in values:
+        if name not in wanted:
+            raise ValueError(f"field {name!r} is not part of {mode.value} mode")
+    for name in wanted:
+        if name not in values:
+            raise ValueError(f"{mode.value} mode requires field {name!r}")
+    fields = {name: _finite_array(f"field {name!r}", values[name]) for name in wanted}
+    if "mu" in fields:
+        # finite fields can still give an infinite phase, and exp(-i*inf) is NaN
+        mu = fields["mu"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = {f"mu*{name}": mu * fields[name] for name in wanted if name != "mu"}
+            if mode is PhaseMode.SPIN_CONDITIONED:
+                phases["mu*(lambda_l - lambda_r)"] = mu * (fields["lambda_l"] - fields["lambda_r"])
+        for label, phase in phases.items():
+            if not np.all(np.isfinite(phase)):
+                raise ValueError(f"phase {label} must be finite")
+    return fields
+
+
 @dataclass(frozen=True)
 class TopoPhaseSpec:
     """Parameters of the topological phase, one populated field set per mode.
@@ -91,26 +138,13 @@ class TopoPhaseSpec:
     }
 
     def __post_init__(self):
-        wanted = self._FIELDS_BY_MODE[self.mode]
-        for name in ("mu", "lambda_l", "lambda_r", "flux", "i_u_l", "i_d_l", "i_u_r", "i_d_r"):
-            value = getattr(self, name)
-            if name in wanted:
-                if value is None:
-                    raise ValueError(f"{self.mode.value} mode requires field {name!r}")
-                if not np.isfinite(value):
-                    raise ValueError(f"field {name!r} must be finite")
-            elif value is not None:
-                raise ValueError(f"field {name!r} is not part of {self.mode.value} mode")
-        if self.mu is not None:
-            # finite fields can still give an infinite phase, and exp(-i*inf) is NaN
-            phases = {f"mu*{name}": float(self.mu) * float(getattr(self, name))
-                      for name in wanted if name != "mu"}
-            if self.mode is PhaseMode.SPIN_CONDITIONED:
-                phases["mu*(lambda_l - lambda_r)"] = float(self.mu) * (
-                    float(self.lambda_l) - float(self.lambda_r))
-            for label, phase in phases.items():
-                if not math.isfinite(phase):
-                    raise ValueError(f"phase {label} must be finite")
+        given = {name: getattr(self, name) for name in
+                 ("mu", "lambda_l", "lambda_r", "flux", "i_u_l", "i_d_l", "i_u_r", "i_d_r")
+                 if getattr(self, name) is not None}
+        for name, value in given.items():
+            if np.ndim(value) != 0:
+                raise ValueError(f"field {name!r} must be a scalar")
+        _checked_fields(self.mode, given)
 
     @classmethod
     def spin_conditioned(cls, mu: float, lambda_l: float, lambda_r: float) -> "TopoPhaseSpec":
@@ -127,6 +161,35 @@ class TopoPhaseSpec:
         return cls(PhaseMode.PATH_INTEGRALS, mu=float(mu),
                    i_u_l=float(i_u_l), i_d_l=float(i_d_l),
                    i_u_r=float(i_u_r), i_d_r=float(i_d_r))
+
+    def field_values(self) -> dict[str, float]:
+        """This spec's populated fields by name, the keywords of the batched entry points."""
+        return {name: getattr(self, name) for name in self._FIELDS_BY_MODE[self.mode]}
+
+    @classmethod
+    def broadcast(cls, scenario: Scenario, theta_l, theta_r, **fields):
+        """Validate one batch of inputs for ``scenario`` and broadcast it to one shape.
+
+        The keyword arrays are named after this class's fields and must be
+        exactly those of the scenario's phase mode: the spin-conditioned
+        fields for C, ``flux`` for AB, the path integrals or none for A,
+        none for B. Returns float arrays ``(theta_l, theta_r, fields)``.
+        Raises ``ValueError`` for a missing or foreign field, a non-finite
+        angle, field or phase product, or shapes that do not broadcast.
+        """
+        if not isinstance(scenario, Scenario):
+            raise ValueError(f"unknown scenario {scenario!r}")
+        mode = _SCENARIO_MODES[scenario]
+        if mode is None or (scenario is Scenario.A and not fields):
+            if fields:
+                raise ValueError(f"scenario {scenario.value} takes no phase fields, "
+                                 f"got {sorted(fields)}")
+            fields = {}
+        else:
+            fields = _checked_fields(mode, fields)
+        angles = (_finite_array("theta_l", theta_l), _finite_array("theta_r", theta_r))
+        theta_l, theta_r, *values = np.broadcast_arrays(*angles, *fields.values())
+        return theta_l, theta_r, dict(zip(fields, values))
 
 
 @dataclass(frozen=True)
@@ -170,18 +233,26 @@ def _interferometer(theta: float) -> np.ndarray:
     return _BS @ phase_retarder(theta) @ _BS
 
 
+def _joint_probabilities(m_l: np.ndarray, m_r: np.ndarray, phi_ud, phi_du) -> np.ndarray:
+    """Joint detection probabilities of the path singlet behind per-side optics.
+
+    ``m_l`` and ``m_r`` are stacks (..., 2, 2) of the sides' transfer
+    matrices (row = detector, column = input port); ``phi_ud`` and
+    ``phi_du`` are the up-down and down-up branch phases, scalars or arrays
+    with two trailing unit axes, so that they broadcast against the
+    (..., 2, 2) detector pairs. The amplitude at detectors (j, k) is
+    (phi_1 M_L[j,0] M_R[k,1] - phi_2 M_L[j,1] M_R[k,0]) / sqrt(2); the
+    result is (..., 4) in :class:`DetectionDistribution` order.
+    """
+    amp = (phi_ud * (m_l[..., :, 0, None] * m_r[..., None, :, 1])
+           - phi_du * (m_l[..., :, 1, None] * m_r[..., None, :, 0]))
+    return (np.abs(_R * amp) ** 2).reshape(amp.shape[:-2] + (4,))
+
+
 def _joint_distribution(m_l: np.ndarray, m_r: np.ndarray,
                         phases: tuple[complex, complex]) -> DetectionDistribution:
-    """Detection distribution of the path singlet behind per-side optics.
-
-    ``m_l`` and ``m_r`` are the sides' 2x2 transfer matrices (row =
-    detector, column = input port); ``phases`` holds the up-down, then the
-    down-up branch phase. The amplitude at detectors (j, k) is
-    (phi_1 M_L[j,0] M_R[k,1] - phi_2 M_L[j,1] M_R[k,0]) / sqrt(2).
-    """
-    phi_ud, phi_du = phases
-    amp = phi_ud * (m_l[:, 0, None] * m_r[:, 1]) - phi_du * (m_l[:, 1, None] * m_r[:, 0])
-    return DetectionDistribution(*(np.abs(_R * amp.ravel()) ** 2).tolist())
+    """:func:`_joint_probabilities` at one point, as a distribution."""
+    return DetectionDistribution(*_joint_probabilities(m_l, m_r, *phases).tolist())
 
 
 def _require_mode(topo: TopoPhaseSpec, mode: PhaseMode, scenario: str) -> None:
@@ -260,3 +331,61 @@ def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
     if scenario is Scenario.AB:
         return run_scenario_ab(theta_l, theta_r, topo)
     raise ValueError(f"unknown scenario {scenario!r}")
+
+
+def _diagonals(d0, d1) -> np.ndarray:
+    """Stack (..., 2, 2) of diagonal matrices diag(d0, d1)."""
+    out = np.zeros(np.broadcast_shapes(np.shape(d0), np.shape(d1)) + (2, 2), dtype=complex)
+    out[..., 0, 0] = d0
+    out[..., 1, 1] = d1
+    return out
+
+
+def _loop_phase_products(mu, lambda_l, lambda_r) -> tuple[np.ndarray, np.ndarray]:
+    """Scenario C's up-down and down-up branch phases over arrays.
+
+    The same numbers as :func:`run_scenario_c`'s ``spin_loop_phase``
+    products: each loop phase is exp(-i*s*mu*lambda) written as
+    ``spin_loop_phase`` writes it, and each product of two is multiplied
+    out in real arithmetic as Python's complex product does, because
+    numpy's complex multiply may fuse multiply-adds and move the last bit.
+    """
+    def loop(s, lam):
+        return np.exp(-1j * s * mu * lam)
+
+    def product(a, b):
+        return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+    return (product(loop(1, lambda_l), loop(-1, lambda_r)),
+            product(loop(-1, lambda_l), loop(1, lambda_r)))
+
+
+def scenario_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np.ndarray:
+    """Joint detection probabilities of ``scenario`` over arrays of points.
+
+    The batched form of :func:`run_scenario`: the keyword arrays are the
+    phase spec's fields (:meth:`TopoPhaseSpec.broadcast` says which
+    scenario takes which), and every input broadcasts against the others.
+    Returns (..., 4) in :class:`DetectionDistribution` order; each row
+    equals the scalar runner's distribution bit for bit.
+    """
+    theta_l, theta_r, fields = TopoPhaseSpec.broadcast(scenario, theta_l, theta_r, **fields)
+    retarders = [_diagonals(np.exp(1j * theta), 1.0) for theta in (theta_l, theta_r)]
+    if scenario is Scenario.A:
+        fronts = (_BS, _BS)
+        if fields:
+            mu = fields["mu"]
+            fronts = [_BS @ _diagonals(np.exp(1j * mu * fields[f"i_u_{side}"]),
+                                       np.exp(-1j * mu * fields[f"i_d_{side}"]))
+                      for side in "lr"]
+        m_l, m_r = (front @ retarder for front, retarder in zip(fronts, retarders))
+        # mirrored right side: detector k reads splitter port 1-k
+        return _joint_probabilities(m_l, m_r[..., ::-1, :], 1, 1)
+    m_l, m_r = (_BS @ retarder @ _BS for retarder in retarders)
+    if scenario is Scenario.C:
+        phases = _loop_phase_products(fields["mu"], fields["lambda_l"], fields["lambda_r"])
+    elif scenario is Scenario.AB:
+        phases = (np.exp(-1j * fields["flux"]),) * 2
+    else:
+        return _joint_probabilities(m_l, m_r, 1, 1)
+    return _joint_probabilities(m_l, m_r, *(phi[..., None, None] for phi in phases))

@@ -2,8 +2,8 @@
 
 Everything here re-derives results along a separate route from both the
 scenario simulators and the closed forms: joint probabilities through
-explicit 4x4 operator chains built with ``numpy.kron`` from inline
-component matrices, and the CHSH maximum through a grid search over the
+explicit 4x4 operator chains, Kronecker products of inline component
+matrices stacked over arrays of points, and the CHSH maximum through a grid search over the
 two angles (a, a') with shrinking-window refinement and the exact maximum
 over (b, b') at each grid point, plus finite-difference stationarity
 checks at claimed extrema.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chsh import BellAngles, RoleAssignment, chsh_S, chsh_terms
-from .entangled import DetectionDistribution, PhaseMode, Scenario, TopoPhaseSpec
+from .entangled import DetectionDistribution, Scenario, TopoPhaseSpec
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,68 +39,81 @@ class BudgetExceededError(RuntimeError):
         )
 
 
-def _retarder(theta: float) -> np.ndarray:
-    return np.diag([np.exp(1j * theta), 1.0]).astype(complex)
+def _diag(d0, d1) -> np.ndarray:
+    """Stack (..., 2, 2) of diagonal matrices diag(d0, d1)."""
+    out = np.zeros(np.broadcast_shapes(np.shape(d0), np.shape(d1)) + (2, 2), dtype=complex)
+    out[..., 0, 0] = d0
+    out[..., 1, 1] = d1
+    return out
 
 
-def _arm_phases(i_u: float, i_d: float, mu: float) -> np.ndarray:
-    return np.diag([np.exp(1j * mu * i_u), np.exp(-1j * mu * i_d)]).astype(complex)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of two stacks of 2x2 operators, (..., 4, 4), left factor major."""
+    product = np.einsum("...ik,...jl->...ijkl", a, b)
+    return product.reshape(product.shape[:-4] + (4, 4))
 
 
-def brute_force_distribution(scenario: Scenario, theta_l: float, theta_r: float,
-                             topo: TopoPhaseSpec | None = None) -> DetectionDistribution:
+def brute_force_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np.ndarray:
     """Joint detection probabilities by explicit per-branch 4x4 operator chains.
 
-    The singlet branches, their spin-conditioned scalar phases and the
-    mirrored right-hand detector labels of scenario A are restated here
-    from the physical conventions; no closed-form result enters.
+    Takes the inputs of :func:`topobell.entangled.scenario_probabilities`
+    (angles and phase-spec fields as arrays that broadcast against each
+    other) and returns (..., 4). The singlet branches, their
+    spin-conditioned scalar phases and the mirrored right-hand detector
+    labels of scenario A are restated here from the physical conventions;
+    no closed-form result enters.
     """
-    retarders = np.kron(_retarder(float(theta_l)), _retarder(float(theta_r)))
+    theta_l, theta_r, fields = TopoPhaseSpec.broadcast(scenario, theta_l, theta_r, **fields)
+    retarders = _kron(_diag(np.exp(1j * theta_l), 1.0), _diag(np.exp(1j * theta_r), 1.0))
     splitters = np.kron(_BS, _BS)
+    unit = np.ones(theta_l.shape)
+    branch_phases = {(1, -1): unit, (-1, 1): unit}
 
     if scenario is Scenario.A:
-        if topo is not None and topo.mode is not PhaseMode.PATH_INTEGRALS:
-            raise ValueError("scenario A takes per-arm path integrals only")
-        if topo is not None:
-            arm = np.kron(_arm_phases(topo.i_u_l, topo.i_d_l, topo.mu),
-                          _arm_phases(topo.i_u_r, topo.i_d_r, topo.mu))
+        if fields:
+            mu = fields["mu"]
+            arm = _kron(*(_diag(np.exp(1j * mu * fields[f"i_u_{side}"]),
+                                np.exp(-1j * mu * fields[f"i_d_{side}"])) for side in "lr"))
         else:
             arm = np.eye(4, dtype=complex)
         # right-hand detectors are labeled opposite to the splitter ports
         chain = np.kron(_ID, _SWAP) @ splitters @ arm @ retarders
-        branch_phases = {(1, -1): 1.0 + 0.0j, (-1, 1): 1.0 + 0.0j}
-    elif scenario is Scenario.B:
-        if topo is not None:
-            raise ValueError("scenario B takes no topological phase spec")
+    else:
         chain = splitters @ retarders @ splitters
-        branch_phases = {(1, -1): 1.0 + 0.0j, (-1, 1): 1.0 + 0.0j}
-    elif scenario is Scenario.C:
-        if topo is None or topo.mode is not PhaseMode.SPIN_CONDITIONED:
-            raise ValueError("scenario C requires a spin-conditioned phase spec")
-        chain = splitters @ retarders @ splitters
+    if scenario is Scenario.C:
         branch_phases = {
-            (s_l, s_r): np.exp(-1j * topo.mu * (s_l * topo.lambda_l + s_r * topo.lambda_r))
+            (s_l, s_r): np.exp(-1j * fields["mu"] * (s_l * fields["lambda_l"]
+                                                    + s_r * fields["lambda_r"]))
             for (s_l, s_r) in ((1, -1), (-1, 1))
         }
     elif scenario is Scenario.AB:
-        if topo is None or topo.mode is not PhaseMode.SPIN_INDEPENDENT_AB:
-            raise ValueError("scenario AB requires a flux phase spec")
-        chain = splitters @ retarders @ splitters
-        flux_phase = np.exp(-1j * topo.flux)
+        flux_phase = np.exp(-1j * fields["flux"])
         branch_phases = {(1, -1): flux_phase, (-1, 1): flux_phase}
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
 
     # singlet: +1/sqrt2 on |0,1> with spins (+1,-1), -1/sqrt2 on |1,0> with (-1,+1)
-    amplitudes = np.zeros(4, dtype=complex)
+    amplitudes = np.zeros(theta_l.shape + (4,), dtype=complex)
     for (s_l, s_r), start_index, start_amp in (
         ((1, -1), 1, 1.0 / np.sqrt(2.0)),
         ((-1, 1), 2, -1.0 / np.sqrt(2.0)),
     ):
         vec = np.zeros(4, dtype=complex)
         vec[start_index] = start_amp
-        amplitudes = amplitudes + branch_phases[(s_l, s_r)] * (chain @ vec)
-    return DetectionDistribution.from_array(np.abs(amplitudes) ** 2)
+        amplitudes = amplitudes + branch_phases[(s_l, s_r)][..., None] * (chain @ vec)
+    return np.abs(amplitudes) ** 2
+
+
+def brute_force_distribution(scenario: Scenario, theta_l: float, theta_r: float,
+                             topo: TopoPhaseSpec | None = None) -> DetectionDistribution:
+    """:func:`brute_force_probabilities` at one point, for a phase spec.
+
+    Raises ``ValueError`` unless ``topo`` is the scenario's phase spec
+    (``None`` for B, and optionally for A).
+    """
+    if topo is not None and not isinstance(topo, TopoPhaseSpec):
+        raise ValueError(f"expected a TopoPhaseSpec or None, got {type(topo).__name__}")
+    fields = {} if topo is None else topo.field_values()
+    return DetectionDistribution.from_array(
+        brute_force_probabilities(scenario, theta_l, theta_r, **fields))
 
 
 @dataclass(frozen=True)

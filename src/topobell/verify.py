@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chsh, closed_form
-from .entangled import Scenario, TopoPhaseSpec, run_scenario, run_scenario_a, run_scenario_b
+from .entangled import Scenario, scenario_probabilities
 from .linalg import tensor_product, unitarity_deviation
 from .optics import beam_splitter, mach_zehnder, path_phase_operator, phase_retarder, spin_loop_phase
-from .oracle import brute_force_distribution
+from .oracle import brute_force_probabilities
 
 BASE_SEED = 20260810
 
@@ -28,6 +28,17 @@ DEFAULT_LIGHT_DRAWS = 1_000
 FAULT_SCENARIO_C_SIGN = "scenario-c-sign"
 
 KNOWN_FAULTS = (FAULT_SCENARIO_C_SIGN,)
+
+_ANGLE = (0.0, 2.0 * np.pi)
+
+#: Draw ranges of each scenario's phase-spec fields, in per-point draw order.
+_FIELD_RANGES = {
+    Scenario.A: {"mu": (-2.0, 2.0), "i_u_l": (-3.0, 3.0), "i_d_l": (-3.0, 3.0),
+                 "i_u_r": (-3.0, 3.0), "i_d_r": (-3.0, 3.0)},
+    Scenario.B: {},
+    Scenario.C: {"mu": (-2.0, 2.0), "lambda_l": (-3.0, 3.0), "lambda_r": (-3.0, 3.0)},
+    Scenario.AB: {"flux": (-6.0, 6.0)},
+}
 
 
 @dataclass(frozen=True)
@@ -96,147 +107,137 @@ def _suite_optics(rng: np.random.Generator) -> SuiteResult:
     return SuiteResult("optics-compact-form", worst <= 1e-12, worst, 1e-12)
 
 
-def _random_scenario_params(rng: np.random.Generator, scenario: Scenario):
-    theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    if scenario is Scenario.A:
-        topo = TopoPhaseSpec.path_integrals(rng.uniform(-2, 2), *rng.uniform(-3, 3, size=4))
-    elif scenario is Scenario.B:
-        topo = None
-    elif scenario is Scenario.C:
-        topo = TopoPhaseSpec.spin_conditioned(rng.uniform(-2, 2), *rng.uniform(-3, 3, size=2))
-    else:
-        topo = TopoPhaseSpec.aharonov_bohm(rng.uniform(-6, 6))
-    return theta_l, theta_r, topo
+def _uniform_columns(rng: np.random.Generator, draws: int, *ranges) -> list[np.ndarray]:
+    """``draws`` random points, one column per (low, high) range.
+
+    One ``rng.random`` call fills the points row by row and each column is
+    scaled as ``low + (high - low) * u``, so the columns are bit-identical
+    to per-point ``rng.uniform`` calls in the same order, and the generator
+    ends in the same state.
+    """
+    u = rng.random((draws, len(ranges)))
+    return [low + (high - low) * u[:, k] for k, (low, high) in enumerate(ranges)]
+
+
+def _scenario_draws(rng: np.random.Generator, scenario: Scenario, draws: int):
+    """Random angles and phase-spec fields for ``draws`` points of ``scenario``."""
+    ranges = _FIELD_RANGES[scenario]
+    theta_l, theta_r, *values = _uniform_columns(rng, draws, _ANGLE, _ANGLE, *ranges.values())
+    return theta_l, theta_r, dict(zip(ranges, values))
 
 
 def _suite_distribution_validity(rng: np.random.Generator, draws: int) -> SuiteResult:
     worst = 0.0
     for scenario in Scenario:
-        for _ in range(draws):
-            theta_l, theta_r, topo = _random_scenario_params(rng, scenario)
-            p = run_scenario(scenario, theta_l, theta_r, topo).as_array()
-            worst = max(worst, abs(float(p.sum()) - 1.0))
-            worst = max(worst, float(max(0.0, np.max(p - 1.0), np.max(-p))))
+        theta_l, theta_r, fields = _scenario_draws(rng, scenario, draws)
+        p = scenario_probabilities(scenario, theta_l, theta_r, **fields)
+        worst = max(worst, float(np.max(np.abs(p.sum(axis=-1) - 1.0))),
+                    float(max(0.0, np.max(p - 1.0), np.max(-p))))
     return SuiteResult("distribution-validity", worst <= 1e-12, worst, 1e-12)
 
 
 def _suite_scenario_b_closed_form() -> SuiteResult:
     grid = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
-    worst = 0.0
-    for theta_l in grid:
-        for theta_r in grid:
-            simulated = run_scenario_b(theta_l, theta_r).as_array()
-            reference = closed_form.scenario_b_distribution(theta_l, theta_r).as_array()
-            worst = max(worst, float(np.max(np.abs(simulated - reference))))
-            # p(D0',D0) and p(D1',D0) against the formulas written out here
-            half = 0.5 * (theta_l - theta_r)
-            worst = max(worst, float(abs(simulated[0] - 0.5 * np.sin(half) ** 2)),
-                        float(abs(simulated[2] - 0.5 * np.cos(half) ** 2)))
+    theta_l, theta_r = np.meshgrid(grid, grid, indexing="ij")
+    simulated = scenario_probabilities(Scenario.B, theta_l, theta_r)
+    reference = closed_form.scenario_b_probabilities(theta_l, theta_r)
+    worst = float(np.max(np.abs(simulated - reference)))
+    # p(D0',D0) and p(D1',D0) against the formulas written out here
+    half = 0.5 * (theta_l - theta_r)
+    worst = max(worst, float(np.max(np.abs(simulated[..., 0] - 0.5 * np.sin(half) ** 2))),
+                float(np.max(np.abs(simulated[..., 2] - 0.5 * np.cos(half) ** 2))))
     return SuiteResult("scenario-b-closed-form", worst <= 1e-12, worst, 1e-12)
 
 
-def _suite_scenario_c_closed_form(inject_fault: str | None) -> SuiteResult:
+def _scenario_c_grid():
+    """The fixed (theta_l, theta_r, mu*lambda) grid of the scenario-C suites."""
     angles = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
     mu_lambdas = np.linspace(0.0, np.pi, 25, endpoint=False)
-    worst = 0.0
-    for theta_l in angles:
-        for theta_r in angles:
-            for mu_lambda in mu_lambdas:
-                topo = TopoPhaseSpec.spin_conditioned(1.0, mu_lambda, 0.0)
-                simulated = run_scenario(Scenario.C, theta_l, theta_r, topo).as_array()
-                two_ml = 2.0 * mu_lambda
-                if inject_fault == FAULT_SCENARIO_C_SIGN:
-                    two_ml = np.pi - two_ml  # flips the interference term sign
-                reference = closed_form.scenario_c_distribution(theta_l, theta_r, two_ml)
-                worst = max(worst, float(np.max(np.abs(simulated - reference.as_array()))))
+    return np.meshgrid(angles, angles, mu_lambdas, indexing="ij")
+
+
+def _suite_scenario_c_closed_form(inject_fault: str | None) -> SuiteResult:
+    theta_l, theta_r, mu_lambda = _scenario_c_grid()
+    simulated = scenario_probabilities(Scenario.C, theta_l, theta_r,
+                                       mu=1.0, lambda_l=mu_lambda, lambda_r=0.0)
+    two_ml = 2.0 * mu_lambda
+    if inject_fault == FAULT_SCENARIO_C_SIGN:
+        two_ml = np.pi - two_ml  # flips the interference term sign
+    reference = closed_form.scenario_c_probabilities(theta_l, theta_r, two_ml)
+    worst = float(np.max(np.abs(simulated - reference)))
     return SuiteResult("scenario-c-closed-form", worst <= 1e-12, worst, 1e-12)
 
 
 def _suite_scenario_c_gauge(rng: np.random.Generator, draws: int) -> SuiteResult:
-    worst = 0.0
-    for _ in range(draws):
-        theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        mu, lam_l, lam_r, shift = rng.uniform(-3.0, 3.0, size=4)
-        base = run_scenario(Scenario.C, theta_l, theta_r,
-                            TopoPhaseSpec.spin_conditioned(mu, lam_l, lam_r)).as_array()
-        shifted = run_scenario(Scenario.C, theta_l, theta_r,
-                               TopoPhaseSpec.spin_conditioned(mu, lam_l + shift,
-                                                              lam_r + shift)).as_array()
-        mirrored = run_scenario(Scenario.C, theta_l, theta_r,
-                                TopoPhaseSpec.spin_conditioned(mu, lam_r, lam_l)).as_array()
-        worst = max(worst, float(np.max(np.abs(base - shifted))))
-        worst = max(worst, float(np.max(np.abs(base - mirrored))))
+    theta_l, theta_r, mu, lam_l, lam_r, shift = _uniform_columns(
+        rng, draws, _ANGLE, _ANGLE, *[(-3.0, 3.0)] * 4)
+
+    def run(lambda_l, lambda_r):
+        return scenario_probabilities(Scenario.C, theta_l, theta_r,
+                                      mu=mu, lambda_l=lambda_l, lambda_r=lambda_r)
+
+    base = run(lam_l, lam_r)
+    shifted = run(lam_l + shift, lam_r + shift)
+    mirrored = run(lam_r, lam_l)
+    worst = max(float(np.max(np.abs(base - shifted))), float(np.max(np.abs(base - mirrored))))
     return SuiteResult("scenario-c-gauge", worst <= 1e-12, worst, 1e-12)
 
 
 def _suite_scenario_a_topo_invariance(rng: np.random.Generator, draws: int) -> SuiteResult:
-    worst = 0.0
-    for _ in range(draws):
-        theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        mu, i_u, i_d = rng.uniform(-3.0, 3.0, size=3)
-        topo = TopoPhaseSpec.path_integrals(mu, i_u, i_d, i_u, i_d)
-        with_topo = run_scenario_a(theta_l, theta_r, topo).as_array()
-        without = run_scenario_a(theta_l, theta_r).as_array()
-        worst = max(worst, float(np.max(np.abs(with_topo - without))))
+    theta_l, theta_r, mu, i_u, i_d = _uniform_columns(
+        rng, draws, _ANGLE, _ANGLE, *[(-3.0, 3.0)] * 3)
+    with_topo = scenario_probabilities(Scenario.A, theta_l, theta_r, mu=mu,
+                                       i_u_l=i_u, i_d_l=i_d, i_u_r=i_u, i_d_r=i_d)
+    without = scenario_probabilities(Scenario.A, theta_l, theta_r)
+    worst = float(np.max(np.abs(with_topo - without)))
     return SuiteResult("scenario-a-topo-invariance", worst <= 1e-12, worst, 1e-12)
 
 
 def _suite_scenario_ab_reduction(rng: np.random.Generator, draws: int) -> SuiteResult:
-    worst = 0.0
-    for _ in range(draws):
-        theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        flux = rng.uniform(-10.0, 10.0)
-        ab = run_scenario(Scenario.AB, theta_l, theta_r,
-                          TopoPhaseSpec.aharonov_bohm(flux)).as_array()
-        plain = run_scenario_b(theta_l, theta_r).as_array()
-        worst = max(worst, float(np.max(np.abs(ab - plain))))
+    theta_l, theta_r, flux = _uniform_columns(rng, draws, _ANGLE, _ANGLE, (-10.0, 10.0))
+    ab = scenario_probabilities(Scenario.AB, theta_l, theta_r, flux=flux)
+    plain = scenario_probabilities(Scenario.B, theta_l, theta_r)
+    worst = float(np.max(np.abs(ab - plain)))
     return SuiteResult("scenario-ab-reduction", worst <= 1e-12, worst, 1e-12)
 
 
 def _suite_degiorgio(rng: np.random.Generator, draws: int) -> SuiteResult:
-    worst = 0.0
-    for _ in range(draws):
-        theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        a = run_scenario_a(theta_l, theta_r).as_array()
-        b = run_scenario_b(theta_l, theta_r).as_array()
-        # quarter-wave offset: scenario A equals scenario B with each
-        # side's detector outcomes swapped in one index
-        worst = max(worst, abs(a[0] - b[2]))
-        worst = max(worst, float(np.max(np.abs(a - b[[1, 0, 3, 2]]))))
+    theta_l, theta_r = _uniform_columns(rng, draws, _ANGLE, _ANGLE)
+    a = scenario_probabilities(Scenario.A, theta_l, theta_r)
+    b = scenario_probabilities(Scenario.B, theta_l, theta_r)
+    # quarter-wave offset: scenario A equals scenario B with each
+    # side's detector outcomes swapped in one index
+    worst = max(float(np.max(np.abs(a[..., 0] - b[..., 2]))),
+                float(np.max(np.abs(a - b[..., [1, 0, 3, 2]]))))
     return SuiteResult("degiorgio-offset", worst <= 1e-12, worst, 1e-12)
 
 
 def _suite_oracle_equivalence(rng: np.random.Generator, draws: int) -> SuiteResult:
     worst = 0.0
     for scenario in Scenario:
-        for _ in range(draws):
-            theta_l, theta_r, topo = _random_scenario_params(rng, scenario)
-            simulated = run_scenario(scenario, theta_l, theta_r, topo).as_array()
-            brute = brute_force_distribution(scenario, theta_l, theta_r, topo).as_array()
-            worst = max(worst, float(np.max(np.abs(simulated - brute))))
+        theta_l, theta_r, fields = _scenario_draws(rng, scenario, draws)
+        simulated = scenario_probabilities(scenario, theta_l, theta_r, **fields)
+        brute = brute_force_probabilities(scenario, theta_l, theta_r, **fields)
+        worst = max(worst, float(np.max(np.abs(simulated - brute))))
     return SuiteResult("oracle-equivalence", worst <= 1e-12, worst, 1e-12)
 
 
 def _suite_chsh_consistency() -> SuiteResult:
-    worst = 0.0
     # channel consistency: pipeline distribution vs closed-form expectation
-    for theta_l in np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False):
-        for theta_r in np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False):
-            for mu_lambda in np.linspace(0.0, np.pi, 25, endpoint=False):
-                dist = run_scenario(Scenario.C, theta_l, theta_r,
-                                    TopoPhaseSpec.spin_conditioned(1.0, mu_lambda, 0.0))
-                expected = chsh.expectation_closed_form(
-                    theta_l, theta_r, np.cos(2.0 * mu_lambda))
-                measured = chsh.expectation_from_distribution(dist)
-                worst = max(worst, abs(measured - expected))
-                if mu_lambda == 0.0:
-                    # zero loop: E reduces to -cos(theta_l - theta_r)
-                    worst = max(worst, abs(measured + np.cos(theta_l - theta_r)))
+    theta_l, theta_r, mu_lambda = _scenario_c_grid()
+    p = scenario_probabilities(Scenario.C, theta_l, theta_r,
+                               mu=1.0, lambda_l=mu_lambda, lambda_r=0.0)
+    expected = chsh.expectation_closed_form(theta_l, theta_r, np.cos(2.0 * mu_lambda))
+    measured = chsh.expectation_from_probabilities(p)
+    worst = float(np.max(np.abs(measured - expected)))
+    # zero loop: E reduces to -cos(theta_l - theta_r)
+    zero = mu_lambda == 0.0
+    worst = max(worst, float(np.max(np.abs(measured[zero] + np.cos(theta_l - theta_r)[zero]))))
     # fixed-angle curve against the literal combination
-    for mu_lambda in np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False):
-        literal = chsh.chsh_S(chsh.canonical_angles(), chsh.contrast(mu_lambda),
-                              chsh.RoleAssignment.LITERAL)
-        worst = max(worst, abs(literal - chsh.fixed_angle_curve_S(mu_lambda)))
+    mu_lambdas = np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)
+    literal = chsh.chsh_S_values(*chsh.canonical_angles().as_tuple(), chsh.contrast(mu_lambdas),
+                                 chsh.RoleAssignment.LITERAL)
+    worst = max(worst, float(np.max(np.abs(literal - chsh.fixed_angle_curve_S(mu_lambdas)))))
     return SuiteResult("chsh-consistency", worst <= 1e-12, worst, 1e-12)
 
 

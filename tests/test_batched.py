@@ -1,0 +1,226 @@
+"""The batched entry points: the same numbers as the scalar API, and a guarded boundary."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from topobell import chsh, closed_form
+from topobell.entangled import (
+    PhaseMode,
+    Scenario,
+    TopoPhaseSpec,
+    run_scenario,
+    scenario_probabilities,
+)
+from topobell.oracle import brute_force_distribution, brute_force_probabilities
+
+DRAWS = 10_000
+SEED = 20261018
+
+#: Each scenario's phase mode and the half-width of each field's draw range.
+PHASE_FIELDS = {
+    Scenario.A: (PhaseMode.PATH_INTEGRALS,
+                 {"mu": 2.0, "i_u_l": 3.0, "i_d_l": 3.0, "i_u_r": 3.0, "i_d_r": 3.0}),
+    Scenario.B: (None, {}),
+    Scenario.C: (PhaseMode.SPIN_CONDITIONED, {"mu": 2.0, "lambda_l": 3.0, "lambda_r": 3.0}),
+    Scenario.AB: (PhaseMode.SPIN_INDEPENDENT_AB, {"flux": 6.0}),
+}
+
+#: Scenario A with and without per-arm phases, and the other three scenarios.
+CASES = [(Scenario.A, True), (Scenario.A, False), (Scenario.B, False),
+         (Scenario.C, True), (Scenario.AB, True)]
+CASE_IDS = ["A", "A-plain", "B", "C", "AB"]
+
+
+def _draws(scenario, with_fields, n=DRAWS):
+    rng = np.random.default_rng([SEED, list(Scenario).index(scenario)])
+    theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=(2, n))
+    ranges = PHASE_FIELDS[scenario][1] if with_fields else {}
+    fields = {name: rng.uniform(-half, half, n) for name, half in ranges.items()}
+    return theta_l, theta_r, fields
+
+
+def _specs(scenario, fields, n=DRAWS):
+    if not fields:
+        return [None] * n
+    mode = PHASE_FIELDS[scenario][0]
+    return [TopoPhaseSpec(mode, **{name: float(v[i]) for name, v in fields.items()})
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("scenario, with_fields", CASES, ids=CASE_IDS)
+def test_scalar_runners_are_rows_of_the_batched_kernel(scenario, with_fields):
+    theta_l, theta_r, fields = _draws(scenario, with_fields)
+    batched = scenario_probabilities(scenario, theta_l, theta_r, **fields)
+    scalar = [run_scenario(scenario, a, b, topo).as_array()
+              for a, b, topo in zip(theta_l, theta_r, _specs(scenario, fields))]
+    assert np.array_equal(np.array(scalar), batched)
+
+
+@pytest.mark.parametrize("scenario, with_fields", CASES, ids=CASE_IDS)
+def test_oracle_distribution_is_a_row_of_the_batched_oracle(scenario, with_fields):
+    theta_l, theta_r, fields = _draws(scenario, with_fields)
+    batched = brute_force_probabilities(scenario, theta_l, theta_r, **fields)
+    scalar = [brute_force_distribution(scenario, a, b, topo).as_array()
+              for a, b, topo in zip(theta_l, theta_r, _specs(scenario, fields))]
+    assert np.array_equal(np.array(scalar), batched)
+
+
+def test_closed_form_distributions_are_rows_of_the_batched_forms():
+    rng = np.random.default_rng([SEED, 9])
+    theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=(2, DRAWS))
+    two_ml = rng.uniform(-6.0, 6.0, DRAWS)
+    b = [closed_form.scenario_b_distribution(x, y).as_array() for x, y in zip(theta_l, theta_r)]
+    assert np.array_equal(np.array(b), closed_form.scenario_b_probabilities(theta_l, theta_r))
+    c = [closed_form.scenario_c_distribution(x, y, k).as_array()
+         for x, y, k in zip(theta_l, theta_r, two_ml)]
+    assert np.array_equal(np.array(c),
+                          closed_form.scenario_c_probabilities(theta_l, theta_r, two_ml))
+
+
+def test_inputs_broadcast_against_each_other():
+    angles = np.linspace(0.0, np.pi, 5)
+    mu_lambdas = np.linspace(0.0, 1.0, 3)
+    p = scenario_probabilities(Scenario.C, angles[:, None, None], angles[None, :, None],
+                               mu=1.0, lambda_l=mu_lambdas, lambda_r=0.0)
+    assert p.shape == (5, 5, 3, 4)
+    one = run_scenario(Scenario.C, angles[1], angles[2],
+                       TopoPhaseSpec.spin_conditioned(1.0, mu_lambdas[2], 0.0))
+    assert np.array_equal(p[1, 2, 2], one.as_array())
+    assert scenario_probabilities(Scenario.B, 0.1, 0.2).shape == (4,)
+
+
+# ---- the boundary, as properties -------------------------------------------
+
+ENTRY_POINTS = {
+    "scenario_probabilities": scenario_probabilities,
+    "brute_force_probabilities": brute_force_probabilities,
+}
+FOREIGN = {Scenario.A: "flux", Scenario.B: "mu", Scenario.C: "i_u_l", Scenario.AB: "lambda_l"}
+
+moderate = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+scenarios = st.sampled_from(list(Scenario))
+
+
+@st.composite
+def batches(draw, scenario, values=moderate):
+    """Angles and fields of ``scenario``: each a scalar or an array of one common length."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    names = ["theta_l", "theta_r", *PHASE_FIELDS[scenario][1]]
+    if scenario is Scenario.A and draw(st.booleans()):
+        names = names[:2]
+    inputs = {}
+    for name in names:
+        if draw(st.booleans()):
+            inputs[name] = draw(values)
+        else:
+            inputs[name] = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return inputs
+
+
+def _call(entry, scenario, inputs):
+    inputs = dict(inputs)
+    return ENTRY_POINTS[entry](scenario, inputs.pop("theta_l"), inputs.pop("theta_r"), **inputs)
+
+
+def _assert_valid_rows(p):
+    assert p.shape[-1] == 4
+    assert np.all(p >= -1e-12) and np.all(p <= 1.0 + 1e-12)
+    assert np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@given(data=st.data(), scenario=scenarios)
+def test_finite_input_gives_valid_rows(entry, data, scenario):
+    p = _call(entry, scenario, data.draw(batches(scenario)))
+    _assert_valid_rows(p)
+    assert np.all(np.abs(chsh.expectation_from_probabilities(p)) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@given(data=st.data(), scenario=scenarios)
+def test_any_finite_input_is_valid_or_rejected(entry, data, scenario):
+    inputs = data.draw(batches(scenario, values=any_finite))
+    try:
+        p = _call(entry, scenario, inputs)
+    except ValueError:
+        return
+    _assert_valid_rows(p)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@given(data=st.data(), scenario=scenarios, bad=non_finite)
+def test_a_non_finite_input_is_rejected(entry, data, scenario, bad):
+    inputs = data.draw(batches(scenario))
+    name = data.draw(st.sampled_from(sorted(inputs)))
+    value = np.atleast_1d(np.array(inputs[name], dtype=float))
+    value[data.draw(st.integers(0, value.size - 1))] = bad
+    inputs[name] = value
+    with pytest.raises(ValueError):
+        _call(entry, scenario, inputs)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@given(data=st.data(), scenario=scenarios)
+def test_shapes_that_do_not_broadcast_are_rejected(entry, data, scenario):
+    inputs = data.draw(batches(scenario))
+    first, second = data.draw(st.lists(st.sampled_from(sorted(inputs)), min_size=2,
+                                       max_size=2, unique=True))
+    inputs[first] = np.zeros(2)
+    inputs[second] = np.zeros(3)
+    with pytest.raises(ValueError):
+        _call(entry, scenario, inputs)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@given(data=st.data(), scenario=scenarios)
+def test_missing_or_foreign_fields_are_rejected(entry, data, scenario):
+    inputs = data.draw(batches(scenario))
+    fields = sorted(set(inputs) - {"theta_l", "theta_r"})
+    if fields and data.draw(st.booleans()):
+        del inputs[data.draw(st.sampled_from(fields))]
+    else:
+        inputs[FOREIGN[scenario]] = data.draw(moderate)
+    with pytest.raises(ValueError):
+        _call(entry, scenario, inputs)
+
+
+@given(data=st.data())
+def test_closed_forms_give_valid_rows_or_reject(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    value = st.one_of(moderate, st.lists(moderate, min_size=n, max_size=n).map(np.array))
+    theta_l, theta_r, two_ml = (data.draw(value) for _ in range(3))
+    _assert_valid_rows(closed_form.scenario_b_probabilities(theta_l, theta_r))
+    _assert_valid_rows(closed_form.scenario_c_probabilities(theta_l, theta_r, two_ml))
+    huge = data.draw(st.one_of(any_finite, st.lists(any_finite, min_size=n, max_size=n)
+                               .map(np.array)))
+    try:
+        rows = closed_form.scenario_b_probabilities(huge, theta_r - huge)
+    except ValueError:
+        pass
+    else:
+        _assert_valid_rows(rows)
+    slot = data.draw(st.integers(0, 2))
+    bad = [theta_l, theta_r, two_ml]
+    bad[slot] = data.draw(non_finite)
+    with pytest.raises(ValueError):
+        closed_form.scenario_c_probabilities(*bad)
+    if slot < 2:
+        with pytest.raises(ValueError):
+            closed_form.scenario_b_probabilities(*bad[:2])
+    with pytest.raises(ValueError):
+        closed_form.scenario_c_probabilities(np.zeros(2), np.zeros(3), two_ml)
+
+
+def test_an_angle_difference_that_overflows_is_rejected():
+    with pytest.raises(ValueError, match="theta_l - theta_r"):
+        closed_form.scenario_b_probabilities(1e308, np.array([0.0, -1e308]))
+
+
+def test_unknown_scenario_is_rejected():
+    for entry in ENTRY_POINTS.values():
+        with pytest.raises(ValueError, match="unknown scenario"):
+            entry("C", 0.0, 0.0, mu=1.0, lambda_l=0.0, lambda_r=0.0)

@@ -49,6 +49,17 @@ class TestExpectationClosedForm:
         with pytest.raises(ValueError):
             chsh.expectation_closed_form(0.0, 0.0, c)
 
+    @pytest.mark.parametrize("theta_l, theta_r, name", [
+        (np.nan, 0.0, "theta_l"),
+        (0.0, np.inf, "theta_r"),
+        (-np.inf, 0.0, "theta_l"),
+        (np.array([0.0, np.nan]), 0.3, "theta_l"),
+        (0.3, np.array([0.0, -np.inf]), "theta_r"),
+    ])
+    def test_rejects_non_finite_angles(self, theta_l, theta_r, name):
+        with pytest.raises(ValueError, match=name):
+            chsh.expectation_closed_form(theta_l, theta_r, 0.5)
+
     def test_matches_pipeline_distribution(self, rng):
         for _ in range(100):
             theta_l, theta_r = rng.uniform(0, 2 * np.pi, 2)
@@ -114,6 +125,33 @@ class TestChshS:
             assert values[i] == pytest.approx(scalar, abs=1e-15)
 
 
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_angle_by_name(self, slot, bad):
+        angles = [np.array([0.0, 0.4]), 0.1, 0.2, 0.3]
+        angles[slot] = np.array([0.0, bad]) if slot == 0 else bad
+        name = ("theta_l", "theta_r", "theta_lp", "theta_rp")[slot]
+        for roles in RoleAssignment:
+            with pytest.raises(ValueError, match=name):
+                chsh.chsh_S_values(*angles, 0.5, roles)
+
+
+class TestExpectationFromProbabilities:
+    def test_rows_match_the_scalar_expectation(self, rng):
+        theta_l, theta_r = rng.uniform(0, 2 * np.pi, size=(2, 200))
+        rows = np.array([run_scenario_b(a, b).as_array() for a, b in zip(theta_l, theta_r)])
+        scalar = [chsh.expectation_from_distribution(run_scenario_b(a, b))
+                  for a, b in zip(theta_l, theta_r)]
+        assert np.array_equal(chsh.expectation_from_probabilities(rows), scalar)
+        assert chsh.expectation_from_probabilities(rows.reshape(10, 20, 4)).shape == (10, 20)
+
+    @pytest.mark.parametrize("p", [np.full(3, 0.25), np.full((2, 5), 0.2), 0.5,
+                                   [0.25, 0.25, np.nan, 0.25], [[0.5, 0, 0, np.inf]]])
+    def test_rejects_malformed_rows(self, p):
+        with pytest.raises(ValueError):
+            chsh.expectation_from_probabilities(p)
+
+
 class TestFixedAngleCurve:
     def test_zero_loop_attains_the_quantum_maximum(self):
         assert chsh.fixed_angle_curve_S(0.0) == pytest.approx(TWO_SQRT_TWO, abs=1e-12)
@@ -146,6 +184,12 @@ class TestFixedAngleCurve:
 
 
 class TestContrast:
+    def test_broadcasts_like_the_scalar_call(self):
+        mu_lambdas = np.linspace(0.0, 2 * np.pi, 50)
+        assert np.array_equal(chsh.contrast(mu_lambdas),
+                              [chsh.contrast(float(x)) for x in mu_lambdas])
+        assert isinstance(chsh.contrast(0.3), float)
+
     @pytest.mark.parametrize("mu_lambda", [np.nan, np.inf, -np.inf, 1e308, -1e308])
     def test_rejects_mu_lambda_without_a_finite_contrast(self, mu_lambda):
         with pytest.raises(ValueError, match="finite contrast"):

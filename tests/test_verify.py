@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from topobell import verify
+from topobell.entangled import Scenario
 
 
 def test_all_suites_pass_at_reduced_draws():
@@ -36,3 +38,67 @@ def test_results_are_reproducible():
     first = verify.run_suites(heavy_draws=50, light_draws=20)
     second = verify.run_suites(heavy_draws=50, light_draws=20)
     assert first == second
+
+
+def _parent_scenario_params(rng, scenario):
+    """The per-point draws of one scenario point, in the order the suites drew them."""
+    theta_l, theta_r = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    if scenario is Scenario.A:
+        fields = [rng.uniform(-2, 2), *rng.uniform(-3, 3, size=4)]
+    elif scenario is Scenario.B:
+        fields = []
+    elif scenario is Scenario.C:
+        fields = [rng.uniform(-2, 2), *rng.uniform(-3, 3, size=2)]
+    else:
+        fields = [rng.uniform(-6, 6)]
+    return [theta_l, theta_r, *fields]
+
+
+def _per_scenario_loop(rng, draws):
+    return [np.array([_parent_scenario_params(rng, s) for _ in range(draws)]) for s in Scenario]
+
+
+def _point_loop(*tail):
+    def loop(rng, draws):
+        rows = []
+        for _ in range(draws):
+            row = list(rng.uniform(0.0, 2.0 * np.pi, size=2))
+            for low, high, size in tail:
+                row += list(rng.uniform(low, high, size=size)) if size else [rng.uniform(low, high)]
+            rows.append(row)
+        return [np.array(rows)]
+    return loop
+
+
+#: Each random suite's draws as a loop of per-point ``rng.uniform`` calls,
+#: one array of rows per batched draw, with the suite's index in run_suites.
+PER_POINT_DRAWS = {
+    "_suite_distribution_validity": (3, _per_scenario_loop),
+    "_suite_scenario_c_gauge": (4, _point_loop((-3.0, 3.0, 4))),
+    "_suite_scenario_a_topo_invariance": (5, _point_loop((-3.0, 3.0, 3))),
+    "_suite_scenario_ab_reduction": (6, _point_loop((-10.0, 10.0, None))),
+    "_suite_degiorgio": (7, _point_loop()),
+    "_suite_oracle_equivalence": (8, _per_scenario_loop),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PER_POINT_DRAWS))
+def test_batched_draws_equal_the_per_point_stream(suite, monkeypatch):
+    recorded = []
+    uniform_columns = verify._uniform_columns
+
+    def spy(rng, draws, *ranges):
+        columns = uniform_columns(rng, draws, *ranges)
+        recorded.append(np.column_stack(columns))
+        return columns
+
+    monkeypatch.setattr(verify, "_uniform_columns", spy)
+    index, loop = PER_POINT_DRAWS[suite]
+    rng = verify._rng(index)
+    assert getattr(verify, suite)(rng, 300).passed
+    loop_rng = verify._rng(index)
+    expected = loop(loop_rng, 300)
+    assert len(recorded) == len(expected)
+    for got, want in zip(recorded, expected):
+        assert np.array_equal(got, want)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
