@@ -123,8 +123,9 @@ def expectation_from_probabilities(p) -> np.ndarray:
     return arr[..., 0] - arr[..., 1] - arr[..., 2] + arr[..., 3]
 
 
-def _expectation(theta_l, theta_r, c):
-    return -np.cos(theta_l) * np.cos(theta_r) - np.sin(theta_l) * np.sin(theta_r) * c
+def _expectation(cos_l, sin_l, cos_r, sin_r, c):
+    """E from the cosines and sines of its two angles, in one fixed operation order."""
+    return -cos_l * cos_r - sin_l * sin_r * c
 
 
 def expectation_closed_form(theta_l, theta_r, c):
@@ -133,7 +134,8 @@ def expectation_closed_form(theta_l, theta_r, c):
     Raises ``ValueError`` for a non-finite angle or a contrast outside [-1, 1].
     """
     _check_contrast(c)
-    return _expectation(_finite_array("theta_l", theta_l), _finite_array("theta_r", theta_r), c)
+    theta_l, theta_r = _finite_array("theta_l", theta_l), _finite_array("theta_r", theta_r)
+    return _expectation(np.cos(theta_l), np.sin(theta_l), np.cos(theta_r), np.sin(theta_r), c)
 
 
 def chsh_terms(angles: BellAngles, c: float,
@@ -154,6 +156,10 @@ def chsh_S_values(theta_l, theta_r, theta_lp, theta_rp, c,
                   roles: RoleAssignment):
     """CHSH statistic over angle arrays (broadcasting), given slot arrays.
 
+    The contrast ``c`` may be a scalar or an array that broadcasts with the
+    angles, e.g. one row per contrast over the same angles. Each angle's
+    cos and sin are evaluated once and shared by the two E terms it enters,
+    each term keeping the operation order of :func:`expectation_closed_form`.
     Raises ``ValueError`` naming the first non-finite angle, or for a
     contrast outside [-1, 1].
     """
@@ -161,11 +167,12 @@ def chsh_S_values(theta_l, theta_r, theta_lp, theta_rp, c,
     slots = zip(("theta_l", "theta_r", "theta_lp", "theta_rp"),
                 (theta_l, theta_r, theta_lp, theta_rp))
     a, ap, b, bp = roles._roles_of(*(_finite_array(name, value) for name, value in slots))
-    e_ab = _expectation(a, b, c)
-    e_abp = _expectation(a, bp, c)
-    e_apb = _expectation(ap, b, c)
-    e_apbp = _expectation(ap, bp, c)
-    return np.abs(e_ab - e_abp) + np.abs(e_apb + e_apbp)
+    # the b-side pairs serve both terms; each a-side pair lives for its own term
+    trig_b, trig_bp = (np.cos(b), np.sin(b)), (np.cos(bp), np.sin(bp))
+    trig = np.cos(a), np.sin(a)
+    s = np.abs(_expectation(*trig, *trig_b, c) - _expectation(*trig, *trig_bp, c))
+    trig = np.cos(ap), np.sin(ap)
+    return s + np.abs(_expectation(*trig, *trig_b, c) + _expectation(*trig, *trig_bp, c))
 
 
 def chsh_S(angles: BellAngles, c: float, roles: RoleAssignment) -> float:

@@ -233,6 +233,25 @@ def _interferometer(theta: float) -> np.ndarray:
     return _BS @ phase_retarder(theta) @ _BS
 
 
+def _interferometers(theta: np.ndarray) -> np.ndarray:
+    """:func:`_interferometer` over an array of angles, as a (..., 2, 2) stack.
+
+    The N retarders sit side by side in one (2, 2N) matrix, so each
+    splitter factor is one 2-D matmul rather than one gemm call per 2x2
+    matrix. Each entry is the same two-term gemm sum as in the scalar
+    product, so every matrix equals :func:`_interferometer` bit for bit.
+    """
+    n = theta.size
+    # retarders[i, n] is row i of the n-th retarder diag(exp(i*theta), 1)
+    retarders = np.zeros((2, n, 2), dtype=complex)
+    retarders[0, :, 0] = np.exp(1j * theta).ravel()
+    retarders[1, :, 1] = 1.0
+    # BS @ P in the same layout, so its rows (i, n) form one (2N, 2) matrix
+    fronts = (_BS @ retarders.reshape(2, 2 * n)).reshape(2 * n, 2)
+    sides = (fronts @ _BS).reshape((2,) + theta.shape + (2,))
+    return np.moveaxis(sides, 0, -2)
+
+
 def _joint_probabilities(m_l: np.ndarray, m_r: np.ndarray, phi_ud, phi_du) -> np.ndarray:
     """Joint detection probabilities of the path singlet behind per-side optics.
 
@@ -370,8 +389,8 @@ def scenario_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np
     equals the scalar runner's distribution bit for bit.
     """
     theta_l, theta_r, fields = TopoPhaseSpec.broadcast(scenario, theta_l, theta_r, **fields)
-    retarders = [_diagonals(np.exp(1j * theta), 1.0) for theta in (theta_l, theta_r)]
     if scenario is Scenario.A:
+        retarders = [_diagonals(np.exp(1j * theta), 1.0) for theta in (theta_l, theta_r)]
         fronts = (_BS, _BS)
         if fields:
             mu = fields["mu"]
@@ -381,7 +400,7 @@ def scenario_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np
         m_l, m_r = (front @ retarder for front, retarder in zip(fronts, retarders))
         # mirrored right side: detector k reads splitter port 1-k
         return _joint_probabilities(m_l, m_r[..., ::-1, :], 1, 1)
-    m_l, m_r = (_BS @ retarder @ _BS for retarder in retarders)
+    m_l, m_r = _interferometers(theta_l), _interferometers(theta_r)
     if scenario is Scenario.C:
         phases = _loop_phase_products(fields["mu"], fields["lambda_l"], fields["lambda_r"])
     elif scenario is Scenario.AB:

@@ -56,10 +56,8 @@ def path_phase_operator(i_u: float, i_d: float, mu: float) -> np.ndarray:
     I_u - I_d = lambda (lower path traversed in reverse) is the caller's
     convention; only the operator itself is fixed here.
     """
-    return np.diag([
-        np.exp(1j * float(mu) * float(i_u)),
-        np.exp(-1j * float(mu) * float(i_d)),
-    ]).astype(complex)
+    return np.array([[np.exp(1j * float(mu) * float(i_u)), 0.0],
+                     [0.0, np.exp(-1j * float(mu) * float(i_d))]], dtype=complex)
 
 
 def spin_loop_phase(s: int, mu: float, lam: float) -> complex:

@@ -91,6 +91,39 @@ def test_inputs_broadcast_against_each_other():
     assert scenario_probabilities(Scenario.B, 0.1, 0.2).shape == (4,)
 
 
+#: Angle shapes of the left and right sides; the fields take the right side's shape.
+SHAPES = {"scalar": ((), ()), "one": ((1,), (1,)), "grid": ((3, 5), (3, 5)),
+          "outer": ((4, 1), (1, 6))}
+SIDE_STACK_SCENARIOS = [Scenario.B, Scenario.C, Scenario.AB]
+
+
+@pytest.mark.parametrize("scenario", SIDE_STACK_SCENARIOS, ids=lambda s: s.value)
+@pytest.mark.parametrize("shape_l, shape_r", SHAPES.values(), ids=list(SHAPES))
+def test_side_stacks_equal_the_runners_at_every_shape(scenario, shape_l, shape_r):
+    rng = np.random.default_rng([SEED, 10, list(Scenario).index(scenario)])
+    theta_l = rng.uniform(0.0, 2.0 * np.pi, shape_l)
+    theta_r = rng.uniform(0.0, 2.0 * np.pi, shape_r)
+    mode, ranges = PHASE_FIELDS[scenario]
+    fields = {name: rng.uniform(-half, half, shape_r) for name, half in ranges.items()}
+    p = scenario_probabilities(scenario, theta_l, theta_r, **fields)
+    shape = np.broadcast_shapes(shape_l, shape_r)
+    assert p.shape == shape + (4,)
+    theta_l, theta_r = np.broadcast_to(theta_l, shape), np.broadcast_to(theta_r, shape)
+    for index in np.ndindex(shape):
+        point = {name: float(np.broadcast_to(v, shape)[index]) for name, v in fields.items()}
+        topo = TopoPhaseSpec(mode, **point) if mode else None
+        one = run_scenario(scenario, float(theta_l[index]), float(theta_r[index]), topo)
+        assert np.array_equal(p[index], one.as_array())
+
+
+@pytest.mark.parametrize("scenario", SIDE_STACK_SCENARIOS, ids=lambda s: s.value)
+@pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=str)
+def test_empty_inputs_give_empty_rows(scenario, shape):
+    fields = {name: np.zeros(shape) for name in PHASE_FIELDS[scenario][1]}
+    p = scenario_probabilities(scenario, np.zeros(shape), np.zeros(shape), **fields)
+    assert p.shape == shape + (4,)
+
+
 # ---- the boundary, as properties -------------------------------------------
 
 ENTRY_POINTS = {

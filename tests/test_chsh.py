@@ -124,6 +124,27 @@ class TestChshS:
             scalar = chsh.chsh_S(BellAngles(*thetas[:, i]), 0.3, RoleAssignment.STANDARD)
             assert values[i] == pytest.approx(scalar, abs=1e-15)
 
+    @pytest.mark.parametrize("roles", list(RoleAssignment))
+    @pytest.mark.parametrize("contrast", ["zero", "scalar", "per-angle", "two-rows"])
+    def test_values_equal_the_four_term_formula_bit_for_bit(self, roles, contrast):
+        rng = np.random.default_rng([20261018, list(RoleAssignment).index(roles)])
+        n = 2_000
+        thetas = rng.uniform(-10.0, 10.0, size=(4, n))
+        c = {"zero": 0.0, "scalar": 0.6180339887,
+             "per-angle": rng.uniform(-1.0, 1.0, n),
+             "two-rows": rng.uniform(-1.0, 1.0, (2, n))}[contrast]
+        t_l, t_r, t_lp, t_rp = thetas
+        a, a_p, b, b_p = ((t_l, t_rp, t_r, t_lp) if roles is RoleAssignment.LITERAL
+                          else (t_l, t_lp, t_r, t_rp))
+
+        def e(x, y):
+            return -np.cos(x) * np.cos(y) - np.sin(x) * np.sin(y) * c
+
+        expected = np.abs(e(a, b) - e(a, b_p)) + np.abs(e(a_p, b) + e(a_p, b_p))
+        values = chsh.chsh_S_values(*thetas, c, roles)
+        assert values.shape == expected.shape == np.broadcast_shapes(np.shape(c), (n,))
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
 
     @pytest.mark.parametrize("slot", range(4))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

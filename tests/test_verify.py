@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from topobell import verify
+from topobell import chsh, verify
 from topobell.entangled import Scenario
 
 
@@ -102,3 +104,44 @@ def test_batched_draws_equal_the_per_point_stream(suite, monkeypatch):
     for got, want in zip(recorded, expected):
         assert np.array_equal(got, want)
     assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_chsh_bounds_draws_the_same_stream():
+    rng = verify._rng(10)
+    assert verify._suite_chsh_bounds(rng, 83).passed
+    restated = verify._rng(10)
+    samples = 8_300
+    restated.uniform(0.0, 2.0 * np.pi, size=(4, samples))
+    restated.uniform(-1.0, 1.0, size=samples)
+    restated.uniform(-10.0, 10.0, size=256)
+    assert rng.bit_generator.state == restated.bit_generator.state
+
+
+def test_chsh_bounds_checks_the_last_partial_block(monkeypatch):
+    # 8,300 samples: one full block of 8,192 columns and a last one of 108
+    planted = verify._rng(10).uniform(0.0, 2.0 * np.pi, size=(4, 8_300))[0, -1]
+    s_values = chsh.chsh_S_values
+    seen = []
+
+    def faulty(theta_l, *rest):
+        hit = np.asarray(theta_l) == planted
+        if hit.any():
+            seen.append(np.size(theta_l))
+        return s_values(theta_l, *rest) + hit
+
+    monkeypatch.setattr(chsh, "chsh_S_values", faulty)
+    result = verify._suite_chsh_bounds(verify._rng(10), 83)
+    assert seen == [108, 108]
+    assert not result.passed and result.worst_residual > 0.5
+
+
+def test_chsh_bounds_memory_is_bounded():
+    # the default budget's draws alone take 38.1 MiB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert verify._suite_chsh_bounds(verify._rng(10), 10_000).passed
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45 * 2**20
