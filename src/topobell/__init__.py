@@ -27,10 +27,6 @@ from .entangled import (
     Scenario,
     TopoPhaseSpec,
     run_scenario,
-    run_scenario_a,
-    run_scenario_ab,
-    run_scenario_b,
-    run_scenario_c,
     scenario_probabilities,
 )
 from .optics import (
@@ -82,10 +78,6 @@ __all__ = [
     "path_phase_operator",
     "phase_retarder",
     "run_scenario",
-    "run_scenario_a",
-    "run_scenario_ab",
-    "run_scenario_b",
-    "run_scenario_c",
     "scenario_probabilities",
     "spin_loop_phase",
     "stationarity_check",

@@ -91,6 +91,13 @@ def _check_contrast(c) -> None:
         raise ValueError("contrast c must lie in [-1, 1]")
 
 
+def _scalar(name: str, value):
+    """``value`` unchanged; ValueError naming it unless it is a scalar."""
+    if np.ndim(value) != 0:
+        raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
+    return value
+
+
 def _doubled_mu_lambda(mu_lambda):
     """2*mu*lambda as a float array; ValueError unless every entry is finite."""
     arr = np.asarray(mu_lambda, dtype=float)
@@ -146,6 +153,7 @@ def chsh_terms(angles: BellAngles, c: float,
     sum of their absolute values. Exposed separately so kink detection can
     look at the arguments before the absolute value is taken.
     """
+    _scalar("c", c)
     a, ap, b, bp = roles.slots(angles)
     first = expectation_closed_form(a, b, c) - expectation_closed_form(a, bp, c)
     second = expectation_closed_form(ap, b, c) + expectation_closed_form(ap, bp, c)
@@ -177,7 +185,7 @@ def chsh_S_values(theta_l, theta_r, theta_lp, theta_rp, c,
 
 def chsh_S(angles: BellAngles, c: float, roles: RoleAssignment) -> float:
     """CHSH statistic |E(a,b) - E(a,b')| + |E(a',b) + E(a',b')| at contrast c."""
-    return float(chsh_S_values(*angles.as_tuple(), c, roles))
+    return float(chsh_S_values(*angles.as_tuple(), _scalar("c", c), roles))
 
 
 def fixed_angle_curve_S(mu_lambda) -> float | np.ndarray:
@@ -208,7 +216,7 @@ def analytic_max_S(c: float) -> float:
     by :func:`analytic_optimal_angles` under STANDARD roles and confirmed
     numerically by the grid search in :mod:`topobell.oracle`.
     """
-    _check_contrast(c)
+    _check_contrast(_scalar("c", c))
     return float(2.0 * np.sqrt(1.0 + float(c) ** 2))
 
 
@@ -218,6 +226,6 @@ def analytic_optimal_angles(mu_lambda: float) -> BellAngles:
     Under STANDARD roles these angles attain 2*sqrt(1 + c^2). The mirrored
     solution with arctan replaced by its negative attains the same value.
     """
-    c = contrast(mu_lambda)
+    c = contrast(_scalar("mu_lambda", mu_lambda))
     t = float(np.arctan(c))
     return BellAngles(0.0, t, np.pi / 2, np.pi - t)

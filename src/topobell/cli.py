@@ -17,26 +17,20 @@ import sys
 import numpy as np
 
 from . import chsh, verify
-from .entangled import Scenario, TopoPhaseSpec, run_scenario
+from .entangled import PhaseMode, Scenario, TopoPhaseSpec, _scenario_modes, run_scenario
 from .oracle import BudgetExceededError, GridSpec, grid_search_max_S
-
-_TOPO_FLAGS = ("mu", "lambda_l", "lambda_r", "flux", "i_u_l", "i_d_l", "i_u_r", "i_d_r")
 
 
 class UsageError(ValueError):
     """Invalid flag combination; reported as a single line with exit code 2."""
 
 
-_ALLOWED_TOPO = {
-    Scenario.A: {"mu", "i_u_l", "i_d_l", "i_u_r", "i_d_r"},
-    Scenario.B: set(),
-    Scenario.C: {"mu", "lambda_l", "lambda_r"},
-    Scenario.AB: {"flux"},
-}
-
-
 def _fmt(value: float) -> str:
     return f"{value:.12e}"
+
+
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
 
 
 def _parse_angle(text: str) -> float:
@@ -116,14 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=[s.value for s in Scenario])
     sim.add_argument("--theta-l", required=True, type=_angle_arg)
     sim.add_argument("--theta-r", required=True, type=_angle_arg)
-    sim.add_argument("--mu", type=_finite_arg, default=None)
-    sim.add_argument("--lambda-l", type=_finite_arg, default=None)
-    sim.add_argument("--lambda-r", type=_finite_arg, default=None)
-    sim.add_argument("--flux", type=_finite_arg, default=None)
-    sim.add_argument("--i-u-l", type=_finite_arg, default=None)
-    sim.add_argument("--i-d-l", type=_finite_arg, default=None)
-    sim.add_argument("--i-u-r", type=_finite_arg, default=None)
-    sim.add_argument("--i-d-r", type=_finite_arg, default=None)
+    for name in TopoPhaseSpec._FIELD_NAMES:
+        sim.add_argument(_flag(name), type=_finite_arg, default=None)
     sim.add_argument("--format", choices=("json", "csv"), default="json")
 
     swp = sub.add_parser("sweep", help="sweep mu*lambda and tabulate the S curves")
@@ -156,25 +144,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _topo_from_flags(args: argparse.Namespace, scenario: Scenario) -> TopoPhaseSpec | None:
-    allowed = _ALLOWED_TOPO[scenario]
-    for name in _TOPO_FLAGS:
-        if getattr(args, name) is not None and name not in allowed:
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"{flag} is not valid for scenario {scenario.value}")
-    if scenario is Scenario.B:
+    """The scenario's phase spec from its flags; ``mu`` defaults to 1, the rest to 0.
+
+    None where the scenario takes no spec, or may go without one and got no flag.
+    """
+    modes = _scenario_modes(scenario)
+    wanted = TopoPhaseSpec._FIELDS_BY_MODE.get(modes[0], ())
+    given = {name: getattr(args, name) for name in TopoPhaseSpec._FIELD_NAMES
+             if getattr(args, name) is not None}
+    for name in given:
+        if name not in wanted:
+            raise UsageError(f"{_flag(name)} is not valid for scenario {scenario.value}")
+    if not wanted or (None in modes and not given):
         return None
-    if scenario is Scenario.A and not any(getattr(args, n) is not None for n in allowed):
-        return None
-    mu = args.mu if args.mu is not None else 1.0
+    fields = {name: given.get(name) or 0.0 for name in wanted}
+    if "mu" in fields:
+        fields["mu"] = given.get("mu", 1.0)
     try:
-        if scenario is Scenario.A:
-            return TopoPhaseSpec.path_integrals(
-                mu, args.i_u_l or 0.0, args.i_d_l or 0.0,
-                args.i_u_r or 0.0, args.i_d_r or 0.0)
-        if scenario is Scenario.C:
-            return TopoPhaseSpec.spin_conditioned(
-                mu, args.lambda_l or 0.0, args.lambda_r or 0.0)
-        return TopoPhaseSpec.aharonov_bohm(args.flux or 0.0)
+        return TopoPhaseSpec(modes[0], **fields)
     except ValueError as exc:  # finite flags whose phase products overflow
         raise UsageError(str(exc)) from None
 
@@ -189,16 +176,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "theta_l": args.theta_l,
         "theta_r": args.theta_r,
     }
-    if scenario is Scenario.C:
-        record["mu"] = topo.mu
-        record["lambda_l"] = topo.lambda_l
-        record["lambda_r"] = topo.lambda_r
-        record["mu_lambda"] = topo.mu * (topo.lambda_l - topo.lambda_r)
-    elif scenario is Scenario.AB:
-        record["flux"] = topo.flux
-    elif scenario is Scenario.A and topo is not None:
-        record.update(mu=topo.mu, i_u_l=topo.i_u_l, i_d_l=topo.i_d_l,
-                      i_u_r=topo.i_u_r, i_d_r=topo.i_d_r)
+    if topo is not None:
+        record.update(topo.field_values())
+        if topo.mode is PhaseMode.SPIN_CONDITIONED:
+            record["mu_lambda"] = topo.mu * (topo.lambda_l - topo.lambda_r)
     p = dist.as_array()
     record.update(
         p_d0p_d0=dist.p_d0p_d0, p_d0p_d1=dist.p_d0p_d1,

@@ -7,7 +7,7 @@ carries its spin pair: (+1,-1) on |0>_L |1>_R (up-down) and (-1,+1) on
 only, so each side's optics is one 2x2 transfer matrix M, and a
 topological phase reaches the pair only as one scalar phase per branch.
 All four scenarios therefore share one joint amplitude for detectors
-(j, k), :func:`_joint_distribution`:
+(j, k), :func:`_joint_probabilities`:
 
     (phi_1 M_L[j,0] M_R[k,1] - phi_2 M_L[j,1] M_R[k,0]) / sqrt(2)
 
@@ -15,9 +15,8 @@ with phi_1 and phi_2 the up-down and down-up branch phases. Detection
 reads out paths, not spins, and the two branches interfere coherently;
 this is what makes the spin-conditioned loop phase observable in
 scenario C. The formula takes stacks of side matrices and arrays of
-phases with any leading axes (:func:`_joint_probabilities`): the scalar
-runners evaluate it at one point, :func:`scenario_probabilities` over
-arrays of points.
+phases with any leading axes: :func:`run_scenario` evaluates it at one
+point, :func:`scenario_probabilities` over arrays of points.
 
 Scenarios:
 
@@ -62,13 +61,21 @@ class Scenario(enum.Enum):
     AB = "AB"
 
 
-#: The phase mode each scenario takes; scenario A may also go without one.
+#: The phase modes each scenario accepts, its own mode first; None stands
+#: for no phase spec, so scenario A runs with or without its arm integrals.
 _SCENARIO_MODES = {
-    Scenario.A: PhaseMode.PATH_INTEGRALS,
-    Scenario.B: None,
-    Scenario.C: PhaseMode.SPIN_CONDITIONED,
-    Scenario.AB: PhaseMode.SPIN_INDEPENDENT_AB,
+    Scenario.A: (PhaseMode.PATH_INTEGRALS, None),
+    Scenario.B: (None,),
+    Scenario.C: (PhaseMode.SPIN_CONDITIONED,),
+    Scenario.AB: (PhaseMode.SPIN_INDEPENDENT_AB,),
 }
+
+
+def _scenario_modes(scenario: Scenario) -> tuple[PhaseMode | None, ...]:
+    """The phase modes ``scenario`` accepts; ValueError unless it is a Scenario."""
+    if not isinstance(scenario, Scenario):
+        raise ValueError(f"unknown scenario {scenario!r}")
+    return _SCENARIO_MODES[scenario]
 
 
 def _finite_array(name: str, value) -> np.ndarray:
@@ -131,6 +138,8 @@ class TopoPhaseSpec:
     i_u_r: float | None = None
     i_d_r: float | None = None
 
+    #: Every phase field, in declaration order, and the fields of each mode.
+    _FIELD_NAMES = ("mu", "lambda_l", "lambda_r", "flux", "i_u_l", "i_d_l", "i_u_r", "i_d_r")
     _FIELDS_BY_MODE = {
         PhaseMode.SPIN_CONDITIONED: ("mu", "lambda_l", "lambda_r"),
         PhaseMode.SPIN_INDEPENDENT_AB: ("flux",),
@@ -138,8 +147,9 @@ class TopoPhaseSpec:
     }
 
     def __post_init__(self):
-        given = {name: getattr(self, name) for name in
-                 ("mu", "lambda_l", "lambda_r", "flux", "i_u_l", "i_d_l", "i_u_r", "i_d_r")
+        if not isinstance(self.mode, PhaseMode):
+            raise ValueError(f"unknown phase mode {self.mode!r}")
+        given = {name: getattr(self, name) for name in self._FIELD_NAMES
                  if getattr(self, name) is not None}
         for name, value in given.items():
             if np.ndim(value) != 0:
@@ -177,16 +187,14 @@ class TopoPhaseSpec:
         Raises ``ValueError`` for a missing or foreign field, a non-finite
         angle, field or phase product, or shapes that do not broadcast.
         """
-        if not isinstance(scenario, Scenario):
-            raise ValueError(f"unknown scenario {scenario!r}")
-        mode = _SCENARIO_MODES[scenario]
-        if mode is None or (scenario is Scenario.A and not fields):
+        modes = _scenario_modes(scenario)
+        if modes[0] is None or (None in modes and not fields):
             if fields:
                 raise ValueError(f"scenario {scenario.value} takes no phase fields, "
                                  f"got {sorted(fields)}")
             fields = {}
         else:
-            fields = _checked_fields(mode, fields)
+            fields = _checked_fields(modes[0], fields)
         angles = (_finite_array("theta_l", theta_l), _finite_array("theta_r", theta_r))
         theta_l, theta_r, *values = np.broadcast_arrays(*angles, *fields.values())
         return theta_l, theta_r, dict(zip(fields, values))
@@ -268,88 +276,43 @@ def _joint_probabilities(m_l: np.ndarray, m_r: np.ndarray, phi_ud, phi_du) -> np
     return (np.abs(_R * amp) ** 2).reshape(amp.shape[:-2] + (4,))
 
 
-def _joint_distribution(m_l: np.ndarray, m_r: np.ndarray,
-                        phases: tuple[complex, complex]) -> DetectionDistribution:
-    """:func:`_joint_probabilities` at one point, as a distribution."""
-    return DetectionDistribution(*_joint_probabilities(m_l, m_r, *phases).tolist())
-
-
-def _require_mode(topo: TopoPhaseSpec, mode: PhaseMode, scenario: str) -> None:
-    if not isinstance(topo, TopoPhaseSpec) or topo.mode is not mode:
-        got = topo.mode.value if isinstance(topo, TopoPhaseSpec) else type(topo).__name__
-        raise ValueError(f"scenario {scenario} requires a {mode.value} phase spec, got {got}")
-
-
-def run_scenario_a(theta_l: float, theta_r: float,
-                   topo: TopoPhaseSpec | None = None) -> DetectionDistribution:
-    """Open geometry: source, retarders, one splitter per side.
-
-    With zero (or symmetric) arm integrals the joint probabilities are
-    (cos^2, sin^2, sin^2, cos^2)/2 of half the retarder difference. The
-    quarter-wave offset against scenario B comes from the single splitter
-    per side together with the mirrored right-hand detector labels.
-    """
-    if topo is not None:
-        _require_mode(topo, PhaseMode.PATH_INTEGRALS, "A")
-        t_l = path_phase_operator(topo.i_u_l, topo.i_d_l, topo.mu)
-        t_r = path_phase_operator(topo.i_u_r, topo.i_d_r, topo.mu)
-    else:
-        t_l = t_r = np.eye(2, dtype=complex)
-    m_l = _BS @ t_l @ phase_retarder(theta_l)
-    m_r = _BS @ t_r @ phase_retarder(theta_r)
-    # mirrored right side: detector k reads splitter port 1-k
-    return _joint_distribution(m_l, m_r[::-1], (1, 1))
-
-
-def run_scenario_b(theta_l: float, theta_r: float) -> DetectionDistribution:
-    """Full interferometer per side: splitter, retarder, splitter.
-
-    Both spin branches pass the same optics and pick up no phase.
-    """
-    return _joint_distribution(_interferometer(theta_l), _interferometer(theta_r), (1, 1))
-
-
-def run_scenario_c(theta_l: float, theta_r: float,
-                   topo: TopoPhaseSpec) -> DetectionDistribution:
-    """Scenario B with a spin-conditioned loop phase between the splitters.
-
-    Branch (s_l, s_r) is multiplied by
-    exp(-i*mu*(s_l*lambda_l + s_r*lambda_r)); only lambda_l - lambda_r
-    survives in the probabilities.
-    """
-    _require_mode(topo, PhaseMode.SPIN_CONDITIONED, "C")
-    phases = tuple(spin_loop_phase(s, topo.mu, topo.lambda_l)
-                   * spin_loop_phase(-s, topo.mu, topo.lambda_r) for s in (1, -1))
-    return _joint_distribution(_interferometer(theta_l), _interferometer(theta_r), phases)
-
-
-def run_scenario_ab(theta_l: float, theta_r: float,
-                    topo: TopoPhaseSpec) -> DetectionDistribution:
-    """Scenario B with a spin-independent flux phase.
-
-    Both branches acquire the same factor exp(-i*flux), a global phase,
-    so the distribution equals scenario B for every flux.
-    """
-    _require_mode(topo, PhaseMode.SPIN_INDEPENDENT_AB, "AB")
-    flux_phase = np.exp(-1j * topo.flux)
-    return _joint_distribution(_interferometer(theta_l), _interferometer(theta_r),
-                               (flux_phase, flux_phase))
-
-
 def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
                  topo: TopoPhaseSpec | None = None) -> DetectionDistribution:
-    """Dispatch to the scenario runners; each runner validates the phase spec."""
+    """Joint detection probabilities of ``scenario`` at one pair of retarder angles.
+
+    ``topo`` must be the scenario's phase spec: path integrals or ``None``
+    for A, ``None`` for B, spin-conditioned for C, spin-independent for AB;
+    anything else raises ``ValueError``. Side matrices and branch phases
+    are those of the module docstring. In A, zero (or symmetric) arm
+    integrals give (cos^2, sin^2, sin^2, cos^2)/2 of half the retarder
+    difference; in C only lambda_l - lambda_r survives in the probabilities.
+    """
+    modes = _scenario_modes(scenario)
+    if topo is not None and modes == (None,):
+        raise ValueError(f"scenario {scenario.value} takes no topological phase spec")
+    if not (topo is None and None in modes
+            or isinstance(topo, TopoPhaseSpec) and topo.mode in modes):
+        got = topo.mode.value if isinstance(topo, TopoPhaseSpec) else type(topo).__name__
+        raise ValueError(f"scenario {scenario.value} requires a {modes[0].value} "
+                         f"phase spec, got {got}")
     if scenario is Scenario.A:
-        return run_scenario_a(theta_l, theta_r, topo)
-    if scenario is Scenario.B:
         if topo is not None:
-            raise ValueError("scenario B takes no topological phase spec")
-        return run_scenario_b(theta_l, theta_r)
+            t_l = path_phase_operator(topo.i_u_l, topo.i_d_l, topo.mu)
+            t_r = path_phase_operator(topo.i_u_r, topo.i_d_r, topo.mu)
+        else:
+            t_l = t_r = np.eye(2, dtype=complex)
+        m_l = _BS @ t_l @ phase_retarder(theta_l)
+        # mirrored right side: detector k reads splitter port 1-k
+        m_r = (_BS @ t_r @ phase_retarder(theta_r))[::-1]
+    else:
+        m_l, m_r = _interferometer(theta_l), _interferometer(theta_r)
+    phases = (1, 1)
     if scenario is Scenario.C:
-        return run_scenario_c(theta_l, theta_r, topo)
-    if scenario is Scenario.AB:
-        return run_scenario_ab(theta_l, theta_r, topo)
-    raise ValueError(f"unknown scenario {scenario!r}")
+        phases = tuple(spin_loop_phase(s, topo.mu, topo.lambda_l)
+                       * spin_loop_phase(-s, topo.mu, topo.lambda_r) for s in (1, -1))
+    elif scenario is Scenario.AB:
+        phases = (np.exp(-1j * topo.flux),) * 2
+    return DetectionDistribution(*_joint_probabilities(m_l, m_r, *phases).tolist())
 
 
 def _diagonals(d0, d1) -> np.ndarray:
@@ -363,7 +326,7 @@ def _diagonals(d0, d1) -> np.ndarray:
 def _loop_phase_products(mu, lambda_l, lambda_r) -> tuple[np.ndarray, np.ndarray]:
     """Scenario C's up-down and down-up branch phases over arrays.
 
-    The same numbers as :func:`run_scenario_c`'s ``spin_loop_phase``
+    The same numbers as :func:`run_scenario`'s ``spin_loop_phase``
     products: each loop phase is exp(-i*s*mu*lambda) written as
     ``spin_loop_phase`` writes it, and each product of two is multiplied
     out in real arithmetic as Python's complex product does, because
@@ -386,7 +349,7 @@ def scenario_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np
     phase spec's fields (:meth:`TopoPhaseSpec.broadcast` says which
     scenario takes which), and every input broadcasts against the others.
     Returns (..., 4) in :class:`DetectionDistribution` order; each row
-    equals the scalar runner's distribution bit for bit.
+    equals :func:`run_scenario`'s distribution bit for bit.
     """
     theta_l, theta_r, fields = TopoPhaseSpec.broadcast(scenario, theta_l, theta_r, **fields)
     if scenario is Scenario.A:

@@ -3,14 +3,24 @@
 All constructors return fresh complex ndarrays in the port conventions of
 :mod:`topobell.linalg`. Angles are taken in radians and are not reduced
 modulo 2*pi; the trigonometry is periodic anyway and unreduced angles keep
-finite-difference checks simple.
+finite-difference checks simple. A non-finite angle or phase product raises
+``ValueError`` naming it, so NaN never enters a matrix.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
+
+
+def _finite(name: str, value: float) -> float:
+    """``value`` unchanged; ValueError naming it unless it is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def beam_splitter() -> np.ndarray:
@@ -24,7 +34,8 @@ def beam_splitter() -> np.ndarray:
 
 def phase_retarder(theta: float) -> np.ndarray:
     """Retarder adding phase exp(i*theta) to the port-0 arm: diag(e^{i theta}, 1)."""
-    return np.array([[np.exp(1j * float(theta)), 0.0], [0.0, 1.0]], dtype=complex)
+    theta = _finite("theta", float(theta))
+    return np.array([[np.exp(1j * theta), 0.0], [0.0, 1.0]], dtype=complex)
 
 
 def mach_zehnder(theta: float) -> np.ndarray:
@@ -43,7 +54,7 @@ def mach_zehnder(theta: float) -> np.ndarray:
     and the two conventions give identical detection statistics (the entry
     magnitudes agree for every theta).
     """
-    half = 0.5 * float(theta)
+    half = 0.5 * _finite("theta", float(theta))
     s, c = np.sin(half), np.cos(half)
     return np.array([[-s, c], [c, s]], dtype=complex)
 
@@ -56,8 +67,11 @@ def path_phase_operator(i_u: float, i_d: float, mu: float) -> np.ndarray:
     I_u - I_d = lambda (lower path traversed in reverse) is the caller's
     convention; only the operator itself is fixed here.
     """
-    return np.array([[np.exp(1j * float(mu) * float(i_u)), 0.0],
-                     [0.0, np.exp(-1j * float(mu) * float(i_d))]], dtype=complex)
+    mu, i_u, i_d = float(mu), float(i_u), float(i_d)
+    _finite("mu*i_u", mu * i_u)
+    _finite("mu*i_d", mu * i_d)
+    return np.array([[np.exp(1j * mu * i_u), 0.0],
+                     [0.0, np.exp(-1j * mu * i_d)]], dtype=complex)
 
 
 def spin_loop_phase(s: int, mu: float, lam: float) -> complex:
@@ -70,4 +84,6 @@ def spin_loop_phase(s: int, mu: float, lam: float) -> complex:
     """
     if s not in (1, -1):
         raise ValueError(f"spin label must be +1 or -1, got {s!r}")
-    return complex(np.exp(-1j * s * float(mu) * float(lam)))
+    mu, lam = float(mu), float(lam)
+    _finite("mu*lam", mu * lam)
+    return complex(np.exp(-1j * s * mu * lam))

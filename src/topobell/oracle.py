@@ -3,10 +3,10 @@
 Everything here re-derives results along a separate route from both the
 scenario simulators and the closed forms: joint probabilities through
 explicit 4x4 operator chains, Kronecker products of inline component
-matrices stacked over arrays of points, and the CHSH maximum through a grid search over the
-two angles (a, a') with shrinking-window refinement and the exact maximum
-over (b, b') at each grid point, plus finite-difference stationarity
-checks at claimed extrema.
+matrices stacked over arrays of points, and the CHSH maximum through a
+grid search over the two angles (a, a') with shrinking-window refinement
+and the exact maximum over (b, b') at each grid point, plus
+finite-difference stationarity checks at claimed extrema.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import BellAngles, RoleAssignment, chsh_S, chsh_terms
+from .chsh import BellAngles, RoleAssignment, _scalar, chsh_S, chsh_terms
 from .entangled import DetectionDistribution, Scenario, TopoPhaseSpec
 
 TWO_PI = 2.0 * np.pi
@@ -194,7 +194,7 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
     resolve to the first maximum in C order over (a, a'). The reported S
     is recomputed by :func:`chsh_S` at the reported angles.
     """
-    if not abs(c) <= 1.0 + 1e-12:
+    if not abs(_scalar("c", c)) <= 1.0 + 1e-12:
         raise ValueError("contrast c must lie in [-1, 1]")
     spec = grid if grid is not None else GridSpec()
     needed = spec.total_evaluations()

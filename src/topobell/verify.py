@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chsh, closed_form
-from .entangled import Scenario, scenario_probabilities
+from .entangled import _SCENARIO_MODES, Scenario, TopoPhaseSpec, scenario_probabilities
 from .linalg import tensor_product, unitarity_deviation
 from .optics import beam_splitter, mach_zehnder, path_phase_operator, phase_retarder, spin_loop_phase
 from .oracle import brute_force_probabilities
@@ -34,14 +34,8 @@ _ANGLE = (0.0, 2.0 * np.pi)
 #: Columns of the chsh-bounds draws evaluated per block.
 _CHSH_BLOCK = 2 ** 13
 
-#: Draw ranges of each scenario's phase-spec fields, in per-point draw order.
-_FIELD_RANGES = {
-    Scenario.A: {"mu": (-2.0, 2.0), "i_u_l": (-3.0, 3.0), "i_d_l": (-3.0, 3.0),
-                 "i_u_r": (-3.0, 3.0), "i_d_r": (-3.0, 3.0)},
-    Scenario.B: {},
-    Scenario.C: {"mu": (-2.0, 2.0), "lambda_l": (-3.0, 3.0), "lambda_r": (-3.0, 3.0)},
-    Scenario.AB: {"flux": (-6.0, 6.0)},
-}
+#: Draw range of each phase-spec field; the line integrals take (-3, 3).
+_FIELD_RANGES = {"mu": (-2.0, 2.0), "flux": (-6.0, 6.0)}
 
 
 @dataclass(frozen=True)
@@ -123,10 +117,14 @@ def _uniform_columns(rng: np.random.Generator, draws: int, *ranges) -> list[np.n
 
 
 def _scenario_draws(rng: np.random.Generator, scenario: Scenario, draws: int):
-    """Random angles and phase-spec fields for ``draws`` points of ``scenario``."""
-    ranges = _FIELD_RANGES[scenario]
-    theta_l, theta_r, *values = _uniform_columns(rng, draws, _ANGLE, _ANGLE, *ranges.values())
-    return theta_l, theta_r, dict(zip(ranges, values))
+    """Random angles and phase-spec fields for ``draws`` points of ``scenario``.
+
+    Each point draws its fields in the order of the scenario's phase mode.
+    """
+    names = TopoPhaseSpec._FIELDS_BY_MODE.get(_SCENARIO_MODES[scenario][0], ())
+    ranges = [_FIELD_RANGES.get(name, (-3.0, 3.0)) for name in names]
+    theta_l, theta_r, *values = _uniform_columns(rng, draws, _ANGLE, _ANGLE, *ranges)
+    return theta_l, theta_r, dict(zip(names, values))
 
 
 def _suite_distribution_validity(rng: np.random.Generator, draws: int) -> SuiteResult:

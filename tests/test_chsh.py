@@ -4,23 +4,23 @@ from numpy.testing import assert_allclose
 
 from topobell import chsh
 from topobell.chsh import BellAngles, RoleAssignment
-from topobell.entangled import TopoPhaseSpec, run_scenario_b, run_scenario_c
+from topobell.entangled import Scenario, TopoPhaseSpec, run_scenario
 
 TWO_SQRT_TWO = 2 * np.sqrt(2)
 
 
 class TestExpectationFromDistribution:
     def test_equal_angles_give_perfect_anticorrelation(self):
-        dist = run_scenario_b(0.8, 0.8)
+        dist = run_scenario(Scenario.B, 0.8, 0.8)
         assert chsh.expectation_from_distribution(dist) == pytest.approx(-1.0, abs=1e-12)
 
     def test_quarter_wave_gives_zero(self):
-        dist = run_scenario_b(np.pi / 2, 0.0)
+        dist = run_scenario(Scenario.B, np.pi / 2, 0.0)
         assert chsh.expectation_from_distribution(dist) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_turn_loop_flips_the_correlation(self):
         topo = TopoPhaseSpec.spin_conditioned(1.0, np.pi / 2, 0.0)
-        dist = run_scenario_c(np.pi / 2, np.pi / 2, topo)
+        dist = run_scenario(Scenario.C, np.pi / 2, np.pi / 2, topo)
         assert chsh.expectation_from_distribution(dist) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -64,8 +64,8 @@ class TestExpectationClosedForm:
         for _ in range(100):
             theta_l, theta_r = rng.uniform(0, 2 * np.pi, 2)
             mu_lambda = rng.uniform(0, np.pi)
-            dist = run_scenario_c(theta_l, theta_r,
-                                  TopoPhaseSpec.spin_conditioned(1.0, mu_lambda, 0.0))
+            dist = run_scenario(Scenario.C, theta_l, theta_r,
+                                TopoPhaseSpec.spin_conditioned(1.0, mu_lambda, 0.0))
             expected = chsh.expectation_closed_form(theta_l, theta_r,
                                                     np.cos(2 * mu_lambda))
             assert chsh.expectation_from_distribution(dist) == pytest.approx(
@@ -78,7 +78,7 @@ class TestExpectationClosedForm:
             assert abs(chsh.expectation_closed_form(a, b, c)) <= 1 + 1e-12
         for _ in range(100):
             theta_l, theta_r = rng.uniform(0, 2 * np.pi, 2)
-            dist = run_scenario_b(theta_l, theta_r)
+            dist = run_scenario(Scenario.B, theta_l, theta_r)
             assert abs(chsh.expectation_from_distribution(dist)) <= 1 + 1e-12
 
 
@@ -90,6 +90,10 @@ class TestChshS:
     def test_canonical_angles_at_zero_contrast(self):
         s = chsh.chsh_S(chsh.canonical_angles(), 0.0, RoleAssignment.LITERAL)
         assert s == pytest.approx(np.sqrt(2), abs=1e-12)
+
+    def test_rejects_an_array_contrast(self):
+        with pytest.raises(ValueError, match="c must be a scalar"):
+            chsh.chsh_S(chsh.canonical_angles(), np.array([0.1, 0.2]), RoleAssignment.LITERAL)
 
     def test_all_equal_angles_give_two(self, rng):
         for c in rng.uniform(-1, 1, 20):
@@ -160,8 +164,9 @@ class TestChshS:
 class TestExpectationFromProbabilities:
     def test_rows_match_the_scalar_expectation(self, rng):
         theta_l, theta_r = rng.uniform(0, 2 * np.pi, size=(2, 200))
-        rows = np.array([run_scenario_b(a, b).as_array() for a, b in zip(theta_l, theta_r)])
-        scalar = [chsh.expectation_from_distribution(run_scenario_b(a, b))
+        rows = np.array([run_scenario(Scenario.B, a, b).as_array()
+                         for a, b in zip(theta_l, theta_r)])
+        scalar = [chsh.expectation_from_distribution(run_scenario(Scenario.B, a, b))
                   for a, b in zip(theta_l, theta_r)]
         assert np.array_equal(chsh.expectation_from_probabilities(rows), scalar)
         assert chsh.expectation_from_probabilities(rows.reshape(10, 20, 4)).shape == (10, 20)
@@ -237,6 +242,12 @@ class TestAnalyticOptimum:
             c = chsh.contrast(mu_lambda)
             s = chsh.chsh_S(angles, c, RoleAssignment.STANDARD)
             assert s == pytest.approx(chsh.analytic_max_S(c), abs=1e-12)
+
+    def test_rejects_array_inputs(self):
+        with pytest.raises(ValueError, match="c must be a scalar"):
+            chsh.analytic_max_S(np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="mu_lambda must be a scalar"):
+            chsh.analytic_optimal_angles(np.array([0.1, 0.2]))
 
     def test_beats_random_sampling(self, rng):
         # sampling oracle: a million random angle tuples never beat the

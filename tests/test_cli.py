@@ -7,6 +7,16 @@ from topobell import chsh
 from topobell.cli import main
 
 
+#: Every phase flag's field, and the fields each scenario accepts in record order.
+PHASE_FIELDS = ["mu", "lambda_l", "lambda_r", "flux", "i_u_l", "i_d_l", "i_u_r", "i_d_r"]
+SCENARIO_FIELDS = {
+    "A": ["mu", "i_u_l", "i_d_l", "i_u_r", "i_d_r"],
+    "B": [],
+    "C": ["mu", "lambda_l", "lambda_r"],
+    "AB": ["flux"],
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -79,19 +89,26 @@ class TestSimulate:
         assert len(rows) == 1
         assert float(rows[0]["p_d1p_d0"]) == pytest.approx(0.5, abs=1e-11)
 
-    @pytest.mark.parametrize("scenario, flag, value", [
-        ("C", "--flux", "1.0"),
-        ("C", "--i-u-l", "0.5"),
-        ("B", "--mu", "1.0"),
-        ("AB", "--lambda-l", "0.2"),
-        ("A", "--flux", "0.3"),
-    ])
-    def test_mode_mismatched_flags_are_rejected(self, capsys, scenario, flag, value):
-        code, _, err = run_cli(capsys, "simulate", "--scenario", scenario,
-                               "--theta-l", "0", "--theta-r", "0", flag, value)
-        assert code == 2
-        assert err.count("\n") == 1
-        assert flag in err
+    @pytest.mark.parametrize("flag", [f"--{name.replace('_', '-')}" for name in PHASE_FIELDS])
+    @pytest.mark.parametrize("scenario", list(SCENARIO_FIELDS))
+    def test_mode_mismatched_flags_are_rejected(self, capsys, scenario, flag):
+        fields = SCENARIO_FIELDS[scenario]
+        name = flag[2:].replace("-", "_")
+        code, out, err = run_cli(capsys, "simulate", "--scenario", scenario,
+                                 "--theta-l", "0", "--theta-r", "0", flag, "0.5")
+        if name not in fields:
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1
+            assert flag in err
+            return
+        assert code == 0 and err == ""
+        record = json.loads(out)[0]
+        # the mode's fields follow the angles in order; mu defaults to 1, the rest to 0
+        assert list(record)[3:3 + len(fields)] == fields
+        for field in fields:
+            default = 1.0 if field == "mu" else 0.0
+            assert record[field] == (0.5 if field == name else default)
 
     def test_invalid_angle_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

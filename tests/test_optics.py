@@ -107,3 +107,26 @@ class TestSpinLoopPhase:
     def test_rejects_non_spin_labels(self, bad):
         with pytest.raises(ValueError):
             optics.spin_loop_phase(bad, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: optics.phase_retarder(np.nan), "theta"),
+    (lambda: optics.phase_retarder(np.inf), "theta"),
+    (lambda: optics.phase_retarder(-np.inf), "theta"),
+    (lambda: optics.mach_zehnder(np.nan), "theta"),
+    (lambda: optics.mach_zehnder(np.inf), "theta"),
+    (lambda: optics.path_phase_operator(np.nan, 0.0, 1.0), "mu\\*i_u"),
+    (lambda: optics.path_phase_operator(0.0, np.inf, 1.0), "mu\\*i_d"),
+    (lambda: optics.path_phase_operator(0.0, 0.0, np.inf), "mu\\*i_u"),
+    (lambda: optics.path_phase_operator(1e308, 0.0, 1e308), "mu\\*i_u"),
+    (lambda: optics.path_phase_operator(0.0, -1e308, 1e308), "mu\\*i_d"),
+    (lambda: optics.spin_loop_phase(1, np.nan, 0.0), "mu\\*lam"),
+    (lambda: optics.spin_loop_phase(-1, 1.0, np.inf), "mu\\*lam"),
+    (lambda: optics.spin_loop_phase(1, 1e308, 1e308), "mu\\*lam"),
+], ids=["retarder-nan", "retarder-inf", "retarder-minus-inf", "mach-zehnder-nan",
+        "mach-zehnder-inf", "path-nan-i_u", "path-inf-i_d", "path-inf-mu",
+        "path-overflow-up", "path-overflow-down", "loop-nan-mu", "loop-inf-lambda",
+        "loop-overflow"])
+def test_non_finite_angle_or_phase_product_is_rejected_by_name(build, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build()

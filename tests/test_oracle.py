@@ -127,6 +127,10 @@ class TestGridSearch:
         assert excinfo.value.evaluations == spec.total_evaluations()
         assert str(excinfo.value.evaluations) in str(excinfo.value)
 
+    def test_rejects_an_array_contrast(self):
+        with pytest.raises(ValueError, match="c must be a scalar"):
+            grid_search_max_S(np.array([0.1, 0.2]), RoleAssignment.STANDARD)
+
     def test_rejects_contrast_outside_unit_interval(self):
         with pytest.raises(ValueError):
             grid_search_max_S(1.2, RoleAssignment.STANDARD)

@@ -1,10 +1,14 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import topobell
 from topobell import entangled, linalg, optics
 
 REMOVED = {
-    entangled: ("SpinBranch", "TwoQuantonState", "singlet_source"),
+    entangled: ("SpinBranch", "TwoQuantonState", "singlet_source", "run_scenario_a",
+                "run_scenario_b", "run_scenario_c", "run_scenario_ab"),
     linalg: ("as_operator", "as_state", "dagger", "is_unitary", "apply",
              "joint_probabilities", "norm", "DEFAULT_TOL"),
     optics: ("custom_beam_splitter", "NonUnitaryError", "CUSTOM_SPLITTER_TOL",
@@ -23,3 +27,10 @@ def test_removed_names_are_gone(module, name):
     assert name not in topobell.__all__
     assert not hasattr(topobell, name)
     assert not hasattr(module, name)
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})
