@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entangled import DetectionDistribution, _finite_array
+from . import _checks
+from .entangled import DetectionDistribution
 
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 
@@ -32,7 +33,7 @@ CANONICAL_ANGLES_TUPLE = (0.0, np.pi / 4, 3 * np.pi / 4, np.pi / 2)
 
 @dataclass(frozen=True)
 class BellAngles:
-    """The four retarder settings (tL, tR, tL', tR') in radians."""
+    """The four retarder settings (tL, tR, tL', tR') in radians, stored as floats."""
 
     theta_l: float
     theta_r: float
@@ -41,8 +42,7 @@ class BellAngles:
 
     def __post_init__(self):
         for name in ("theta_l", "theta_r", "theta_lp", "theta_rp"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, _checks.finite_scalar(name, getattr(self, name)))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.theta_l, self.theta_r, self.theta_lp, self.theta_rp)
@@ -85,28 +85,6 @@ def canonical_angles() -> BellAngles:
     return BellAngles(*CANONICAL_ANGLES_TUPLE)
 
 
-def _check_contrast(c) -> None:
-    # written so that NaN fails the comparison
-    if not np.all(np.abs(c) <= 1.0 + 1e-12):
-        raise ValueError("contrast c must lie in [-1, 1]")
-
-
-def _scalar(name: str, value):
-    """``value`` unchanged; ValueError naming it unless it is a scalar."""
-    if np.ndim(value) != 0:
-        raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
-    return value
-
-
-def _doubled_mu_lambda(mu_lambda):
-    """2*mu*lambda as a float array; ValueError unless every entry is finite."""
-    arr = np.asarray(mu_lambda, dtype=float)
-    # doubling is exact, so 2*x is finite iff |x| <= max/2; NaN fails the comparison
-    if not np.all(np.abs(arr) <= _HALF_MAX_FLOAT):
-        raise ValueError(f"mu*lambda = {mu_lambda!r} has no finite contrast")
-    return 2.0 * arr
-
-
 def expectation_from_distribution(dist: DetectionDistribution) -> float:
     """Observable product expectation from a joint detection distribution.
 
@@ -123,7 +101,7 @@ def expectation_from_probabilities(p) -> np.ndarray:
     ``ValueError`` unless the last axis has length 4 and every entry is
     finite.
     """
-    arr = _finite_array("p", p)
+    arr = _checks.finite_array("p", p)
     if arr.shape[-1:] != (4,):
         raise ValueError(f"expected probabilities along a last axis of length 4, "
                          f"got shape {arr.shape}")
@@ -140,8 +118,9 @@ def expectation_closed_form(theta_l, theta_r, c):
 
     Raises ``ValueError`` for a non-finite angle or a contrast outside [-1, 1].
     """
-    _check_contrast(c)
-    theta_l, theta_r = _finite_array("theta_l", theta_l), _finite_array("theta_r", theta_r)
+    c = _checks.contrast("c", c)
+    theta_l = _checks.finite_array("theta_l", theta_l)
+    theta_r = _checks.finite_array("theta_r", theta_r)
     return _expectation(np.cos(theta_l), np.sin(theta_l), np.cos(theta_r), np.sin(theta_r), c)
 
 
@@ -153,7 +132,7 @@ def chsh_terms(angles: BellAngles, c: float,
     sum of their absolute values. Exposed separately so kink detection can
     look at the arguments before the absolute value is taken.
     """
-    _scalar("c", c)
+    c = _checks.contrast("c", c, scalar=True)
     a, ap, b, bp = roles.slots(angles)
     first = expectation_closed_form(a, b, c) - expectation_closed_form(a, bp, c)
     second = expectation_closed_form(ap, b, c) + expectation_closed_form(ap, bp, c)
@@ -171,10 +150,10 @@ def chsh_S_values(theta_l, theta_r, theta_lp, theta_rp, c,
     Raises ``ValueError`` naming the first non-finite angle, or for a
     contrast outside [-1, 1].
     """
-    _check_contrast(c)
+    c = _checks.contrast("c", c)
     slots = zip(("theta_l", "theta_r", "theta_lp", "theta_rp"),
                 (theta_l, theta_r, theta_lp, theta_rp))
-    a, ap, b, bp = roles._roles_of(*(_finite_array(name, value) for name, value in slots))
+    a, ap, b, bp = roles._roles_of(*(_checks.finite_array(*slot) for slot in slots))
     # the b-side pairs serve both terms; each a-side pair lives for its own term
     trig_b, trig_bp = (np.cos(b), np.sin(b)), (np.cos(bp), np.sin(bp))
     trig = np.cos(a), np.sin(a)
@@ -185,7 +164,7 @@ def chsh_S_values(theta_l, theta_r, theta_lp, theta_rp, c,
 
 def chsh_S(angles: BellAngles, c: float, roles: RoleAssignment) -> float:
     """CHSH statistic |E(a,b) - E(a,b')| + |E(a',b) + E(a',b')| at contrast c."""
-    return float(chsh_S_values(*angles.as_tuple(), _scalar("c", c), roles))
+    return float(chsh_S_values(*angles.as_tuple(), _checks.contrast("c", c, scalar=True), roles))
 
 
 def fixed_angle_curve_S(mu_lambda) -> float | np.ndarray:
@@ -196,16 +175,18 @@ def fixed_angle_curve_S(mu_lambda) -> float | np.ndarray:
     with period pi. Raises ``ValueError`` unless 2*mu*lambda is finite for
     every entry.
     """
-    curve = np.sqrt(2.0) * (1.0 + np.abs(np.cos(_doubled_mu_lambda(mu_lambda))))
+    curve = np.sqrt(2.0) * (1.0 + np.abs(contrast(mu_lambda)))
     return float(curve) if np.ndim(mu_lambda) == 0 else curve
 
 
 def contrast(mu_lambda) -> float | np.ndarray:
     """Interference contrast c = cos(2*mu*lambda); 2*mu*lambda must be finite.
 
-    Broadcasts over arrays, like :func:`fixed_angle_curve_S`.
+    Doubling is exact, so that holds iff |mu*lambda| <= max/2. Broadcasts
+    over arrays, like :func:`fixed_angle_curve_S`.
     """
-    c = np.cos(_doubled_mu_lambda(mu_lambda))
+    c = np.cos(2.0 * _checks.finite_array("mu_lambda", mu_lambda, _HALF_MAX_FLOAT,
+                                          "must give a finite contrast cos(2*mu_lambda)"))
     return float(c) if np.ndim(mu_lambda) == 0 else c
 
 
@@ -216,8 +197,8 @@ def analytic_max_S(c: float) -> float:
     by :func:`analytic_optimal_angles` under STANDARD roles and confirmed
     numerically by the grid search in :mod:`topobell.oracle`.
     """
-    _check_contrast(_scalar("c", c))
-    return float(2.0 * np.sqrt(1.0 + float(c) ** 2))
+    c = _checks.contrast("c", c, scalar=True)
+    return float(2.0 * np.sqrt(1.0 + c ** 2))
 
 
 def analytic_optimal_angles(mu_lambda: float) -> BellAngles:
@@ -226,6 +207,6 @@ def analytic_optimal_angles(mu_lambda: float) -> BellAngles:
     Under STANDARD roles these angles attain 2*sqrt(1 + c^2). The mirrored
     solution with arctan replaced by its negative attains the same value.
     """
-    c = contrast(_scalar("mu_lambda", mu_lambda))
+    c = contrast(_checks.finite_scalar("mu_lambda", mu_lambda, None))
     t = float(np.arctan(c))
     return BellAngles(0.0, t, np.pi / 2, np.pi - t)

@@ -16,13 +16,13 @@ import sys
 
 import numpy as np
 
-from . import chsh, verify
+from . import _checks, chsh, verify
 from .entangled import PhaseMode, Scenario, TopoPhaseSpec, _scenario_modes, run_scenario
 from .oracle import BudgetExceededError, GridSpec, grid_search_max_S
 
 
 class UsageError(ValueError):
-    """Invalid flag combination; reported as a single line with exit code 2."""
+    """Invalid flag combination; like any ``ValueError``, one line with exit code 2."""
 
 
 def _fmt(value: float) -> str:
@@ -33,21 +33,13 @@ def _flag(field: str) -> str:
     return "--" + field.replace("_", "-")
 
 
-def _parse_angle(text: str) -> float:
+def _angle_arg(text: str) -> float:
     """Radians, or degrees with a 'deg' suffix; NaN and inf are rejected."""
     stripped = text.strip()
-    if stripped.lower().endswith("deg"):
-        value = float(stripped[:-3]) * np.pi / 180.0
-    else:
-        value = float(stripped)
-    if not np.isfinite(value):
-        raise ValueError(f"angle must be finite, got {text!r}")
-    return value
-
-
-def _angle_arg(text: str) -> float:
     try:
-        return _parse_angle(text)
+        if stripped.lower().endswith("deg"):
+            return _checks.finite_scalar("angle", float(stripped[:-3]) * np.pi / 180.0)
+        return _checks.finite_scalar("angle", stripped)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid angle {text!r}") from None
 
@@ -55,12 +47,9 @@ def _angle_arg(text: str) -> float:
 def _finite_arg(text: str) -> float:
     """A plain float flag value; NaN and inf are rejected like malformed numbers."""
     try:
-        value = float(text)
+        return _checks.finite_scalar("value", text)
     except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"invalid finite number {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"invalid finite number {text!r}") from None
 
 
 def _positive_int_arg(text: str) -> int:
@@ -71,14 +60,6 @@ def _positive_int_arg(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"invalid positive integer {text!r}")
     return value
-
-
-def _checked_contrast(mu_lambda: float) -> float:
-    """c = cos(2*mu*lambda), with the library's rejection as a usage error."""
-    try:
-        return chsh.contrast(mu_lambda)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _emit_records(records: list[dict], fmt: str) -> None:
@@ -160,10 +141,7 @@ def _topo_from_flags(args: argparse.Namespace, scenario: Scenario) -> TopoPhaseS
     fields = {name: given.get(name) or 0.0 for name in wanted}
     if "mu" in fields:
         fields["mu"] = given.get("mu", 1.0)
-    try:
-        return TopoPhaseSpec(modes[0], **fields)
-    except ValueError as exc:  # finite flags whose phase products overflow
-        raise UsageError(str(exc)) from None
+    return TopoPhaseSpec(modes[0], **fields)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -196,8 +174,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--points must be at least 2")
     if not args.min < args.max:
         raise UsageError("--min must be smaller than --max")
-    if not np.isfinite(args.max - args.min):
-        raise UsageError("--max - --min must be finite")
+    _checks.finite_scalar("--max - --min", args.max - args.min)
     roles = chsh.RoleAssignment(args.roles)
     spec = GridSpec(budget=args.budget)
     needed = args.points * spec.total_evaluations()
@@ -207,7 +184,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 1
 
     mu_lambdas = np.linspace(args.min, args.max, args.points)
-    contrasts = [_checked_contrast(mu_lambda) for mu_lambda in mu_lambdas]
+    contrasts = [chsh.contrast(mu_lambda) for mu_lambda in mu_lambdas]
     records = []
     for mu_lambda, c in zip(mu_lambdas, contrasts):
         search = grid_search_max_S(c, roles, spec)
@@ -226,7 +203,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     mu_lambda = args.mu * (args.lambda_l - args.lambda_r)
     roles = chsh.RoleAssignment(args.roles)
-    c = _checked_contrast(mu_lambda)
+    c = chsh.contrast(mu_lambda)
     if args.method == "analytic":
         standard = chsh.analytic_optimal_angles(mu_lambda)
         angles = roles.bell_angles(*chsh.RoleAssignment.STANDARD.slots(standard))
@@ -280,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return commands[args.command](args)
-    except UsageError as exc:
+    except ValueError as exc:  # a UsageError or an input the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

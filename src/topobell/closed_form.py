@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .entangled import DetectionDistribution, _finite_array
+from . import _checks
+from .entangled import DetectionDistribution
 
 
 def scenario_a_distribution(theta_l: float, theta_r: float) -> DetectionDistribution:
-    """Open-geometry probabilities (cos^2, sin^2, sin^2, cos^2)/2 of half the difference."""
-    half = 0.5 * (float(theta_l) - float(theta_r))
+    """Open-geometry (cos^2, sin^2, sin^2, cos^2)/2 of half the finite angle difference."""
+    theta_l = _checks.finite_scalar("theta_l", theta_l)
+    difference = theta_l - _checks.finite_scalar("theta_r", theta_r)
+    half = 0.5 * _checks.finite_scalar("theta_l - theta_r", difference)
     c2, s2 = np.cos(half) ** 2, np.sin(half) ** 2
     return DetectionDistribution(0.5 * c2, 0.5 * s2, 0.5 * s2, 0.5 * c2)
 
@@ -27,15 +30,18 @@ def scenario_b_probabilities(theta_l, theta_r) -> np.ndarray:
     Raises ``ValueError`` for a non-finite angle or angle difference.
     """
     with np.errstate(over="ignore"):
-        difference = _finite_array("theta_l", theta_l) - _finite_array("theta_r", theta_r)
-    half = 0.5 * _finite_array("theta_l - theta_r", difference)
+        difference = (_checks.finite_array("theta_l", theta_l)
+                      - _checks.finite_array("theta_r", theta_r))
+    half = 0.5 * _checks.finite_array("theta_l - theta_r", difference)
     c2, s2 = np.square(np.cos(half)), np.square(np.sin(half))
     return 0.5 * np.stack([s2, c2, c2, s2], axis=-1)
 
 
 def scenario_b_distribution(theta_l: float, theta_r: float) -> DetectionDistribution:
     """:func:`scenario_b_probabilities` at one point."""
-    return DetectionDistribution(*scenario_b_probabilities(theta_l, theta_r).tolist())
+    theta_l = _checks.finite_scalar("theta_l", theta_l)
+    return DetectionDistribution(*scenario_b_probabilities(
+        theta_l, _checks.finite_scalar("theta_r", theta_r)).tolist())
 
 
 def scenario_c_probabilities(theta_l, theta_r, two_mu_lambda) -> np.ndarray:
@@ -48,8 +54,8 @@ def scenario_c_probabilities(theta_l, theta_r, two_mu_lambda) -> np.ndarray:
     detector symmetry is itself checked against the simulated pipeline in
     the verification suites rather than assumed.
     """
-    tl, tr = _finite_array("theta_l", theta_l), _finite_array("theta_r", theta_r)
-    k = np.cos(_finite_array("two_mu_lambda", two_mu_lambda))
+    tl, tr = _checks.finite_array("theta_l", theta_l), _checks.finite_array("theta_r", theta_r)
+    k = np.cos(_checks.finite_array("two_mu_lambda", two_mu_lambda))
     same = 0.25 * (1.0 - np.cos(tl) * np.cos(tr) - np.sin(tl) * np.sin(tr) * k)
     diff = 0.25 * (1.0 + np.cos(tl) * np.cos(tr) + np.sin(tl) * np.sin(tr) * k)
     return np.stack([same, diff, diff, same], axis=-1)
@@ -58,5 +64,6 @@ def scenario_c_probabilities(theta_l, theta_r, two_mu_lambda) -> np.ndarray:
 def scenario_c_distribution(theta_l: float, theta_r: float,
                             two_mu_lambda: float) -> DetectionDistribution:
     """:func:`scenario_c_probabilities` at one point."""
-    return DetectionDistribution(*scenario_c_probabilities(theta_l, theta_r,
-                                                           two_mu_lambda).tolist())
+    angles = _checks.finite_scalar("theta_l", theta_l), _checks.finite_scalar("theta_r", theta_r)
+    return DetectionDistribution(*scenario_c_probabilities(
+        *angles, _checks.finite_scalar("two_mu_lambda", two_mu_lambda)).tolist())

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .optics import beam_splitter, path_phase_operator, phase_retarder, spin_loop_phase
 
 PROB_TOL = 1e-12
@@ -78,16 +79,8 @@ def _scenario_modes(scenario: Scenario) -> tuple[PhaseMode | None, ...]:
     return _SCENARIO_MODES[scenario]
 
 
-def _finite_array(name: str, value) -> np.ndarray:
-    """``value`` as a float array; ValueError naming it unless every entry is finite."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
-def _checked_fields(mode: PhaseMode, values: dict) -> dict[str, np.ndarray]:
-    """The fields of ``mode`` from ``values`` as float arrays, in the mode's order.
+def _checked_fields(mode: PhaseMode, values: dict, check=_checks.finite_array) -> dict:
+    """The fields of ``mode`` from ``values`` through ``check``, in the mode's order.
 
     Raises ValueError for a missing or foreign field, a non-finite value,
     or a finite pair whose phase product overflows.
@@ -99,7 +92,7 @@ def _checked_fields(mode: PhaseMode, values: dict) -> dict[str, np.ndarray]:
     for name in wanted:
         if name not in values:
             raise ValueError(f"{mode.value} mode requires field {name!r}")
-    fields = {name: _finite_array(f"field {name!r}", values[name]) for name in wanted}
+    fields = {name: check(f"field {name!r}", values[name]) for name in wanted}
     if "mu" in fields:
         # finite fields can still give an infinite phase, and exp(-i*inf) is NaN
         mu = fields["mu"]
@@ -108,8 +101,7 @@ def _checked_fields(mode: PhaseMode, values: dict) -> dict[str, np.ndarray]:
             if mode is PhaseMode.SPIN_CONDITIONED:
                 phases["mu*(lambda_l - lambda_r)"] = mu * (fields["lambda_l"] - fields["lambda_r"])
         for label, phase in phases.items():
-            if not np.all(np.isfinite(phase)):
-                raise ValueError(f"phase {label} must be finite")
+            _checks.finite_array(f"phase {label}", phase)
     return fields
 
 
@@ -125,7 +117,7 @@ class TopoPhaseSpec:
     ``mu`` is a magnetic dipole encircling an electric line source; the
     dual configuration (electric dipole around a magnetic line source) is
     the same numbers with the field roles swapped, so it needs no mode of
-    its own.
+    its own. The populated fields are stored as floats.
     """
 
     mode: PhaseMode
@@ -151,26 +143,22 @@ class TopoPhaseSpec:
             raise ValueError(f"unknown phase mode {self.mode!r}")
         given = {name: getattr(self, name) for name in self._FIELD_NAMES
                  if getattr(self, name) is not None}
-        for name, value in given.items():
-            if np.ndim(value) != 0:
-                raise ValueError(f"field {name!r} must be a scalar")
-        _checked_fields(self.mode, given)
+        for name, value in _checked_fields(self.mode, given, _checks.finite_scalar).items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def spin_conditioned(cls, mu: float, lambda_l: float, lambda_r: float) -> "TopoPhaseSpec":
-        return cls(PhaseMode.SPIN_CONDITIONED, mu=float(mu),
-                   lambda_l=float(lambda_l), lambda_r=float(lambda_r))
+        return cls(PhaseMode.SPIN_CONDITIONED, mu=mu, lambda_l=lambda_l, lambda_r=lambda_r)
 
     @classmethod
     def aharonov_bohm(cls, flux: float) -> "TopoPhaseSpec":
-        return cls(PhaseMode.SPIN_INDEPENDENT_AB, flux=float(flux))
+        return cls(PhaseMode.SPIN_INDEPENDENT_AB, flux=flux)
 
     @classmethod
     def path_integrals(cls, mu: float, i_u_l: float, i_d_l: float,
                        i_u_r: float, i_d_r: float) -> "TopoPhaseSpec":
-        return cls(PhaseMode.PATH_INTEGRALS, mu=float(mu),
-                   i_u_l=float(i_u_l), i_d_l=float(i_d_l),
-                   i_u_r=float(i_u_r), i_d_r=float(i_d_r))
+        return cls(PhaseMode.PATH_INTEGRALS, mu=mu,
+                   i_u_l=i_u_l, i_d_l=i_d_l, i_u_r=i_u_r, i_d_r=i_d_r)
 
     def field_values(self) -> dict[str, float]:
         """This spec's populated fields by name, the keywords of the batched entry points."""
@@ -188,14 +176,14 @@ class TopoPhaseSpec:
         angle, field or phase product, or shapes that do not broadcast.
         """
         modes = _scenario_modes(scenario)
-        if modes[0] is None or (None in modes and not fields):
+        if modes[0] is None:
             if fields:
                 raise ValueError(f"scenario {scenario.value} takes no phase fields, "
                                  f"got {sorted(fields)}")
-            fields = {}
-        else:
+        elif fields or None not in modes:
             fields = _checked_fields(modes[0], fields)
-        angles = (_finite_array("theta_l", theta_l), _finite_array("theta_r", theta_r))
+        angles = (_checks.finite_array("theta_l", theta_l),
+                  _checks.finite_array("theta_r", theta_r))
         theta_l, theta_r, *values = np.broadcast_arrays(*angles, *fields.values())
         return theta_l, theta_r, dict(zip(fields, values))
 
@@ -295,6 +283,8 @@ def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
         got = topo.mode.value if isinstance(topo, TopoPhaseSpec) else type(topo).__name__
         raise ValueError(f"scenario {scenario.value} requires a {modes[0].value} "
                          f"phase spec, got {got}")
+    theta_l, theta_r = (_checks.finite_scalar("theta_l", theta_l),
+                        _checks.finite_scalar("theta_r", theta_r))
     if scenario is Scenario.A:
         if topo is not None:
             t_l = path_phase_operator(topo.i_u_l, topo.i_d_l, topo.mu)

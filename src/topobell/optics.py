@@ -9,18 +9,11 @@ finite-difference checks simple. A non-finite angle or phase product raises
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from . import _checks
+
 SQRT2 = np.sqrt(2.0)
-
-
-def _finite(name: str, value: float) -> float:
-    """``value`` unchanged; ValueError naming it unless it is finite."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def beam_splitter() -> np.ndarray:
@@ -34,7 +27,7 @@ def beam_splitter() -> np.ndarray:
 
 def phase_retarder(theta: float) -> np.ndarray:
     """Retarder adding phase exp(i*theta) to the port-0 arm: diag(e^{i theta}, 1)."""
-    theta = _finite("theta", float(theta))
+    theta = _checks.finite_scalar("theta", theta)
     return np.array([[np.exp(1j * theta), 0.0], [0.0, 1.0]], dtype=complex)
 
 
@@ -54,7 +47,7 @@ def mach_zehnder(theta: float) -> np.ndarray:
     and the two conventions give identical detection statistics (the entry
     magnitudes agree for every theta).
     """
-    half = 0.5 * _finite("theta", float(theta))
+    half = 0.5 * _checks.finite_scalar("theta", theta)
     s, c = np.sin(half), np.cos(half)
     return np.array([[-s, c], [c, s]], dtype=complex)
 
@@ -67,9 +60,10 @@ def path_phase_operator(i_u: float, i_d: float, mu: float) -> np.ndarray:
     I_u - I_d = lambda (lower path traversed in reverse) is the caller's
     convention; only the operator itself is fixed here.
     """
-    mu, i_u, i_d = float(mu), float(i_u), float(i_d)
-    _finite("mu*i_u", mu * i_u)
-    _finite("mu*i_d", mu * i_d)
+    mu = _checks.finite_scalar("mu", mu, None)
+    i_u, i_d = _checks.finite_scalar("i_u", i_u, None), _checks.finite_scalar("i_d", i_d, None)
+    _checks.finite_scalar("mu*i_u", mu * i_u)
+    _checks.finite_scalar("mu*i_d", mu * i_d)
     return np.array([[np.exp(1j * mu * i_u), 0.0],
                      [0.0, np.exp(-1j * mu * i_d)]], dtype=complex)
 
@@ -84,6 +78,6 @@ def spin_loop_phase(s: int, mu: float, lam: float) -> complex:
     """
     if s not in (1, -1):
         raise ValueError(f"spin label must be +1 or -1, got {s!r}")
-    mu, lam = float(mu), float(lam)
-    _finite("mu*lam", mu * lam)
+    mu, lam = _checks.finite_scalar("mu", mu, None), _checks.finite_scalar("lam", lam, None)
+    _checks.finite_scalar("mu*lam", mu * lam)
     return complex(np.exp(-1j * s * mu * lam))

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import BellAngles, RoleAssignment, _scalar, chsh_S, chsh_terms
+from . import _checks
+from .chsh import BellAngles, RoleAssignment, chsh_S, chsh_terms
 from .entangled import DetectionDistribution, Scenario, TopoPhaseSpec
 
 TWO_PI = 2.0 * np.pi
@@ -142,6 +143,8 @@ class GridSpec:
             raise ValueError("points_per_angle must be at least 2")
         if self.refinement_rounds < 0:
             raise ValueError("refinement_rounds must be non-negative")
+        object.__setattr__(self, "shrink_factor",
+                           _checks.finite_scalar("shrink_factor", self.shrink_factor))
         if not 0.0 < self.shrink_factor < 1.0:
             raise ValueError("shrink_factor must lie in (0, 1)")
         if self.budget <= 0:
@@ -194,8 +197,7 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
     resolve to the first maximum in C order over (a, a'). The reported S
     is recomputed by :func:`chsh_S` at the reported angles.
     """
-    if not abs(_scalar("c", c)) <= 1.0 + 1e-12:
-        raise ValueError("contrast c must lie in [-1, 1]")
+    c = _checks.contrast("c", c, scalar=True)
     spec = grid if grid is not None else GridSpec()
     needed = spec.total_evaluations()
     if needed > spec.budget:
@@ -234,8 +236,9 @@ def stationarity_check(angles: BellAngles, c: float, roles: RoleAssignment,
     and large enough that x + h and x - h differ from every angle x.
     """
     values = np.array(angles.as_tuple())
+    h = _checks.finite_scalar("step h", h)
     # a step below an angle's resolution makes every difference quotient 0
-    if not (0 < h < np.inf and np.all(values + h != values) and np.all(values - h != values)):
+    if not (0 < h and np.all(values + h != values) and np.all(values - h != values)):
         raise ValueError(f"step h must be positive and finite and must move every angle, "
                          f"got {h!r}")
     first, second = chsh_terms(angles, c, roles)

@@ -4,15 +4,19 @@ from pathlib import Path
 import pytest
 
 import topobell
-from topobell import entangled, linalg, optics
+from topobell import chsh, cli, entangled, linalg, optics
+
+SRC = Path(topobell.__file__).resolve().parent
 
 REMOVED = {
+    chsh: ("_check_contrast", "_scalar", "_doubled_mu_lambda"),
+    cli: ("_parse_angle", "_checked_contrast"),
     entangled: ("SpinBranch", "TwoQuantonState", "singlet_source", "run_scenario_a",
-                "run_scenario_b", "run_scenario_c", "run_scenario_ab"),
+                "run_scenario_b", "run_scenario_c", "run_scenario_ab", "_finite_array"),
     linalg: ("as_operator", "as_state", "dagger", "is_unitary", "apply",
              "joint_probabilities", "norm", "DEFAULT_TOL"),
     optics: ("custom_beam_splitter", "NonUnitaryError", "CUSTOM_SPLITTER_TOL",
-             "polarizing_splitter_candidate", "spin_eigenstates"),
+             "polarizing_splitter_candidate", "spin_eigenstates", "_finite"),
 }
 
 
@@ -34,3 +38,9 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(readme), "exec"), {})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_checks_module_decides_what_is_finite(path):
+    # "finite" is decided in one place; a second isfinite would let the rules drift apart
+    assert (path.name == "_checks.py") == ("isfinite" in path.read_text())
