@@ -153,13 +153,19 @@ def chsh_S_values(theta_l, theta_r, theta_lp, theta_rp, c,
     c = _checks.contrast("c", c)
     slots = zip(("theta_l", "theta_r", "theta_lp", "theta_rp"),
                 (theta_l, theta_r, theta_lp, theta_rp))
-    a, ap, b, bp = roles._roles_of(*(_checks.finite_array(*slot) for slot in slots))
-    # the b-side pairs serve both terms; each a-side pair lives for its own term
-    trig_b, trig_bp = (np.cos(b), np.sin(b)), (np.cos(bp), np.sin(bp))
-    trig = np.cos(a), np.sin(a)
-    s = np.abs(_expectation(*trig, *trig_b, c) - _expectation(*trig, *trig_bp, c))
-    trig = np.cos(ap), np.sin(ap)
-    return s + np.abs(_expectation(*trig, *trig_b, c) + _expectation(*trig, *trig_bp, c))
+    angles = roles._roles_of(*(_checks.finite_array(*slot) for slot in slots))
+    return _S_from_trig(*((np.cos(t), np.sin(t)) for t in angles), c)
+
+
+def _S_from_trig(a, ap, b, bp, c):
+    """S from the (cos, sin) pair of each role angle (a, a', b, b'); no validation.
+
+    Each E term keeps the operation order of :func:`_expectation`, so
+    callers that take the cos/sin once for several role assignments or
+    contrasts get :func:`chsh_S_values` bit for bit.
+    """
+    s = np.abs(_expectation(*a, *b, c) - _expectation(*a, *bp, c))
+    return s + np.abs(_expectation(*ap, *b, c) + _expectation(*ap, *bp, c))
 
 
 def chsh_S(angles: BellAngles, c: float, roles: RoleAssignment) -> float:

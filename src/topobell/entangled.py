@@ -200,9 +200,13 @@ class DetectionDistribution:
     def __post_init__(self):
         # comparisons written so that NaN fails them
         values = (self.p_d0p_d0, self.p_d0p_d1, self.p_d1p_d0, self.p_d1p_d1)
-        if not all(-PROB_TOL <= v <= 1.0 + PROB_TOL for v in values):
+        try:
+            in_range = all(-PROB_TOL <= v <= 1.0 + PROB_TOL for v in values)
+            total = float(sum(values))
+        except TypeError:  # a value that is not one real number
+            raise ValueError(f"probabilities must be real numbers, got {values!r}") from None
+        if not in_range:
             raise ValueError(f"probabilities out of [0, 1]: {[float(v) for v in values]}")
-        total = float(sum(values))
         if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 

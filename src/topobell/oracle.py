@@ -107,9 +107,12 @@ def brute_force_distribution(scenario: Scenario, theta_l: float, theta_r: float,
                              topo: TopoPhaseSpec | None = None) -> DetectionDistribution:
     """:func:`brute_force_probabilities` at one point, for a phase spec.
 
-    Raises ``ValueError`` unless ``topo`` is the scenario's phase spec
-    (``None`` for B, and optionally for A).
+    Raises ``ValueError`` for an angle that is not a finite real scalar, or
+    unless ``topo`` is the scenario's phase spec (``None`` for B, and
+    optionally for A).
     """
+    theta_l = _checks.finite_scalar("theta_l", theta_l)
+    theta_r = _checks.finite_scalar("theta_r", theta_r)
     if topo is not None and not isinstance(topo, TopoPhaseSpec):
         raise ValueError(f"expected a TopoPhaseSpec or None, got {type(topo).__name__}")
     fields = {} if topo is None else topo.field_values()

@@ -86,21 +86,27 @@ def _suite_linalg(rng: np.random.Generator, draws: int) -> SuiteResult:
 
 
 def _suite_optics(rng: np.random.Generator) -> SuiteResult:
+    # one constructor call per point; the checks run on the stacked outputs
+    def stack(build, *columns):
+        return np.array([build(*point) for point in zip(*columns)])
+
     bs = beam_splitter()
-    worst = 0.0
-    for theta in rng.uniform(-10.0, 10.0, size=1000):
-        raw = bs @ phase_retarder(theta) @ bs
-        # exact relation: the compact form at -theta carries the retarder arm
-        stripped = raw / (1j * np.exp(0.5j * theta))
-        worst = max(worst, float(np.max(np.abs(stripped - mach_zehnder(-theta)))))
-        # identical statistics with the printed-orientation compact form
-        worst = max(worst, float(np.max(np.abs(np.abs(raw) - np.abs(mach_zehnder(theta))))))
-    for a, b in rng.uniform(-10.0, 10.0, size=(200, 2)):
-        composed = phase_retarder(a) @ phase_retarder(b)
-        worst = max(worst, float(np.max(np.abs(composed - phase_retarder(a + b)))))
-        worst = max(worst, abs(spin_loop_phase(1, a, b) * spin_loop_phase(-1, a, b) - 1.0))
-        op = path_phase_operator(a, b, 1.7)
-        worst = max(worst, abs(op[0, 0] / op[1, 1] - np.exp(1j * 1.7 * (a + b))))
+    theta = rng.uniform(-10.0, 10.0, size=1000)
+    raw = bs @ stack(phase_retarder, theta) @ bs
+    # exact relation: the compact form at -theta carries the retarder arm
+    stripped = raw / (1j * np.exp(0.5j * theta))[:, None, None]
+    worst = float(np.max(np.abs(stripped - stack(mach_zehnder, -theta))))
+    # identical statistics with the printed-orientation compact form
+    worst = max(worst, float(np.max(np.abs(np.abs(raw) - np.abs(stack(mach_zehnder, theta))))))
+    a, b = rng.uniform(-10.0, 10.0, size=(200, 2)).T
+    composed = stack(phase_retarder, a) @ stack(phase_retarder, b)
+    worst = max(worst, float(np.max(np.abs(composed - stack(phase_retarder, a + b)))))
+    # the spins' product is taken per point: numpy's complex multiply may round differently
+    loops = stack(lambda x, y: spin_loop_phase(1, x, y) * spin_loop_phase(-1, x, y), a, b)
+    worst = max(worst, float(np.max(np.abs(loops - 1.0))))
+    ops = stack(lambda x, y: path_phase_operator(x, y, 1.7), a, b)
+    worst = max(worst, float(np.max(np.abs(ops[:, 0, 0] / ops[:, 1, 1]
+                                           - np.exp(1j * 1.7 * (a + b))))))
     return SuiteResult("optics-compact-form", worst <= 1e-12, worst, 1e-12)
 
 
@@ -247,13 +253,16 @@ def _suite_chsh_bounds(rng: np.random.Generator, draws: int) -> SuiteResult:
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(4, samples))
     contrasts = rng.uniform(-1.0, 1.0, size=samples)
     worst = 0.0
-    # fixed blocks bound the temporaries; contrast row 0 is the draw, row 1 zero
+    # fixed blocks bound the temporaries; contrast row 0 is the draw, row 1 zero.
+    # Both role assignments permute the same four angle rows, so each row's
+    # cos/sin is taken once per block.
     for start in range(0, samples, _CHSH_BLOCK):
         block = slice(start, start + _CHSH_BLOCK)
         c = np.zeros((2, len(contrasts[block])))
         c[0] = contrasts[block]
+        trig = [(np.cos(row), np.sin(row)) for row in angles[:, block]]
         for roles in chsh.RoleAssignment:
-            s_any, s_zero = chsh.chsh_S_values(*angles[:, block], c, roles)
+            s_any, s_zero = chsh._S_from_trig(*roles._roles_of(*trig), c)
             worst = max(worst, float(np.max(s_any) - chsh.TSIRELSON_BOUND),
                         float(np.max(s_zero) - 2.0))
     # monotone bracket: fixed-angle curve never beats the re-optimized

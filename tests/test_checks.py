@@ -65,6 +65,11 @@ SCALAR_ENTRIES = [
     ("path_phase_operator", "mu", lambda v: optics.path_phase_operator(0.5, 0.0, v)),
     ("spin_loop_phase", "mu", lambda v: optics.spin_loop_phase(1, v, 0.5)),
     ("spin_loop_phase", "lam", lambda v: optics.spin_loop_phase(-1, 0.5, v)),
+    ("brute_force_distribution", "theta_l",
+     lambda v: tb.brute_force_distribution(tb.Scenario.B, v, 0.0)),
+    ("brute_force_distribution", "theta_r",
+     lambda v: tb.brute_force_distribution(tb.Scenario.C, 0.0, v,
+                                           tb.TopoPhaseSpec.spin_conditioned(1.0, 0.3, 0.0))),
     ("scenario_a_distribution", "theta_l", lambda v: closed_form.scenario_a_distribution(v, 0.0)),
     ("scenario_b_distribution", "theta_r", lambda v: closed_form.scenario_b_distribution(0.0, v)),
     ("scenario_c_distribution", "two_mu_lambda",
@@ -122,6 +127,14 @@ def test_phase_spec_fields_are_stored_as_floats(value):
         assert type(spec.mu) is float and spec.mu == 1.0
         assert spec.field_values() == {"mu": 1.0, "lambda_l": 0.0, "lambda_r": 0.0}
         assert all(type(v) is float for v in spec.field_values().values())
+
+
+@pytest.mark.parametrize("bad", [BAD["text"], BAD["none"], BAD["complex"], BAD["list"],
+                                 np.array([0.5])],
+                         ids=["text", "none", "complex", "list", "one-entry-array"])
+def test_detection_distribution_rejects_a_non_real_probability(bad):
+    with pytest.raises(ValueError, match="probabilities must be real numbers"):
+        tb.DetectionDistribution(bad, 0.5, 0.0, 0.0)
 
 
 def test_bell_angles_and_shrink_factor_are_stored_as_floats():

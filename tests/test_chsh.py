@@ -149,6 +149,18 @@ class TestChshS:
         assert values.shape == expected.shape == np.broadcast_shapes(np.shape(c), (n,))
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("roles", list(RoleAssignment))
+    def test_trig_helper_equals_values_bit_for_bit(self, roles, rng):
+        # a drawn contrast row and a zero row over cos/sin taken once, as chsh-bounds does
+        n = 2_000
+        thetas = rng.uniform(0.0, 2 * np.pi, size=(4, n))
+        c = np.zeros((2, n))
+        c[0] = rng.uniform(-1.0, 1.0, n)
+        trig = [(np.cos(t), np.sin(t)) for t in thetas]
+        values = chsh._S_from_trig(*roles._roles_of(*trig), c)
+        expected = chsh.chsh_S_values(*thetas, c, roles)
+        assert values.shape == expected.shape == (2, n)
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("slot", range(4))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -253,9 +265,11 @@ class TestAnalyticOptimum:
         # sampling oracle: a million random angle tuples never beat the
         # analytic optimum at any of 25 loop phases
         draws = rng.uniform(0, 2 * np.pi, size=(4, 1_000_000))
+        # the draws' cos/sin are taken once and serve every contrast
+        trig = RoleAssignment.STANDARD._roles_of(*((np.cos(t), np.sin(t)) for t in draws))
         for mu_lambda in np.linspace(0, np.pi, 25):
             c = chsh.contrast(mu_lambda)
-            sampled = chsh.chsh_S_values(*draws, c, RoleAssignment.STANDARD)
+            sampled = chsh._S_from_trig(*trig, c)
             analytic = chsh.chsh_S(chsh.analytic_optimal_angles(mu_lambda), c,
                                    RoleAssignment.STANDARD)
             assert analytic >= float(np.max(sampled)) - 1e-9

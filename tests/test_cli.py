@@ -16,6 +16,22 @@ SCENARIO_FIELDS = {
     "AB": ["flux"],
 }
 
+#: Golden stdout of ``verify --budget 1000``, byte for byte.
+VERIFY_BUDGET_1000 = (
+    "linalg-unitarity: PASS  worst residual 8.882e-16 (tol 1.0e-12)\n"
+    "optics-compact-form: PASS  worst residual 3.564e-15 (tol 1.0e-12)\n"
+    "distribution-validity: PASS  worst residual 1.776e-15 (tol 1.0e-12)\n"
+    "scenario-b-closed-form: PASS  worst residual 7.772e-16 (tol 1.0e-12)\n"
+    "scenario-c-closed-form: PASS  worst residual 8.882e-16 (tol 1.0e-12)\n"
+    "scenario-c-gauge: PASS  worst residual 6.106e-16 (tol 1.0e-12)\n"
+    "scenario-a-topo-invariance: PASS  worst residual 3.331e-16 (tol 1.0e-12)\n"
+    "scenario-ab-reduction: PASS  worst residual 4.441e-16 (tol 1.0e-12)\n"
+    "degiorgio-offset: PASS  worst residual 4.441e-16 (tol 1.0e-12)\n"
+    "oracle-equivalence: PASS  worst residual 7.772e-16 (tol 1.0e-12)\n"
+    "chsh-consistency: PASS  worst residual 1.554e-15 (tol 1.0e-12)\n"
+    "chsh-bounds: PASS  worst residual 8.882e-16 (tol 1.0e-09)\n"
+)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -309,6 +325,11 @@ class TestVerify:
         lines = out.strip().split("\n")
         assert len(lines) == 12
         assert all("PASS" in line for line in lines)
+
+    def test_budget_1000_output_is_byte_identical_to_the_golden_lines(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--budget", "1000")
+        assert code == 0
+        assert out == VERIFY_BUDGET_1000
 
     def test_injected_fault_fails_and_names_the_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--budget", "50",

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from topobell import chsh, verify
+from topobell import chsh, optics, verify
 from topobell.entangled import Scenario
 
 
@@ -117,19 +117,38 @@ def test_chsh_bounds_draws_the_same_stream():
     assert rng.bit_generator.state == restated.bit_generator.state
 
 
+def test_optics_draws_the_same_stream():
+    rng = verify._rng(2)
+    assert verify._suite_optics(rng).passed
+    restated = verify._rng(2)
+    restated.uniform(-10.0, 10.0, size=1000)
+    restated.uniform(-10.0, 10.0, size=(200, 2))
+    assert rng.bit_generator.state == restated.bit_generator.state
+
+
+def test_optics_stacked_product_equals_the_per_point_products():
+    # the suite's theta draws through bs @ R @ bs, once stacked and once per point
+    theta = verify._rng(2).uniform(-10.0, 10.0, size=1000)
+    bs = optics.beam_splitter()
+    stacked = bs @ np.array([optics.phase_retarder(t) for t in theta]) @ bs
+    per_point = np.array([bs @ optics.phase_retarder(t) @ bs for t in theta])
+    np.testing.assert_array_equal(stacked, per_point)
+
+
 def test_chsh_bounds_checks_the_last_partial_block(monkeypatch):
     # 8,300 samples: one full block of 8,192 columns and a last one of 108
     planted = verify._rng(10).uniform(0.0, 2.0 * np.pi, size=(4, 8_300))[0, -1]
-    s_values = chsh.chsh_S_values
+    s_from_trig = chsh._S_from_trig
     seen = []
 
-    def faulty(theta_l, *rest):
-        hit = np.asarray(theta_l) == planted
+    def faulty(a, *rest):
+        # slot theta_l is role a under both assignments
+        hit = (a[0] == np.cos(planted)) & (a[1] == np.sin(planted))
         if hit.any():
-            seen.append(np.size(theta_l))
-        return s_values(theta_l, *rest) + hit
+            seen.append(np.size(hit))
+        return s_from_trig(a, *rest) + hit
 
-    monkeypatch.setattr(chsh, "chsh_S_values", faulty)
+    monkeypatch.setattr(chsh, "_S_from_trig", faulty)
     result = verify._suite_chsh_bounds(verify._rng(10), 83)
     assert seen == [108, 108]
     assert not result.passed and result.worst_residual > 0.5
