@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import _checks, chsh, verify
-from .entangled import PhaseMode, Scenario, TopoPhaseSpec, _scenario_modes, run_scenario
+from .entangled import PhaseMode, Scenario, TopoPhaseSpec, _spec_mode, run_scenario
 from .oracle import BudgetExceededError, GridSpec, grid_search_max_S
 
 
@@ -125,23 +125,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _topo_from_flags(args: argparse.Namespace, scenario: Scenario) -> TopoPhaseSpec | None:
-    """The scenario's phase spec from its flags; ``mu`` defaults to 1, the rest to 0.
-
-    None where the scenario takes no spec, or may go without one and got no flag.
-    """
-    modes = _scenario_modes(scenario)
-    wanted = TopoPhaseSpec._FIELDS_BY_MODE.get(modes[0], ())
+    """The scenario's phase spec from its flags, or None; ``mu`` defaults to 1, the rest to 0."""
     given = {name: getattr(args, name) for name in TopoPhaseSpec._FIELD_NAMES
              if getattr(args, name) is not None}
+    mode = _spec_mode(scenario, bool(given))
+    wanted = TopoPhaseSpec._FIELDS_BY_MODE.get(mode, ())
     for name in given:
         if name not in wanted:
             raise UsageError(f"{_flag(name)} is not valid for scenario {scenario.value}")
-    if not wanted or (None in modes and not given):
+    if mode is None:
         return None
     fields = {name: given.get(name) or 0.0 for name in wanted}
     if "mu" in fields:
         fields["mu"] = given.get("mu", 1.0)
-    return TopoPhaseSpec(modes[0], **fields)
+    return TopoPhaseSpec(mode, **fields)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -238,13 +235,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     light = None if args.budget is None else max(1, args.budget // 10)
     results = verify.run_suites(heavy_draws=heavy, light_draws=light,
                                 inject_fault=args.inject_fault)
-    all_passed = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{result.name}: {status}  worst residual {result.worst_residual:.3e} "
               f"(tol {result.tolerance:.1e})")
-        all_passed &= result.passed
-    return 0 if all_passed else 1
+    return 0 if all(result.passed for result in results) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

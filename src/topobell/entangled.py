@@ -62,21 +62,23 @@ class Scenario(enum.Enum):
     AB = "AB"
 
 
-#: The phase modes each scenario accepts, its own mode first; None stands
-#: for no phase spec, so scenario A runs with or without its arm integrals.
-_SCENARIO_MODES = {
-    Scenario.A: (PhaseMode.PATH_INTEGRALS, None),
-    Scenario.B: (None,),
-    Scenario.C: (PhaseMode.SPIN_CONDITIONED,),
-    Scenario.AB: (PhaseMode.SPIN_INDEPENDENT_AB,),
+#: The phase mode of each scenario's spec. B takes no spec, A may also run
+#: without one (no arm integrals), C and AB need theirs.
+_SPEC_MODE = {
+    Scenario.A: PhaseMode.PATH_INTEGRALS,
+    Scenario.B: None,
+    Scenario.C: PhaseMode.SPIN_CONDITIONED,
+    Scenario.AB: PhaseMode.SPIN_INDEPENDENT_AB,
 }
 
 
-def _scenario_modes(scenario: Scenario) -> tuple[PhaseMode | None, ...]:
-    """The phase modes ``scenario`` accepts; ValueError unless it is a Scenario."""
+def _spec_mode(scenario: Scenario, given: bool = True) -> PhaseMode | None:
+    """The phase mode ``scenario`` runs in, None for no spec; ``given``: one was passed."""
     if not isinstance(scenario, Scenario):
         raise ValueError(f"unknown scenario {scenario!r}")
-    return _SCENARIO_MODES[scenario]
+    if scenario is Scenario.A and not given:
+        return None
+    return _SPEC_MODE[scenario]
 
 
 def _checked_fields(mode: PhaseMode, values: dict, check=_checks.finite_array) -> dict:
@@ -169,19 +171,17 @@ class TopoPhaseSpec:
         """Validate one batch of inputs for ``scenario`` and broadcast it to one shape.
 
         The keyword arrays are named after this class's fields and must be
-        exactly those of the scenario's phase mode: the spin-conditioned
-        fields for C, ``flux`` for AB, the path integrals or none for A,
-        none for B. Returns float arrays ``(theta_l, theta_r, fields)``.
+        exactly those of the scenario's phase mode (:data:`_SPEC_MODE`).
+        Returns float arrays ``(theta_l, theta_r, fields)``.
         Raises ``ValueError`` for a missing or foreign field, a non-finite
         angle, field or phase product, or shapes that do not broadcast.
         """
-        modes = _scenario_modes(scenario)
-        if modes[0] is None:
-            if fields:
-                raise ValueError(f"scenario {scenario.value} takes no phase fields, "
-                                 f"got {sorted(fields)}")
-        elif fields or None not in modes:
-            fields = _checked_fields(modes[0], fields)
+        mode = _spec_mode(scenario, bool(fields))
+        if mode is not None:
+            fields = _checked_fields(mode, fields)
+        elif fields:
+            raise ValueError(f"scenario {scenario.value} takes no phase fields, "
+                             f"got {sorted(fields)}")
         angles = (_checks.finite_array("theta_l", theta_l),
                   _checks.finite_array("theta_r", theta_r))
         theta_l, theta_r, *values = np.broadcast_arrays(*angles, *fields.values())
@@ -202,7 +202,11 @@ class DetectionDistribution:
         values = (self.p_d0p_d0, self.p_d0p_d1, self.p_d1p_d0, self.p_d1p_d1)
         try:
             in_range = all(-PROB_TOL <= v <= 1.0 + PROB_TOL for v in values)
-            total = float(sum(values))
+            total = sum(values)
+            if type(total) is not float:  # the hot paths pass floats
+                if isinstance(total, np.complexfloating):  # numpy orders complex numbers too
+                    raise TypeError
+                total = float(total)
         except TypeError:  # a value that is not one real number
             raise ValueError(f"probabilities must be real numbers, got {values!r}") from None
         if not in_range:
@@ -268,25 +272,27 @@ def _joint_probabilities(m_l: np.ndarray, m_r: np.ndarray, phi_ud, phi_du) -> np
     return (np.abs(_R * amp) ** 2).reshape(amp.shape[:-2] + (4,))
 
 
+def _check_spec(scenario: Scenario, topo) -> None:
+    """ValueError unless ``topo`` is ``scenario``'s phase spec, or None where it needs none."""
+    mode = _spec_mode(scenario, topo is not None)
+    if (isinstance(topo, TopoPhaseSpec) and topo.mode is mode) or (topo is None and mode is None):
+        return
+    rule = "takes no topological" if mode is None else f"requires a {mode.value}"
+    got = topo.mode.value if isinstance(topo, TopoPhaseSpec) else type(topo).__name__
+    raise ValueError(f"scenario {scenario.value} {rule} phase spec, got {got}")
+
+
 def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
                  topo: TopoPhaseSpec | None = None) -> DetectionDistribution:
     """Joint detection probabilities of ``scenario`` at one pair of retarder angles.
 
-    ``topo`` must be the scenario's phase spec: path integrals or ``None``
-    for A, ``None`` for B, spin-conditioned for C, spin-independent for AB;
-    anything else raises ``ValueError``. Side matrices and branch phases
-    are those of the module docstring. In A, zero (or symmetric) arm
-    integrals give (cos^2, sin^2, sin^2, cos^2)/2 of half the retarder
-    difference; in C only lambda_l - lambda_r survives in the probabilities.
+    ``topo`` must be the scenario's phase spec (:data:`_SPEC_MODE`), or
+    ``ValueError`` is raised. Side matrices and branch phases are those of
+    the module docstring. In A, zero (or symmetric) arm integrals give
+    (cos^2, sin^2, sin^2, cos^2)/2 of half the retarder difference; in C
+    only lambda_l - lambda_r survives in the probabilities.
     """
-    modes = _scenario_modes(scenario)
-    if topo is not None and modes == (None,):
-        raise ValueError(f"scenario {scenario.value} takes no topological phase spec")
-    if not (topo is None and None in modes
-            or isinstance(topo, TopoPhaseSpec) and topo.mode in modes):
-        got = topo.mode.value if isinstance(topo, TopoPhaseSpec) else type(topo).__name__
-        raise ValueError(f"scenario {scenario.value} requires a {modes[0].value} "
-                         f"phase spec, got {got}")
+    _check_spec(scenario, topo)
     theta_l, theta_r = (_checks.finite_scalar("theta_l", theta_l),
                         _checks.finite_scalar("theta_r", theta_r))
     if scenario is Scenario.A:

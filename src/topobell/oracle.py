@@ -18,15 +18,15 @@ import numpy as np
 
 from . import _checks
 from .chsh import BellAngles, RoleAssignment, chsh_S, chsh_terms
-from .entangled import DetectionDistribution, Scenario, TopoPhaseSpec
+from .entangled import DetectionDistribution, Scenario, TopoPhaseSpec, _check_spec
 
 TWO_PI = 2.0 * np.pi
 
 # Component matrices restated inline so the oracle does not lean on the
 # optics constructors it is meant to cross-check.
 _BS = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
-_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_ID = np.eye(2, dtype=complex)
+_SPLITTERS = np.kron(_BS, _BS)
+_MIRROR = np.eye(4, dtype=complex)[[1, 0, 3, 2]]  # 1 (x) swap: right-hand detector labels
 
 
 class BudgetExceededError(RuntimeError):
@@ -64,10 +64,13 @@ def brute_force_probabilities(scenario: Scenario, theta_l, theta_r, **fields) ->
     labels of scenario A are restated here from the physical conventions;
     no closed-form result enters.
     """
-    theta_l, theta_r, fields = TopoPhaseSpec.broadcast(scenario, theta_l, theta_r, **fields)
+    return _brute_force(scenario, *TopoPhaseSpec.broadcast(scenario, theta_l, theta_r, **fields))
+
+
+def _brute_force(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.ndarray:
+    """:func:`brute_force_probabilities` on checked inputs of one shape, or on floats."""
     retarders = _kron(_diag(np.exp(1j * theta_l), 1.0), _diag(np.exp(1j * theta_r), 1.0))
-    splitters = np.kron(_BS, _BS)
-    unit = np.ones(theta_l.shape)
+    unit = np.ones(np.shape(theta_l))
     branch_phases = {(1, -1): unit, (-1, 1): unit}
 
     if scenario is Scenario.A:
@@ -78,9 +81,9 @@ def brute_force_probabilities(scenario: Scenario, theta_l, theta_r, **fields) ->
         else:
             arm = np.eye(4, dtype=complex)
         # right-hand detectors are labeled opposite to the splitter ports
-        chain = np.kron(_ID, _SWAP) @ splitters @ arm @ retarders
+        chain = _MIRROR @ _SPLITTERS @ arm @ retarders
     else:
-        chain = splitters @ retarders @ splitters
+        chain = _SPLITTERS @ retarders @ _SPLITTERS
     if scenario is Scenario.C:
         branch_phases = {
             (s_l, s_r): np.exp(-1j * fields["mu"] * (s_l * fields["lambda_l"]
@@ -92,7 +95,7 @@ def brute_force_probabilities(scenario: Scenario, theta_l, theta_r, **fields) ->
         branch_phases = {(1, -1): flux_phase, (-1, 1): flux_phase}
 
     # singlet: +1/sqrt2 on |0,1> with spins (+1,-1), -1/sqrt2 on |1,0> with (-1,+1)
-    amplitudes = np.zeros(theta_l.shape + (4,), dtype=complex)
+    amplitudes = np.zeros(np.shape(theta_l) + (4,), dtype=complex)
     for (s_l, s_r), start_index, start_amp in (
         ((1, -1), 1, 1.0 / np.sqrt(2.0)),
         ((-1, 1), 2, -1.0 / np.sqrt(2.0)),
@@ -107,17 +110,14 @@ def brute_force_distribution(scenario: Scenario, theta_l: float, theta_r: float,
                              topo: TopoPhaseSpec | None = None) -> DetectionDistribution:
     """:func:`brute_force_probabilities` at one point, for a phase spec.
 
-    Raises ``ValueError`` for an angle that is not a finite real scalar, or
-    unless ``topo`` is the scenario's phase spec (``None`` for B, and
-    optionally for A).
+    Raises ``ValueError`` as :func:`topobell.entangled.run_scenario` does,
+    with the same messages: first unless ``topo`` is the scenario's phase
+    spec, then for an angle that is not a finite real scalar.
     """
-    theta_l = _checks.finite_scalar("theta_l", theta_l)
-    theta_r = _checks.finite_scalar("theta_r", theta_r)
-    if topo is not None and not isinstance(topo, TopoPhaseSpec):
-        raise ValueError(f"expected a TopoPhaseSpec or None, got {type(topo).__name__}")
+    _check_spec(scenario, topo)
+    angles = _checks.finite_scalar("theta_l", theta_l), _checks.finite_scalar("theta_r", theta_r)
     fields = {} if topo is None else topo.field_values()
-    return DetectionDistribution.from_array(
-        brute_force_probabilities(scenario, theta_l, theta_r, **fields))
+    return DetectionDistribution.from_array(_brute_force(scenario, *angles, fields))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chsh, closed_form
-from .entangled import _SCENARIO_MODES, Scenario, TopoPhaseSpec, scenario_probabilities
+from .entangled import Scenario, TopoPhaseSpec, _spec_mode, scenario_probabilities
 from .linalg import tensor_product, unitarity_deviation
 from .optics import beam_splitter, mach_zehnder, path_phase_operator, phase_retarder, spin_loop_phase
 from .oracle import brute_force_probabilities
@@ -41,9 +41,12 @@ _FIELD_RANGES = {"mu": (-2.0, 2.0), "flux": (-6.0, 6.0)}
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
-    passed: bool
     worst_residual: float
     tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_residual <= self.tolerance
 
 
 def _rng(index: int) -> np.random.Generator:
@@ -82,7 +85,7 @@ def _suite_linalg(rng: np.random.Generator, draws: int) -> SuiteResult:
         lhs = tensor_product(alpha * u2 + c2, v2)
         rhs = alpha * tensor_product(u2, v2) + tensor_product(c2, v2)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return SuiteResult("linalg-unitarity", worst <= 1e-12, worst, 1e-12)
+    return SuiteResult("linalg-unitarity", worst, 1e-12)
 
 
 def _suite_optics(rng: np.random.Generator) -> SuiteResult:
@@ -107,7 +110,7 @@ def _suite_optics(rng: np.random.Generator) -> SuiteResult:
     ops = stack(lambda x, y: path_phase_operator(x, y, 1.7), a, b)
     worst = max(worst, float(np.max(np.abs(ops[:, 0, 0] / ops[:, 1, 1]
                                            - np.exp(1j * 1.7 * (a + b))))))
-    return SuiteResult("optics-compact-form", worst <= 1e-12, worst, 1e-12)
+    return SuiteResult("optics-compact-form", worst, 1e-12)
 
 
 def _uniform_columns(rng: np.random.Generator, draws: int, *ranges) -> list[np.ndarray]:
@@ -127,7 +130,7 @@ def _scenario_draws(rng: np.random.Generator, scenario: Scenario, draws: int):
 
     Each point draws its fields in the order of the scenario's phase mode.
     """
-    names = TopoPhaseSpec._FIELDS_BY_MODE.get(_SCENARIO_MODES[scenario][0], ())
+    names = TopoPhaseSpec._FIELDS_BY_MODE.get(_spec_mode(scenario), ())
     ranges = [_FIELD_RANGES.get(name, (-3.0, 3.0)) for name in names]
     theta_l, theta_r, *values = _uniform_columns(rng, draws, _ANGLE, _ANGLE, *ranges)
     return theta_l, theta_r, dict(zip(names, values))
@@ -140,7 +143,7 @@ def _suite_distribution_validity(rng: np.random.Generator, draws: int) -> SuiteR
         p = scenario_probabilities(scenario, theta_l, theta_r, **fields)
         worst = max(worst, float(np.max(np.abs(p.sum(axis=-1) - 1.0))),
                     float(max(0.0, np.max(p - 1.0), np.max(-p))))
-    return SuiteResult("distribution-validity", worst <= 1e-12, worst, 1e-12)
+    return SuiteResult("distribution-validity", worst, 1e-12)
 
 
 def _suite_scenario_b_closed_form() -> SuiteResult:
@@ -153,7 +156,7 @@ def _suite_scenario_b_closed_form() -> SuiteResult:
     half = 0.5 * (theta_l - theta_r)
     worst = max(worst, float(np.max(np.abs(simulated[..., 0] - 0.5 * np.sin(half) ** 2))),
                 float(np.max(np.abs(simulated[..., 2] - 0.5 * np.cos(half) ** 2))))
-    return SuiteResult("scenario-b-closed-form", worst <= 1e-12, worst, 1e-12)
+    return SuiteResult("scenario-b-closed-form", worst, 1e-12)
 
 
 def _scenario_c_grid():
@@ -172,7 +175,7 @@ def _suite_scenario_c_closed_form(inject_fault: str | None) -> SuiteResult:
         two_ml = np.pi - two_ml  # flips the interference term sign
     reference = closed_form.scenario_c_probabilities(theta_l, theta_r, two_ml)
     worst = float(np.max(np.abs(simulated - reference)))
-    return SuiteResult("scenario-c-closed-form", worst <= 1e-12, worst, 1e-12)
+    return SuiteResult("scenario-c-closed-form", worst, 1e-12)
 
 
 def _suite_scenario_c_gauge(rng: np.random.Generator, draws: int) -> SuiteResult:
@@ -187,7 +190,7 @@ def _suite_scenario_c_gauge(rng: np.random.Generator, draws: int) -> SuiteResult
     shifted = run(lam_l + shift, lam_r + shift)
     mirrored = run(lam_r, lam_l)
     worst = max(float(np.max(np.abs(base - shifted))), float(np.max(np.abs(base - mirrored))))
-    return SuiteResult("scenario-c-gauge", worst <= 1e-12, worst, 1e-12)
+    return SuiteResult("scenario-c-gauge", worst, 1e-12)
 
 
 def _suite_scenario_a_topo_invariance(rng: np.random.Generator, draws: int) -> SuiteResult:
@@ -197,7 +200,7 @@ def _suite_scenario_a_topo_invariance(rng: np.random.Generator, draws: int) -> S
                                        i_u_l=i_u, i_d_l=i_d, i_u_r=i_u, i_d_r=i_d)
     without = scenario_probabilities(Scenario.A, theta_l, theta_r)
     worst = float(np.max(np.abs(with_topo - without)))
-    return SuiteResult("scenario-a-topo-invariance", worst <= 1e-12, worst, 1e-12)
+    return SuiteResult("scenario-a-topo-invariance", worst, 1e-12)
 
 
 def _suite_scenario_ab_reduction(rng: np.random.Generator, draws: int) -> SuiteResult:
@@ -205,7 +208,7 @@ def _suite_scenario_ab_reduction(rng: np.random.Generator, draws: int) -> SuiteR
     ab = scenario_probabilities(Scenario.AB, theta_l, theta_r, flux=flux)
     plain = scenario_probabilities(Scenario.B, theta_l, theta_r)
     worst = float(np.max(np.abs(ab - plain)))
-    return SuiteResult("scenario-ab-reduction", worst <= 1e-12, worst, 1e-12)
+    return SuiteResult("scenario-ab-reduction", worst, 1e-12)
 
 
 def _suite_degiorgio(rng: np.random.Generator, draws: int) -> SuiteResult:
@@ -216,7 +219,7 @@ def _suite_degiorgio(rng: np.random.Generator, draws: int) -> SuiteResult:
     # side's detector outcomes swapped in one index
     worst = max(float(np.max(np.abs(a[..., 0] - b[..., 2]))),
                 float(np.max(np.abs(a - b[..., [1, 0, 3, 2]]))))
-    return SuiteResult("degiorgio-offset", worst <= 1e-12, worst, 1e-12)
+    return SuiteResult("degiorgio-offset", worst, 1e-12)
 
 
 def _suite_oracle_equivalence(rng: np.random.Generator, draws: int) -> SuiteResult:
@@ -226,7 +229,7 @@ def _suite_oracle_equivalence(rng: np.random.Generator, draws: int) -> SuiteResu
         simulated = scenario_probabilities(scenario, theta_l, theta_r, **fields)
         brute = brute_force_probabilities(scenario, theta_l, theta_r, **fields)
         worst = max(worst, float(np.max(np.abs(simulated - brute))))
-    return SuiteResult("oracle-equivalence", worst <= 1e-12, worst, 1e-12)
+    return SuiteResult("oracle-equivalence", worst, 1e-12)
 
 
 def _suite_chsh_consistency() -> SuiteResult:
@@ -245,7 +248,7 @@ def _suite_chsh_consistency() -> SuiteResult:
     literal = chsh.chsh_S_values(*chsh.canonical_angles().as_tuple(), chsh.contrast(mu_lambdas),
                                  chsh.RoleAssignment.LITERAL)
     worst = max(worst, float(np.max(np.abs(literal - chsh.fixed_angle_curve_S(mu_lambdas)))))
-    return SuiteResult("chsh-consistency", worst <= 1e-12, worst, 1e-12)
+    return SuiteResult("chsh-consistency", worst, 1e-12)
 
 
 def _suite_chsh_bounds(rng: np.random.Generator, draws: int) -> SuiteResult:
@@ -283,7 +286,7 @@ def _suite_chsh_bounds(rng: np.random.Generator, draws: int) -> SuiteResult:
         chsh.fixed_angle_curve_S(probe) - chsh.fixed_angle_curve_S(-probe)))))
     worst = max(worst, float(np.max(np.abs(
         chsh.fixed_angle_curve_S(probe) - chsh.fixed_angle_curve_S(probe + np.pi)))))
-    return SuiteResult("chsh-bounds", worst <= 1e-9, worst, 1e-9)
+    return SuiteResult("chsh-bounds", worst, 1e-9)
 
 
 def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,

@@ -130,8 +130,9 @@ def test_phase_spec_fields_are_stored_as_floats(value):
 
 
 @pytest.mark.parametrize("bad", [BAD["text"], BAD["none"], BAD["complex"], BAD["list"],
-                                 np.array([0.5])],
-                         ids=["text", "none", "complex", "list", "one-entry-array"])
+                                 np.array([0.5]), np.complex128(0.5), np.complex64(0.5)],
+                         ids=["text", "none", "complex", "list", "one-entry-array",
+                              "complex128", "complex64"])
 def test_detection_distribution_rejects_a_non_real_probability(bad):
     with pytest.raises(ValueError, match="probabilities must be real numbers"):
         tb.DetectionDistribution(bad, 0.5, 0.0, 0.0)

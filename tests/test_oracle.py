@@ -63,6 +63,34 @@ class TestBruteForceDistribution:
                                      TopoPhaseSpec.aharonov_bohm(1.0))
 
 
+SPIN = TopoPhaseSpec.spin_conditioned(1.0, 0.3, 0.0)
+PATH = TopoPhaseSpec.path_integrals(1.0, 0.1, 0.2, 0.3, 0.4)
+
+#: Every way to pass a scenario the wrong phase spec: a spec of another mode,
+#: a spec where none is taken, none where one is needed, an object that is no
+#: spec, and a value that is no scenario.
+BAD_SPECS = {
+    "A-spin-conditioned": (Scenario.A, SPIN),
+    "B-spin-conditioned": (Scenario.B, SPIN),
+    "C-path-integrals": (Scenario.C, PATH),
+    "C-missing": (Scenario.C, None),
+    "AB-spin-conditioned": (Scenario.AB, SPIN),
+    "AB-missing": (Scenario.AB, None),
+    "C-dict": (Scenario.C, {"mu": 1.0, "lambda_l": 0.3, "lambda_r": 0.0}),
+    "unknown-scenario": ("C", SPIN),
+}
+
+
+@pytest.mark.parametrize("scenario, topo", BAD_SPECS.values(), ids=BAD_SPECS)
+def test_both_one_point_entry_points_reject_a_bad_spec_alike(scenario, topo):
+    messages = []
+    for entry in (run_scenario, brute_force_distribution):
+        with pytest.raises(ValueError) as excinfo:
+            entry(scenario, 0.0, 0.0, topo)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+
+
 class TestGridSpec:
     def test_defaults_fit_their_budget(self):
         spec = GridSpec()

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import topobell
-from topobell import chsh, cli, entangled, linalg, optics
+from topobell import chsh, cli, entangled, linalg, optics, oracle
 
 SRC = Path(topobell.__file__).resolve().parent
 
@@ -12,11 +12,13 @@ REMOVED = {
     chsh: ("_check_contrast", "_scalar", "_doubled_mu_lambda"),
     cli: ("_parse_angle", "_checked_contrast"),
     entangled: ("SpinBranch", "TwoQuantonState", "singlet_source", "run_scenario_a",
-                "run_scenario_b", "run_scenario_c", "run_scenario_ab", "_finite_array"),
+                "run_scenario_b", "run_scenario_c", "run_scenario_ab", "_finite_array",
+                "_SCENARIO_MODES", "_scenario_modes"),
     linalg: ("as_operator", "as_state", "dagger", "is_unitary", "apply",
              "joint_probabilities", "norm", "DEFAULT_TOL"),
     optics: ("custom_beam_splitter", "NonUnitaryError", "CUSTOM_SPLITTER_TOL",
              "polarizing_splitter_candidate", "spin_eigenstates", "_finite"),
+    oracle: ("_ID", "_SWAP"),
 }
 
 
