@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -79,7 +80,9 @@ def _emit_records(records: list[dict], fmt: str) -> None:
         print(json.dumps(rounded, indent=2))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused by later ones in the process."""
     parser = argparse.ArgumentParser(
         prog="topobell",
         description="Entangled two-quanton interferometer simulation and CHSH analysis.",

@@ -140,7 +140,7 @@ class GridSpec:
     def __post_init__(self):
         for name in ("points_per_angle", "refinement_rounds", "budget"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.points_per_angle < 2:
             raise ValueError("points_per_angle must be at least 2")
@@ -170,20 +170,34 @@ class StationarityOutcome(enum.Enum):
     SKIPPED = "skipped"
 
 
+def _bound(a, a_prime, c):
+    """|u_a + u_a'| + |u_a' - u_a| with u_x = (cos x, c sin x), and the two vectors.
+
+    The vectors are returned as (x, y) pairs, sum first. Broadcasts over
+    arrays.
+    """
+    cos_a, sin_a = np.cos(a), c * np.sin(a)
+    cos_ap, sin_ap = np.cos(a_prime), c * np.sin(a_prime)
+    total = cos_a + cos_ap, sin_a + sin_ap
+    difference = cos_ap - cos_a, sin_ap - sin_a
+    return np.hypot(*total) + np.hypot(*difference), total, difference
+
+
 def _max_over_b(a, a_prime, c):
     """Exact maximum of S over (b, b') at fixed (a, a'), and its (b, b').
 
     With u_x = (cos x, c sin x) and v_y = (cos y, sin y), E(x, y) =
     -u_x . v_y, so S = |u_a . (v_b - v_b')| + |u_a' . (v_b + v_b')| is at
-    most |u_a + u_a'| + |u_a' - u_a|, with equality at v_b along
-    u_a + u_a' and v_b' along u_a' - u_a. Broadcasts over arrays.
+    most :func:`_bound`, |u_a + u_a'| + |u_a' - u_a|, with equality at v_b
+    along u_a + u_a' and v_b' along u_a' - u_a. Broadcasts over arrays.
     """
-    cos_a, sin_a = np.cos(a), c * np.sin(a)
-    cos_ap, sin_ap = np.cos(a_prime), c * np.sin(a_prime)
-    sum_x, sum_y = cos_a + cos_ap, sin_a + sin_ap
-    diff_x, diff_y = cos_ap - cos_a, sin_ap - sin_a
-    value = np.hypot(sum_x, sum_y) + np.hypot(diff_x, diff_y)
+    value, (sum_x, sum_y), (diff_x, diff_y) = _bound(a, a_prime, c)
     return value, np.arctan2(sum_y, sum_x), np.arctan2(diff_y, diff_x)
+
+
+def _require_type(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def grid_search_max_S(c: float, roles: RoleAssignment,
@@ -198,10 +212,14 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
     around the incumbent. The incumbent never gets worse, and identical
     inputs give identical results: the grids are deterministic and ties
     resolve to the first maximum in C order over (a, a'). The reported S
-    is recomputed by :func:`chsh_S` at the reported angles.
+    is recomputed by :func:`chsh_S` at the reported angles. Raises
+    ``ValueError`` before any work unless ``roles`` is a
+    :class:`RoleAssignment` and ``grid`` is None or a :class:`GridSpec`.
     """
+    _require_type("roles", roles, RoleAssignment)
+    spec = GridSpec() if grid is None else grid
+    _require_type("grid", spec, GridSpec)
     c = _checks.contrast("c", c, scalar=True)
-    spec = grid if grid is not None else GridSpec()
     needed = spec.total_evaluations()
     if needed > spec.budget:
         raise BudgetExceededError(needed, spec.budget)
@@ -212,15 +230,16 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
     for round_index in range(spec.refinement_rounds + 1):
         if round_index:
             half = np.pi * spec.shrink_factor ** round_index
-            axes = [np.linspace(center - half, center + half, points)
-                    for center in best[:2]]
-        values, b, b_prime = _max_over_b(axes[0][:, None], axes[1][None, :], c)
+            axes = [np.linspace(center - half, center + half, points) for center in best]
+        # each round needs only the bound; (b, b') is taken once, at the final winner
+        values = _bound(axes[0][:, None], axes[1][None, :], c)[0]
         i, j = np.unravel_index(int(np.argmax(values)), values.shape)
         if values[i, j] > best_value:
             best_value = values[i, j]
-            best = (axes[0][i], axes[1][j], b[i, j], b_prime[i, j])
+            best = axes[0][i], axes[1][j]
 
-    result_angles = roles.bell_angles(*(float(x) for x in best))
+    _, b, b_prime = _max_over_b(*best, c)
+    result_angles = roles.bell_angles(*(float(x) for x in (*best, b, b_prime)))
     return SearchResult(best_angles=result_angles,
                         best_s=float(chsh_S(result_angles, c, roles)),
                         evaluations=needed)
@@ -235,9 +254,13 @@ def stationarity_check(angles: BellAngles, c: float, roles: RoleAssignment,
     differences are meaningless. Otherwise PASSED iff every one-angle
     central difference quotient has magnitude at most 10*h^2*scale with
     scale = max(1, |S|), the expected truncation error at a smooth
-    stationary point. Raises ``ValueError`` unless h is positive, finite
-    and large enough that x + h and x - h differ from every angle x.
+    stationary point. Raises ``ValueError`` unless ``angles`` is a
+    :class:`BellAngles`, ``roles`` a :class:`RoleAssignment` and h
+    positive, finite and large enough that x + h and x - h differ from
+    every angle x.
     """
+    _require_type("angles", angles, BellAngles)
+    _require_type("roles", roles, RoleAssignment)
     values = np.array(angles.as_tuple())
     h = _checks.finite_scalar("step h", h)
     # a step below an angle's resolution makes every difference quotient 0

@@ -1,7 +1,8 @@
 """Every public entry point rejects a bad number with a ValueError that names it.
 
 One table of entry point x bad value: non-numeric, None, complex (Python
-and numpy), NaN, inf, and an array where a scalar is required. The CLI
+and numpy), NaN, inf, an array where a scalar is required, a wrong type
+for a roles, grid or angles argument and a bool for an integer. The CLI
 cases at the end check the same inputs as flag values: exit 2 and one
 error line, never a traceback.
 """
@@ -98,10 +99,27 @@ ARRAY_ENTRIES = [
      lambda v: closed_form.scenario_c_probabilities(0.0, v, 0.0)),
 ]
 
+#: (entry point, argument, label, bad value, call): a wrong type, or a bool for an integer.
+TYPE_ENTRIES = [
+    ("grid_search_max_S", "roles", "text", "standard", lambda v: tb.grid_search_max_S(0.5, v)),
+    ("grid_search_max_S", "roles", "none", None, lambda v: tb.grid_search_max_S(0.5, v)),
+    ("grid_search_max_S", "grid", "dict", {}, lambda v: tb.grid_search_max_S(0.5, ROLES, v)),
+    ("grid_search_max_S", "grid", "int", 24, lambda v: tb.grid_search_max_S(0.5, ROLES, v)),
+    ("stationarity_check", "roles", "text", "standard",
+     lambda v: tb.stationarity_check(tb.canonical_angles(), 0.5, v, 1e-4)),
+    ("stationarity_check", "angles", "tuple", (0.0, 0.5, 0.25, 0.75),
+     lambda v: tb.stationarity_check(v, 0.5, ROLES, 1e-4)),
+    ("GridSpec", "points_per_angle", "bool", True, lambda v: tb.GridSpec(points_per_angle=v)),
+    ("GridSpec", "refinement_rounds", "bool", True, lambda v: tb.GridSpec(refinement_rounds=v)),
+    ("GridSpec", "budget", "bool", True, lambda v: tb.GridSpec(budget=v)),
+]
+
 CASES = ([pytest.param(call, name, BAD[label], id=f"{entry}-{name}-{label}")
           for entry, name, call in SCALAR_ENTRIES for label in BAD]
          + [pytest.param(call, name, BAD[label], id=f"{entry}-{name}-{label}")
-            for entry, name, call in ARRAY_ENTRIES for label in ARRAY_BAD])
+            for entry, name, call in ARRAY_ENTRIES for label in ARRAY_BAD]
+         + [pytest.param(call, name, bad, id=f"{entry}-{name}-{label}")
+            for entry, name, label, bad, call in TYPE_ENTRIES])
 
 
 @pytest.mark.parametrize("call, name, bad", CASES)

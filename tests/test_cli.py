@@ -1,10 +1,24 @@
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from topobell import chsh
-from topobell.cli import main
+from topobell.cli import _build_parser, main
+
+#: Golden stdout files of the grid commands, byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
+GRID_GOLDENS = [
+    ("sweep_readme.csv", ["sweep", "--min", "0", "--max", "3.14159", "--points", "25"]),
+    ("sweep_literal.json", ["sweep", "--min", "0.1", "--max", "1.3", "--points", "4",
+                            "--roles", "literal", "--format", "json"]),
+    ("optimize_grid_standard.json", ["optimize", "--method", "grid", "--mu", "1",
+                                     "--lambda-l", "0.3", "--roles", "standard"]),
+    ("optimize_grid_literal.json", ["optimize", "--method", "grid", "--mu", "1",
+                                    "--lambda-l", "0.3", "--roles", "literal"]),
+]
 
 
 #: Every phase flag's field, and the fields each scenario accepts in record order.
@@ -39,15 +53,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def usage_exit(capsys, *argv):
-    """Exit code and stderr of an invocation that argparse or main may reject."""
+def any_exit(capsys, *argv):
+    """Exit code, stdout and stderr of any invocation, usage errors and --help included."""
     try:
         code = main(list(argv))
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
-    assert captured.out == ""
-    return code, captured.err
+    return code, captured.out, captured.err
+
+
+def usage_exit(capsys, *argv):
+    """Exit code and stderr of an invocation that argparse or main may reject."""
+    code, out, err = any_exit(capsys, *argv)
+    assert out == ""
+    return code, err
 
 
 def parse_csv(text):
@@ -344,3 +364,56 @@ class TestVerify:
         code, err = usage_exit(capsys, "verify", f"--budget={budget}")
         assert code == 2
         assert "positive integer" in err
+
+
+@pytest.mark.parametrize("name, argv", GRID_GOLDENS, ids=[name for name, _ in GRID_GOLDENS])
+def test_grid_command_stdout_is_byte_identical_to_the_golden(capsys, name, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; reuse must not change any answer."""
+
+    B_POINT = ["simulate", "--scenario", "B", "--theta-l", "0.4", "--theta-r", "2.2"]
+
+    @pytest.mark.parametrize("first, first_code", [
+        (["simulate", "--scenario", "B", "--theta-l", "abc", "--theta-r", "0"], 2),
+        (["simulate", "--scenario", "B", "--theta-l", "0", "--theta-r", "0", "--mu", "2"], 2),
+        (["simulate", "--scenario", "C", "--theta-l", "0.4", "--theta-r", "2.2",
+          "--mu", "2", "--lambda-l", "0.3", "--lambda-r", "0.1"], 0),
+    ], ids=["argparse-usage-error", "main-usage-error", "scenario-c"])
+    def test_a_reused_parser_answers_like_a_fresh_one(self, capsys, first, first_code):
+        _build_parser.cache_clear()
+        fresh = any_exit(capsys, *self.B_POINT)
+        assert fresh[0] == 0 and fresh[2] == ""
+        _build_parser.cache_clear()
+        assert any_exit(capsys, *first)[0] == first_code
+        assert any_exit(capsys, *self.B_POINT) == fresh
+
+    def test_help_follows_columns_set_after_the_first_call(self, capsys, monkeypatch):
+        _build_parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = any_exit(capsys, "sweep", "--help")
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = any_exit(capsys, "sweep", "--help")
+        _build_parser.cache_clear()
+        assert narrow == any_exit(capsys, "sweep", "--help")
+        assert narrow != wide
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "topobell":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        _build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (self.B_POINT, ["sweep", "--min", "0", "--max", "1", "--points", "1"],
+                     ["optimize"], self.B_POINT):
+            any_exit(capsys, *argv)
+        assert len(built) == 1

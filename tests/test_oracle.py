@@ -112,6 +112,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("name", ["points_per_angle", "refinement_rounds", "budget"])
+    def test_rejects_a_bool_for_an_integer(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
+            GridSpec(**{name: True})
+
 
 class TestGridSearch:
     # near c = 0 the maximum exceeds 2 by only about c², which a coarse grid can miss
@@ -154,6 +159,16 @@ class TestGridSearch:
             grid_search_max_S(0.0, RoleAssignment.STANDARD, spec)
         assert excinfo.value.evaluations == spec.total_evaluations()
         assert str(excinfo.value.evaluations) in str(excinfo.value)
+
+    @pytest.mark.parametrize("args", [(0.5, "standard"), (0.5, RoleAssignment.STANDARD, {})],
+                             ids=["roles", "grid"])
+    def test_rejects_a_wrong_type_before_searching(self, monkeypatch, args):
+        def no_search(*_):
+            raise AssertionError("searched before checking its arguments")
+
+        monkeypatch.setattr(oracle, "_bound", no_search)
+        with pytest.raises(ValueError, match="must be a (RoleAssignment|GridSpec)"):
+            grid_search_max_S(*args)
 
     def test_rejects_an_array_contrast(self):
         with pytest.raises(ValueError, match="c must be a scalar"):
