@@ -1,8 +1,8 @@
-"""Boundary checks: what counts as a finite real scalar, a finite real array, a contrast.
+"""Boundary checks: finite real scalars and arrays, contrasts, integers, types.
 
-Each returns a float (or float ndarray) or raises ``ValueError`` naming the
-argument: for a non-numeric value or None, a complex number, NaN or inf (the
-range test |x| <= bound fails for NaN), or an array where a scalar is due.
+Each returns the checked value or raises ``ValueError`` naming the argument:
+for a non-numeric value or None, a complex number, NaN or inf (|x| <= bound
+fails for NaN), an array for a scalar, a bool or non-integer count, a wrong type.
 """
 
 from __future__ import annotations
@@ -46,3 +46,16 @@ def contrast(name: str, value, scalar: bool = False):
     """A contrast c = cos(2*mu*lambda): real, |c| <= 1 + 1e-12; a float if ``scalar``."""
     check = finite_scalar if scalar else finite_array
     return check(name, value, 1.0 + 1e-12, "must be a contrast in [-1, 1]")
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_type(name: str, value, kind: type) -> None:
+    """ValueError unless ``value`` is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")

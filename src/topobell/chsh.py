@@ -91,6 +91,7 @@ def expectation_from_distribution(dist: DetectionDistribution) -> float:
     Each side's observable assigns +1 to its D0 detector and -1 to its D1
     detector, so E = p(D0',D0) - p(D0',D1) - p(D1',D0) + p(D1',D1).
     """
+    _checks.require_type("dist", dist, DetectionDistribution)
     return float(dist.p_d0p_d0 - dist.p_d0p_d1 - dist.p_d1p_d0 + dist.p_d1p_d1)
 
 
@@ -132,6 +133,8 @@ def chsh_terms(angles: BellAngles, c: float,
     sum of their absolute values. Exposed separately so kink detection can
     look at the arguments before the absolute value is taken.
     """
+    _checks.require_type("angles", angles, BellAngles)
+    _checks.require_type("roles", roles, RoleAssignment)
     c = _checks.contrast("c", c, scalar=True)
     a, ap, b, bp = roles.slots(angles)
     first = expectation_closed_form(a, b, c) - expectation_closed_form(a, bp, c)
@@ -147,9 +150,10 @@ def chsh_S_values(theta_l, theta_r, theta_lp, theta_rp, c,
     angles, e.g. one row per contrast over the same angles. Each angle's
     cos and sin are evaluated once and shared by the two E terms it enters,
     each term keeping the operation order of :func:`expectation_closed_form`.
-    Raises ``ValueError`` naming the first non-finite angle, or for a
-    contrast outside [-1, 1].
+    Raises ``ValueError`` for a wrong ``roles`` type, naming the first
+    non-finite angle, or for a contrast outside [-1, 1].
     """
+    _checks.require_type("roles", roles, RoleAssignment)
     c = _checks.contrast("c", c)
     slots = zip(("theta_l", "theta_r", "theta_lp", "theta_rp"),
                 (theta_l, theta_r, theta_lp, theta_rp))
@@ -170,6 +174,7 @@ def _S_from_trig(a, ap, b, bp, c):
 
 def chsh_S(angles: BellAngles, c: float, roles: RoleAssignment) -> float:
     """CHSH statistic |E(a,b) - E(a,b')| + |E(a',b) + E(a',b')| at contrast c."""
+    _checks.require_type("angles", angles, BellAngles)
     return float(chsh_S_values(*angles.as_tuple(), _checks.contrast("c", c, scalar=True), roles))
 
 

@@ -15,8 +15,8 @@ with phi_1 and phi_2 the up-down and down-up branch phases. Detection
 reads out paths, not spins, and the two branches interfere coherently;
 this is what makes the spin-conditioned loop phase observable in
 scenario C. The formula takes stacks of side matrices and arrays of
-phases with any leading axes: :func:`run_scenario` evaluates it at one
-point, :func:`scenario_probabilities` over arrays of points.
+phases with any leading axes. :func:`scenario_probabilities` runs the
+scenario kernel over arrays; :func:`run_scenario` is one point of it.
 
 Scenarios:
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .optics import beam_splitter, path_phase_operator, phase_retarder, spin_loop_phase
+from .optics import beam_splitter
 
 PROB_TOL = 1e-12
 
@@ -232,28 +232,22 @@ _BS.setflags(write=False)
 _R = 1.0 / math.sqrt(2.0)  # magnitude of each singlet amplitude
 
 
-def _interferometer(theta: float) -> np.ndarray:
-    """Splitter, retarder, splitter: one side of scenarios B, C and AB."""
-    return _BS @ phase_retarder(theta) @ _BS
-
-
 def _interferometers(theta: np.ndarray) -> np.ndarray:
-    """:func:`_interferometer` over an array of angles, as a (..., 2, 2) stack.
+    """Splitter, retarder, splitter (a side of B, C and AB) per angle, as a (..., 2, 2) stack.
 
     The N retarders sit side by side in one (2, 2N) matrix, so each
     splitter factor is one 2-D matmul rather than one gemm call per 2x2
-    matrix. Each entry is the same two-term gemm sum as in the scalar
-    product, so every matrix equals :func:`_interferometer` bit for bit.
+    matrix; ``tests/test_batched.py`` pins every matrix bit for bit to the
+    ``optics`` constructors' product BS @ P(theta) @ BS.
     """
     n = theta.size
-    # retarders[i, n] is row i of the n-th retarder diag(exp(i*theta), 1)
-    retarders = np.zeros((2, n, 2), dtype=complex)
-    retarders[0, :, 0] = np.exp(1j * theta).ravel()
-    retarders[1, :, 1] = 1.0
+    # columns 2k and 2k+1 hold the k-th retarder diag(exp(i*theta), 1)
+    retarders = np.zeros((2, 2 * n), dtype=complex)
+    retarders[0, ::2] = np.exp(1j * theta).ravel()
+    retarders[1, 1::2] = 1.0
     # BS @ P in the same layout, so its rows (i, n) form one (2N, 2) matrix
-    fronts = (_BS @ retarders.reshape(2, 2 * n)).reshape(2 * n, 2)
-    sides = (fronts @ _BS).reshape((2,) + theta.shape + (2,))
-    return np.moveaxis(sides, 0, -2)
+    fronts = (_BS @ retarders).reshape(2 * n, 2)
+    return (fronts @ _BS).reshape(2, n, 2).transpose(1, 0, 2).reshape(theta.shape + (2, 2))
 
 
 def _joint_probabilities(m_l: np.ndarray, m_r: np.ndarray, phi_ud, phi_du) -> np.ndarray:
@@ -286,57 +280,42 @@ def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
                  topo: TopoPhaseSpec | None = None) -> DetectionDistribution:
     """Joint detection probabilities of ``scenario`` at one pair of retarder angles.
 
+    One point of the :func:`scenario_probabilities` kernel, bit for bit.
     ``topo`` must be the scenario's phase spec (:data:`_SPEC_MODE`), or
-    ``ValueError`` is raised. Side matrices and branch phases are those of
-    the module docstring. In A, zero (or symmetric) arm integrals give
-    (cos^2, sin^2, sin^2, cos^2)/2 of half the retarder difference; in C
-    only lambda_l - lambda_r survives in the probabilities.
+    ``ValueError`` is raised; it checked its own fields. In A, zero (or
+    symmetric) arm integrals give (cos^2, sin^2, sin^2, cos^2)/2 of half
+    the retarder difference; in C only lambda_l - lambda_r survives.
     """
     _check_spec(scenario, topo)
-    theta_l, theta_r = (_checks.finite_scalar("theta_l", theta_l),
-                        _checks.finite_scalar("theta_r", theta_r))
-    if scenario is Scenario.A:
-        if topo is not None:
-            t_l = path_phase_operator(topo.i_u_l, topo.i_d_l, topo.mu)
-            t_r = path_phase_operator(topo.i_u_r, topo.i_d_r, topo.mu)
-        else:
-            t_l = t_r = np.eye(2, dtype=complex)
-        m_l = _BS @ t_l @ phase_retarder(theta_l)
-        # mirrored right side: detector k reads splitter port 1-k
-        m_r = (_BS @ t_r @ phase_retarder(theta_r))[::-1]
-    else:
-        m_l, m_r = _interferometer(theta_l), _interferometer(theta_r)
-    phases = (1, 1)
-    if scenario is Scenario.C:
-        phases = tuple(spin_loop_phase(s, topo.mu, topo.lambda_l)
-                       * spin_loop_phase(-s, topo.mu, topo.lambda_r) for s in (1, -1))
-    elif scenario is Scenario.AB:
-        phases = (np.exp(-1j * topo.flux),) * 2
-    return DetectionDistribution(*_joint_probabilities(m_l, m_r, *phases).tolist())
+    fields = {} if topo is None else topo.field_values()
+    p = _probabilities(scenario, _checks.finite_scalar("theta_l", theta_l),
+                       _checks.finite_scalar("theta_r", theta_r), fields)
+    return DetectionDistribution(*p.tolist())
 
 
 def _diagonals(d0, d1) -> np.ndarray:
-    """Stack (..., 2, 2) of diagonal matrices diag(d0, d1)."""
-    out = np.zeros(np.broadcast_shapes(np.shape(d0), np.shape(d1)) + (2, 2), dtype=complex)
+    """Stack (..., 2, 2) of diagonal matrices diag(d0, d1), shaped like the array ``d0``."""
+    out = np.zeros(d0.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = d0
     out[..., 1, 1] = d1
     return out
 
 
 def _loop_phase_products(mu, lambda_l, lambda_r) -> tuple[np.ndarray, np.ndarray]:
-    """Scenario C's up-down and down-up branch phases over arrays.
+    """Scenario C's up-down and down-up branch phases, over arrays or at one point.
 
-    The same numbers as :func:`run_scenario`'s ``spin_loop_phase``
-    products: each loop phase is exp(-i*s*mu*lambda) written as
-    ``spin_loop_phase`` writes it, and each product of two is multiplied
-    out in real arithmetic as Python's complex product does, because
-    numpy's complex multiply may fuse multiply-adds and move the last bit.
+    Each loop phase is exp(-i*s*mu*lambda) as ``optics.spin_loop_phase``
+    writes it, and each product of two is multiplied out in real arithmetic
+    as Python's complex product does, because numpy's complex multiply may
+    fuse multiply-adds and move the last bit; ``tests/test_batched.py``
+    pins the products bit for bit to those of ``spin_loop_phase``.
     """
     def loop(s, lam):
         return np.exp(-1j * s * mu * lam)
 
     def product(a, b):
-        return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+        return (ar * br - ai * bi) + 1j * (ar * bi + ai * br)
 
     return (product(loop(1, lambda_l), loop(-1, lambda_r)),
             product(loop(-1, lambda_l), loop(1, lambda_r)))
@@ -345,29 +324,37 @@ def _loop_phase_products(mu, lambda_l, lambda_r) -> tuple[np.ndarray, np.ndarray
 def scenario_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np.ndarray:
     """Joint detection probabilities of ``scenario`` over arrays of points.
 
-    The batched form of :func:`run_scenario`: the keyword arrays are the
-    phase spec's fields (:meth:`TopoPhaseSpec.broadcast` says which
-    scenario takes which), and every input broadcasts against the others.
-    Returns (..., 4) in :class:`DetectionDistribution` order; each row
-    equals :func:`run_scenario`'s distribution bit for bit.
+    The keyword arrays are the phase spec's fields
+    (:meth:`TopoPhaseSpec.broadcast` says which scenario takes which), and
+    every input broadcasts against the others. Returns (..., 4) in
+    :class:`DetectionDistribution` order; :func:`run_scenario` is one row.
     """
-    theta_l, theta_r, fields = TopoPhaseSpec.broadcast(scenario, theta_l, theta_r, **fields)
+    return _probabilities(scenario, *TopoPhaseSpec.broadcast(scenario, theta_l, theta_r, **fields))
+
+
+def _probabilities(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.ndarray:
+    """The scenario kernel on checked inputs of one shape (floats or arrays); no validation.
+
+    ``fields`` maps the scenario's field names to values (empty for A
+    without a spec). The two sides are stacked on a new leading axis, so
+    one call builds both sides' matrices.
+    """
+    thetas = np.array((theta_l, theta_r))
     if scenario is Scenario.A:
-        retarders = [_diagonals(np.exp(1j * theta), 1.0) for theta in (theta_l, theta_r)]
-        fronts = (_BS, _BS)
+        fronts = _BS
         if fields:
             mu = fields["mu"]
-            fronts = [_BS @ _diagonals(np.exp(1j * mu * fields[f"i_u_{side}"]),
-                                       np.exp(-1j * mu * fields[f"i_d_{side}"]))
-                      for side in "lr"]
-        m_l, m_r = (front @ retarder for front, retarder in zip(fronts, retarders))
+            i_u, i_d = (np.array((fields[f"i_{arm}_l"], fields[f"i_{arm}_r"])) for arm in "ud")
+            fronts = _BS @ _diagonals(np.exp(1j * mu * i_u), np.exp(-1j * mu * i_d))
+        m_l, m_r = fronts @ _diagonals(np.exp(1j * thetas), 1.0)
         # mirrored right side: detector k reads splitter port 1-k
         return _joint_probabilities(m_l, m_r[..., ::-1, :], 1, 1)
-    m_l, m_r = _interferometers(theta_l), _interferometers(theta_r)
-    if scenario is Scenario.C:
-        phases = _loop_phase_products(fields["mu"], fields["lambda_l"], fields["lambda_r"])
-    elif scenario is Scenario.AB:
-        phases = (np.exp(-1j * fields["flux"]),) * 2
-    else:
+    m_l, m_r = _interferometers(thetas)
+    if scenario is Scenario.B:
         return _joint_probabilities(m_l, m_r, 1, 1)
-    return _joint_probabilities(m_l, m_r, *(phi[..., None, None] for phi in phases))
+    if scenario is Scenario.C:
+        phi_ud, phi_du = _loop_phase_products(fields["mu"], fields["lambda_l"], fields["lambda_r"])
+        phi_ud, phi_du = phi_ud[..., None, None], phi_du[..., None, None]
+    else:  # AB: one phase for both branches
+        phi_ud = phi_du = np.exp(-1j * fields["flux"])[..., None, None]
+    return _joint_probabilities(m_l, m_r, phi_ud, phi_du)

@@ -139,9 +139,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("points_per_angle", "refinement_rounds", "budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _checks.integer(name, getattr(self, name))
         if self.points_per_angle < 2:
             raise ValueError("points_per_angle must be at least 2")
         if self.refinement_rounds < 0:
@@ -195,11 +193,6 @@ def _max_over_b(a, a_prime, c):
     return value, np.arctan2(sum_y, sum_x), np.arctan2(diff_y, diff_x)
 
 
-def _require_type(name: str, value, kind: type) -> None:
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
-
-
 def grid_search_max_S(c: float, roles: RoleAssignment,
                       grid: GridSpec | None = None) -> SearchResult:
     """Grid search for the CHSH maximum at contrast c.
@@ -216,9 +209,9 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
     ``ValueError`` before any work unless ``roles`` is a
     :class:`RoleAssignment` and ``grid`` is None or a :class:`GridSpec`.
     """
-    _require_type("roles", roles, RoleAssignment)
+    _checks.require_type("roles", roles, RoleAssignment)
     spec = GridSpec() if grid is None else grid
-    _require_type("grid", spec, GridSpec)
+    _checks.require_type("grid", spec, GridSpec)
     c = _checks.contrast("c", c, scalar=True)
     needed = spec.total_evaluations()
     if needed > spec.budget:
@@ -259,8 +252,8 @@ def stationarity_check(angles: BellAngles, c: float, roles: RoleAssignment,
     positive, finite and large enough that x + h and x - h differ from
     every angle x.
     """
-    _require_type("angles", angles, BellAngles)
-    _require_type("roles", roles, RoleAssignment)
+    _checks.require_type("angles", angles, BellAngles)
+    _checks.require_type("roles", roles, RoleAssignment)
     values = np.array(angles.as_tuple())
     h = _checks.finite_scalar("step h", h)
     # a step below an angle's resolution makes every difference quotient 0

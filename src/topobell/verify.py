@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chsh, closed_form
+from . import _checks, chsh, closed_form
 from .entangled import Scenario, TopoPhaseSpec, _spec_mode, scenario_probabilities
 from .linalg import tensor_product, unitarity_deviation
 from .optics import beam_splitter, mach_zehnder, path_phase_operator, phase_retarder, spin_loop_phase
@@ -295,13 +295,14 @@ def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,
 
     heavy_draws scales the per-scenario random-draw suites (default 10^4),
     light_draws the cheaper pairwise-comparison suites (default 10^3); a
-    count below 1 raises ValueError. The fixed verification grids never
-    shrink.
+    count that is not an integer (a bool is not one) or is below 1 raises
+    ValueError. The fixed verification grids never shrink.
     """
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; known: {KNOWN_FAULTS}")
-    heavy = DEFAULT_HEAVY_DRAWS if heavy_draws is None else int(heavy_draws)
-    light = DEFAULT_LIGHT_DRAWS if light_draws is None else int(light_draws)
+    heavy = DEFAULT_HEAVY_DRAWS if heavy_draws is None else heavy_draws
+    light = DEFAULT_LIGHT_DRAWS if light_draws is None else light_draws
+    heavy, light = _checks.integer("heavy_draws", heavy), _checks.integer("light_draws", light)
     if heavy < 1 or light < 1:
         raise ValueError(f"draw counts must be at least 1, got {heavy} and {light}")
     return [

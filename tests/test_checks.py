@@ -2,9 +2,9 @@
 
 One table of entry point x bad value: non-numeric, None, complex (Python
 and numpy), NaN, inf, an array where a scalar is required, a wrong type
-for a roles, grid or angles argument and a bool for an integer. The CLI
-cases at the end check the same inputs as flag values: exit 2 and one
-error line, never a traceback.
+for a roles, grid, angles or distribution argument and a bool for an
+integer. The CLI cases at the end check the same inputs as flag values:
+exit 2 and one error line, never a traceback.
 """
 
 import re
@@ -112,6 +112,16 @@ TYPE_ENTRIES = [
     ("GridSpec", "points_per_angle", "bool", True, lambda v: tb.GridSpec(points_per_angle=v)),
     ("GridSpec", "refinement_rounds", "bool", True, lambda v: tb.GridSpec(refinement_rounds=v)),
     ("GridSpec", "budget", "bool", True, lambda v: tb.GridSpec(budget=v)),
+    ("chsh_S", "roles", "text", "standard", lambda v: tb.chsh_S(tb.canonical_angles(), 0.5, v)),
+    ("chsh_S", "angles", "tuple", (0.0, 1.0, 2.0, 3.0), lambda v: tb.chsh_S(v, 0.5, ROLES)),
+    ("chsh_S_values", "roles", "text", "standard",
+     lambda v: tb.chsh.chsh_S_values(0, 0, 0, 0, 0.5, v)),
+    ("chsh_terms", "roles", "text", "standard",
+     lambda v: tb.chsh.chsh_terms(tb.canonical_angles(), 0.5, v)),
+    ("chsh_terms", "angles", "tuple", (0.0, 1.0, 2.0, 3.0),
+     lambda v: tb.chsh.chsh_terms(v, 0.5, ROLES)),
+    ("expectation_from_distribution", "dist", "tuple", (0.25,) * 4,
+     lambda v: tb.expectation_from_distribution(v)),
 ]
 
 CASES = ([pytest.param(call, name, BAD[label], id=f"{entry}-{name}-{label}")

@@ -8,9 +8,9 @@ import pytest
 from topobell import chsh
 from topobell.cli import _build_parser, main
 
-#: Golden stdout files of the grid commands, byte for byte.
+#: Golden stdout files of the grid and simulate commands, byte for byte.
 GOLDEN = Path(__file__).parent / "golden"
-GRID_GOLDENS = [
+GOLDENS = [
     ("sweep_readme.csv", ["sweep", "--min", "0", "--max", "3.14159", "--points", "25"]),
     ("sweep_literal.json", ["sweep", "--min", "0.1", "--max", "1.3", "--points", "4",
                             "--roles", "literal", "--format", "json"]),
@@ -18,6 +18,15 @@ GRID_GOLDENS = [
                                      "--lambda-l", "0.3", "--roles", "standard"]),
     ("optimize_grid_literal.json", ["optimize", "--method", "grid", "--mu", "1",
                                     "--lambda-l", "0.3", "--roles", "literal"]),
+    ("simulate_a.json", ["simulate", "--scenario", "A", "--theta-l", "0.3", "--theta-r", "1.1"]),
+    ("simulate_a_integrals.json", ["simulate", "--scenario", "A", "--theta-l", "0.3",
+                                   "--theta-r", "1.1", "--mu", "0.7", "--i-u-l", "0.3",
+                                   "--i-d-l", "-1.1", "--i-u-r", "2.0", "--i-d-r", "0.4"]),
+    ("simulate_b.json", ["simulate", "--scenario", "B", "--theta-l", "0.4", "--theta-r", "2.2"]),
+    ("simulate_c.json", ["simulate", "--scenario", "C", "--theta-l", "0.3", "--theta-r", "1.1",
+                         "--mu", "1.3", "--lambda-l", "0.7", "--lambda-r", "-0.4"]),
+    ("simulate_ab.csv", ["simulate", "--scenario", "AB", "--theta-l", "0.3", "--theta-r", "1.1",
+                         "--flux", "2.1", "--format", "csv"]),
 ]
 
 
@@ -366,8 +375,8 @@ class TestVerify:
         assert "positive integer" in err
 
 
-@pytest.mark.parametrize("name, argv", GRID_GOLDENS, ids=[name for name, _ in GRID_GOLDENS])
-def test_grid_command_stdout_is_byte_identical_to_the_golden(capsys, name, argv):
+@pytest.mark.parametrize("name, argv", GOLDENS, ids=[name for name, _ in GOLDENS])
+def test_command_stdout_is_byte_identical_to_the_golden(capsys, name, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / name).read_bytes()

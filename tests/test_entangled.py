@@ -9,7 +9,9 @@ from topobell.entangled import (
     Scenario,
     TopoPhaseSpec,
     run_scenario,
+    scenario_probabilities,
 )
+from topobell.verify import _uniform_columns
 
 
 class TestTopoPhaseSpec:
@@ -226,16 +228,14 @@ class TestScenarioAB:
 class TestOneFormula:
     def test_zero_phases_reproduce_scenario_b_exactly(self, rng):
         # B, C and AB share one joint amplitude and one side matrix, so
-        # branch phases of exactly 1 must give B's numbers bit for bit
-        for _ in range(10_000):
-            theta_l, theta_r = rng.uniform(-10, 10, 2)
-            mu = rng.uniform(-2, 2)
-            b = run_scenario(Scenario.B, theta_l, theta_r).as_array()
-            ab = run_scenario(Scenario.AB, theta_l, theta_r, TopoPhaseSpec.aharonov_bohm(0.0))
-            c = run_scenario(Scenario.C, theta_l, theta_r,
-                             TopoPhaseSpec.spin_conditioned(mu, 0.0, 0.0))
-            assert np.array_equal(ab.as_array(), b)
-            assert np.array_equal(c.as_array(), b)
+        # branch phases of exactly 1 must give B's numbers bit for bit;
+        # the columns are the draws of 10,000 per-point rng.uniform calls
+        theta_l, theta_r, mu = _uniform_columns(rng, 10_000, (-10, 10), (-10, 10), (-2, 2))
+        b = scenario_probabilities(Scenario.B, theta_l, theta_r)
+        ab = scenario_probabilities(Scenario.AB, theta_l, theta_r, flux=0.0)
+        c = scenario_probabilities(Scenario.C, theta_l, theta_r, mu=mu, lambda_l=0.0, lambda_r=0.0)
+        assert np.array_equal(ab, b)
+        assert np.array_equal(c, b)
 
 
 class TestDispatcher:

@@ -30,9 +30,15 @@ def test_unknown_fault_is_rejected():
         verify.run_suites(heavy_draws=10, light_draws=10, inject_fault="no-such-fault")
 
 
-@pytest.mark.parametrize("heavy, light", [(0, 0), (0, 10), (10, -1)])
-def test_draw_counts_below_one_are_rejected(heavy, light):
-    with pytest.raises(ValueError, match="at least 1"):
+@pytest.mark.parametrize("heavy, light, message", [
+    (0, 0, "at least 1"), (0, 10, "at least 1"), (10, -1, "at least 1"),
+    (float("inf"), 10, "heavy_draws must be an integer"),
+    (2.7, 10, "heavy_draws must be an integer"),
+    (10, True, "light_draws must be an integer"),
+    ("10", 10, "heavy_draws must be an integer"),
+])
+def test_draw_counts_below_one_or_not_integers_are_rejected(heavy, light, message):
+    with pytest.raises(ValueError, match=message):
         verify.run_suites(heavy, light)
 
 
