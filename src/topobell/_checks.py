@@ -29,7 +29,10 @@ def finite_scalar(name: str, value, bound=_FLOAT_MAX, rule="must be finite") -> 
 
 
 def finite_array(name: str, value, bound=_FLOAT_MAX, rule="must be finite") -> np.ndarray:
-    """``value`` as a float ndarray, every entry x with |x| <= ``bound`` (finite by default)."""
+    """``value`` as a float ndarray, every entry x with |x| <= ``bound``.
+
+    Finite by default, any float for None, as for :func:`finite_scalar`.
+    """
     try:
         arr = np.asarray(value)
         if arr.dtype.kind not in "biufUS":  # complex, None and other objects
@@ -37,7 +40,8 @@ def finite_array(name: str, value, bound=_FLOAT_MAX, rule="must be finite") -> n
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be real numbers: {exc}") from None
-    if not (np.isfinite(arr) if bound == _FLOAT_MAX else np.abs(arr) <= bound).all():
+    if bound is not None and not (np.isfinite(arr) if bound == _FLOAT_MAX
+                                  else np.abs(arr) <= bound).all():
         raise ValueError(f"{name} {rule}")
     return arr
 

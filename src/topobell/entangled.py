@@ -232,22 +232,40 @@ _BS.setflags(write=False)
 _R = 1.0 / math.sqrt(2.0)  # magnitude of each singlet amplitude
 
 
+def _splitter_fronts(d0: np.ndarray, d1: np.ndarray | None = None) -> np.ndarray:
+    """BS @ diag(d0, d1) for each entry of the 1-D array ``d0`` (d1 = 1 for None), rows first.
+
+    Returns (2, N, 2), matrix row first, so the N matrices' rows form one
+    (2N, 2) matrix; :func:`_stacked` turns it into the (..., 2, 2) stack.
+    The splitter's columns are scaled entrywise: each splitter entry has a
+    zero real or imaginary part, so every entry is one exactly rounded
+    product, the bits of the matmul.
+    """
+    out = np.empty((2, d0.size, 2), dtype=complex)
+    np.multiply(_BS[:, None, 0], d0, out=out[..., 0])
+    if d1 is None:
+        out[..., 1] = _BS[:, None, 1]
+    else:
+        np.multiply(_BS[:, None, 1], d1, out=out[..., 1])
+    return out
+
+
+def _stacked(rows_first: np.ndarray, shape: tuple) -> np.ndarray:
+    """The (2, N, 2) matrices of :func:`_splitter_fronts` as a (*shape, 2, 2) stack, a view."""
+    return rows_first.transpose(1, 0, 2).reshape(shape + (2, 2))
+
+
 def _interferometers(theta: np.ndarray) -> np.ndarray:
     """Splitter, retarder, splitter (a side of B, C and AB) per angle, as a (..., 2, 2) stack.
 
-    The N retarders sit side by side in one (2, 2N) matrix, so each
-    splitter factor is one 2-D matmul rather than one gemm call per 2x2
-    matrix; ``tests/test_batched.py`` pins every matrix bit for bit to the
+    BS @ P(theta) is built entrywise (:func:`_splitter_fronts`) with the
+    matrices' rows as one (2N, 2) matrix, so the second splitter factor is
+    one 2-D matmul rather than one gemm call per 2x2 matrix;
+    ``tests/test_batched.py`` pins every matrix bit for bit to the
     ``optics`` constructors' product BS @ P(theta) @ BS.
     """
-    n = theta.size
-    # columns 2k and 2k+1 hold the k-th retarder diag(exp(i*theta), 1)
-    retarders = np.zeros((2, 2 * n), dtype=complex)
-    retarders[0, ::2] = np.exp(1j * theta).ravel()
-    retarders[1, 1::2] = 1.0
-    # BS @ P in the same layout, so its rows (i, n) form one (2N, 2) matrix
-    fronts = (_BS @ retarders).reshape(2 * n, 2)
-    return (fronts @ _BS).reshape(2, n, 2).transpose(1, 0, 2).reshape(theta.shape + (2, 2))
+    fronts = _splitter_fronts(np.exp(1j * theta).ravel())
+    return _stacked((fronts.reshape(-1, 2) @ _BS).reshape(fronts.shape), theta.shape)
 
 
 def _joint_probabilities(m_l: np.ndarray, m_r: np.ndarray, phi_ud, phi_du) -> np.ndarray:
@@ -293,32 +311,22 @@ def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
     return DetectionDistribution(*p.tolist())
 
 
-def _diagonals(d0, d1) -> np.ndarray:
-    """Stack (..., 2, 2) of diagonal matrices diag(d0, d1), shaped like the array ``d0``."""
-    out = np.zeros(d0.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = d0
-    out[..., 1, 1] = d1
-    return out
-
-
 def _loop_phase_products(mu, lambda_l, lambda_r) -> tuple[np.ndarray, np.ndarray]:
     """Scenario C's up-down and down-up branch phases, over arrays or at one point.
 
-    Each loop phase is exp(-i*s*mu*lambda) as ``optics.spin_loop_phase``
-    writes it, and each product of two is multiplied out in real arithmetic
-    as Python's complex product does, because numpy's complex multiply may
-    fuse multiply-adds and move the last bit; ``tests/test_batched.py``
-    pins the products bit for bit to those of ``spin_loop_phase``.
+    Each spin-up loop phase is exp(-i*mu*lambda) as ``optics.spin_loop_phase``
+    writes it, and each spin-down one its conjugate, which is the same bits.
+    Each product of two is multiplied out in real arithmetic as Python's
+    complex product does, because numpy's complex multiply may fuse
+    multiply-adds and move the last bit; ``tests/test_batched.py`` pins the
+    products bit for bit to those of ``spin_loop_phase``.
     """
-    def loop(s, lam):
-        return np.exp(-1j * s * mu * lam)
-
     def product(a, b):
         ar, ai, br, bi = a.real, a.imag, b.real, b.imag
         return (ar * br - ai * bi) + 1j * (ar * bi + ai * br)
 
-    return (product(loop(1, lambda_l), loop(-1, lambda_r)),
-            product(loop(-1, lambda_l), loop(1, lambda_r)))
+    up_l, up_r = np.exp(-1j * mu * lambda_l), np.exp(-1j * mu * lambda_r)
+    return product(up_l, np.conj(up_r)), product(np.conj(up_l), up_r)
 
 
 def scenario_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np.ndarray:
@@ -341,12 +349,16 @@ def _probabilities(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.nda
     """
     thetas = np.array((theta_l, theta_r))
     if scenario is Scenario.A:
-        fronts = _BS
+        retarders = np.exp(1j * thetas).ravel()
         if fields:
             mu = fields["mu"]
             i_u, i_d = (np.array((fields[f"i_{arm}_l"], fields[f"i_{arm}_r"])) for arm in "ud")
-            fronts = _BS @ _diagonals(np.exp(1j * mu * i_u), np.exp(-1j * mu * i_d))
-        m_l, m_r = fronts @ _diagonals(np.exp(1j * thetas), 1.0)
+            sides = _splitter_fronts(np.exp(1j * mu * i_u).ravel(),
+                                     np.exp(-1j * mu * i_d).ravel())
+            sides[..., 0] *= retarders  # @ diag(exp(i*theta), 1)
+        else:
+            sides = _splitter_fronts(retarders)
+        m_l, m_r = _stacked(sides, thetas.shape)
         # mirrored right side: detector k reads splitter port 1-k
         return _joint_probabilities(m_l, m_r[..., ::-1, :], 1, 1)
     m_l, m_r = _interferometers(thetas)

@@ -7,7 +7,8 @@ Conventions used throughout the package:
   (0,0), (0,1), (1,0), (1,1), so ``tensor_product(left, right)`` and
   ``numpy.kron`` agree on index placement;
 * operators are plain complex ndarrays of shape (2, 2) or (4, 4), with
-  row = output port and column = input port;
+  row = output port and column = input port; a stack of them adds
+  leading axes, (..., 2, 2);
 * state vectors are complex ndarrays of shape (2,) or (4,).
 
 Everything here is a pure function over immutable inputs; nothing keeps
@@ -33,9 +34,9 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def unitarity_deviation(m: np.ndarray) -> float:
-    """Max-entry magnitude of M^dag M - I."""
+    """Max-entry magnitude of M^dag M - I, over every matrix of a stack (..., n, n)."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    gram = arr.conj().T @ arr
-    return float(np.max(np.abs(gram - np.eye(arr.shape[0]))))
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {arr.shape}")
+    gram = arr.conj().swapaxes(-2, -1) @ arr
+    return float(np.max(np.abs(gram - np.eye(arr.shape[-1])), initial=0.0))

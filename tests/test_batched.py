@@ -58,23 +58,27 @@ def test_scalar_runners_are_rows_of_the_batched_kernel(scenario, with_fields):
     assert np.array_equal(np.array(scalar), batched)
 
 
-def _composed_from_constructors(scenario, theta_l, theta_r, point):
-    """One point's distribution from the public optics constructors, one side at a time."""
+def _composed_from_constructors(scenario, theta_l, theta_r, fields):
+    """The distributions from the public optics constructors, one array call per side."""
     bs = optics.beam_splitter()
     phases = (1, 1)
     if scenario is Scenario.A:
-        arms = [optics.path_phase_operator(point[f"i_u_{side}"], point[f"i_d_{side}"], point["mu"])
-                if point else np.eye(2, dtype=complex) for side in "lr"]
+        arms = [optics.path_phase_operator(fields[f"i_u_{side}"], fields[f"i_d_{side}"],
+                                           fields["mu"])
+                if fields else np.eye(2, dtype=complex) for side in "lr"]
         m_l, m_r = (bs @ arm @ optics.phase_retarder(t)
                     for arm, t in zip(arms, (theta_l, theta_r)))
-        m_r = m_r[::-1]  # mirrored right side
+        m_r = m_r[..., ::-1, :]  # mirrored right side
     else:
         m_l, m_r = (bs @ optics.phase_retarder(t) @ bs for t in (theta_l, theta_r))
     if scenario is Scenario.C:
-        phases = [optics.spin_loop_phase(s, point["mu"], point["lambda_l"])
-                  * optics.spin_loop_phase(-s, point["mu"], point["lambda_r"]) for s in (1, -1)]
+        # each point's product as Python takes it: numpy's complex multiply may round differently
+        phases = [np.array([complex(u) * complex(d) for u, d in zip(
+            optics.spin_loop_phase(s, fields["mu"], fields["lambda_l"]),
+            optics.spin_loop_phase(-s, fields["mu"], fields["lambda_r"]))])[:, None, None]
+            for s in (1, -1)]
     elif scenario is Scenario.AB:
-        phases = (np.exp(-1j * point["flux"]),) * 2
+        phases = (np.exp(-1j * fields["flux"])[:, None, None],) * 2
     return entangled._joint_probabilities(m_l, m_r, *phases)
 
 
@@ -82,13 +86,10 @@ def _composed_from_constructors(scenario, theta_l, theta_r, point):
 def test_kernel_rows_equal_the_composed_optics_constructors(scenario, with_fields):
     # the kernel builds its side matrices and branch phases in its own
     # layout; composed from the public constructors they give the same bits
-    n = 1_000
-    theta_l, theta_r, fields = _draws(scenario, with_fields, n)
+    theta_l, theta_r, fields = _draws(scenario, with_fields, 1_000)
     batched = scenario_probabilities(scenario, theta_l, theta_r, **fields)
-    composed = [_composed_from_constructors(scenario, theta_l[i], theta_r[i],
-                                            {name: v[i] for name, v in fields.items()})
-                for i in range(n)]
-    assert np.array_equal(np.array(composed), batched)
+    assert np.array_equal(_composed_from_constructors(scenario, theta_l, theta_r, fields),
+                          batched)
 
 
 @pytest.mark.parametrize("scenario, with_fields", CASES, ids=CASE_IDS)

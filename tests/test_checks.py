@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import topobell as tb
-from topobell import closed_form, optics
+from topobell import _checks, closed_form, optics
 from topobell.cli import main
 from topobell.entangled import PhaseMode
 
@@ -60,12 +60,6 @@ SCALAR_ENTRIES = [
      lambda v: tb.stationarity_check(tb.canonical_angles(), 0.5, ROLES, h=v)),
     ("stationarity_check", "c",
      lambda v: tb.stationarity_check(tb.canonical_angles(), v, ROLES, h=1e-4)),
-    ("phase_retarder", "theta", lambda v: optics.phase_retarder(v)),
-    ("mach_zehnder", "theta", lambda v: optics.mach_zehnder(v)),
-    ("path_phase_operator", "i_u", lambda v: optics.path_phase_operator(v, 0.0, 1.0)),
-    ("path_phase_operator", "mu", lambda v: optics.path_phase_operator(0.5, 0.0, v)),
-    ("spin_loop_phase", "mu", lambda v: optics.spin_loop_phase(1, v, 0.5)),
-    ("spin_loop_phase", "lam", lambda v: optics.spin_loop_phase(-1, 0.5, v)),
     ("brute_force_distribution", "theta_l",
      lambda v: tb.brute_force_distribution(tb.Scenario.B, v, 0.0)),
     ("brute_force_distribution", "theta_r",
@@ -97,6 +91,12 @@ ARRAY_ENTRIES = [
      lambda v: closed_form.scenario_b_probabilities(v, 0.0)),
     ("scenario_c_probabilities", "theta_r",
      lambda v: closed_form.scenario_c_probabilities(0.0, v, 0.0)),
+    ("phase_retarder", "theta", lambda v: optics.phase_retarder(v)),
+    ("mach_zehnder", "theta", lambda v: optics.mach_zehnder(v)),
+    ("path_phase_operator", "i_u", lambda v: optics.path_phase_operator(v, 0.0, 1.0)),
+    ("path_phase_operator", "mu", lambda v: optics.path_phase_operator(0.5, 0.0, v)),
+    ("spin_loop_phase", "mu", lambda v: optics.spin_loop_phase(1, v, 0.5)),
+    ("spin_loop_phase", "lam", lambda v: optics.spin_loop_phase(-1, 0.5, v)),
 ]
 
 #: (entry point, argument, label, bad value, call): a wrong type, or a bool for an integer.
@@ -144,6 +144,40 @@ def test_bad_value_is_a_value_error_naming_the_argument(call, name, bad):
 def test_complex_array_is_rejected_not_cast(call, name):
     with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
         call(np.array([0.3 + 1j]))
+
+
+def test_no_bound_means_any_real_float():
+    values = [np.inf, -np.inf, 1e308, -2.0]
+    out = _checks.finite_array("x", values, None)
+    assert out.dtype == float and np.array_equal(out, values)
+    assert np.isnan(_checks.finite_array("x", np.nan, None))
+    assert _checks.finite_scalar("x", np.inf, None) == np.inf
+    for bad in ("x", None, 1j, [1.0, [2.0]], 10 ** 400):
+        with pytest.raises(ValueError, match=r"\bx must be real"):
+            _checks.finite_array("x", bad, None)
+
+
+#: Each optics constructor with arguments whose shapes do not broadcast.
+UNBROADCASTABLE = {
+    "path_phase_operator": lambda: optics.path_phase_operator(np.zeros(2), np.zeros(3), 1.0),
+    "path_phase_operator-mu": lambda: optics.path_phase_operator(np.zeros(2), 0.0,
+                                                                 np.ones(3)),
+    "spin_loop_phase": lambda: optics.spin_loop_phase(1, np.ones(2), np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("call", UNBROADCASTABLE.values(), ids=list(UNBROADCASTABLE))
+def test_optics_shapes_that_do_not_broadcast_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_optics_constructors_take_lists_as_arrays():
+    assert optics.phase_retarder([0.1, 0.2]).shape == (2, 2, 2)
+    assert optics.mach_zehnder([[0.1], [0.2]]).shape == (2, 1, 2, 2)
+    assert optics.path_phase_operator([0.1, 0.2], 0.0, 1.0).shape == (2, 2, 2)
+    assert optics.spin_loop_phase(-1, [1, 2], 0.5).shape == (2,)
+    assert type(optics.spin_loop_phase(1, 1, 0.5)) is complex
 
 
 @pytest.mark.parametrize("value", [True, "1", 1, np.float32(1.0), np.array(1.0)],

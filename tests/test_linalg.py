@@ -68,6 +68,18 @@ class TestUnitarityDeviation:
         candidate = np.array([[0.0, 0.0], [1j / np.sqrt(2), 1 / np.sqrt(2)]])
         assert_allclose(linalg.unitarity_deviation(candidate), 0.5, atol=1e-15)
 
+    def test_stack_reports_its_worst_matrix(self, rng):
+        stack = np.array([random_unitary(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
+        assert linalg.unitarity_deviation(stack) < 1e-12
+        stack[1, 2] = np.full((2, 2), 0.5)
+        assert linalg.unitarity_deviation(stack) == linalg.unitarity_deviation(stack[1, 2])
+        assert linalg.unitarity_deviation(np.zeros((0, 2, 2))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2), (4, 2, 3)])
+    def test_rejects_non_square_shapes(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            linalg.unitarity_deviation(np.zeros(shape))
+
     def test_norm_preserved_by_random_unitaries(self, rng):
         for n in (2, 4):
             for _ in range(100):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from topobell import optics
@@ -130,3 +131,36 @@ class TestSpinLoopPhase:
 def test_non_finite_angle_or_phase_product_is_rejected_by_name(build, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         build()
+
+
+#: Each broadcasting constructor, its number of array arguments and the shape of one value.
+CONSTRUCTORS = {
+    "phase_retarder": (optics.phase_retarder, 1, (2, 2)),
+    "mach_zehnder": (optics.mach_zehnder, 1, (2, 2)),
+    "path_phase_operator": (optics.path_phase_operator, 3, (2, 2)),
+    "spin_loop_phase-up": (lambda mu, lam: optics.spin_loop_phase(1, mu, lam), 2, ()),
+    "spin_loop_phase-down": (lambda mu, lam: optics.spin_loop_phase(-1, mu, lam), 2, ()),
+}
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_array_input_gives_the_stack_of_one_point_calls(name, data):
+    build, arity, value_shape = CONSTRUCTORS[name]
+    shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+    # each argument an array of the drawn shape or a scalar broadcast against it
+    args = [data.draw(st.one_of(finite, hnp.arrays(float, shape, elements=finite)))
+            for _ in range(arity)]
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    stacked = np.asarray(build(*args))
+    assert stacked.shape == shape + value_shape
+    full = [np.broadcast_to(a, shape) for a in args]
+    points = [build(*(float(a[i]) for a in full)) for i in np.ndindex(shape)]
+    assert np.array_equal(stacked, np.array(points, dtype=complex).reshape(stacked.shape))
+    if value_shape:
+        assert unitarity_deviation(stacked) <= 1e-12
+    else:
+        assert np.max(np.abs(np.abs(stacked) - 1.0), initial=0.0) <= 1e-12

@@ -133,10 +133,10 @@ def test_optics_draws_the_same_stream():
 
 
 def test_optics_stacked_product_equals_the_per_point_products():
-    # the suite's theta draws through bs @ R @ bs, once stacked and once per point
+    # the suite's theta draws through bs @ R @ bs, once as the array call and once per point
     theta = verify._rng(2).uniform(-10.0, 10.0, size=1000)
     bs = optics.beam_splitter()
-    stacked = bs @ np.array([optics.phase_retarder(t) for t in theta]) @ bs
+    stacked = bs @ optics.phase_retarder(theta) @ bs
     per_point = np.array([bs @ optics.phase_retarder(t) @ bs for t in theta])
     np.testing.assert_array_equal(stacked, per_point)
 
