@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _checks, chsh, verify
 from .entangled import PhaseMode, Scenario, TopoPhaseSpec, _spec_mode, run_scenario
-from .oracle import BudgetExceededError, GridSpec, grid_search_max_S
+from .oracle import BudgetExceededError, GridSpec, _search, grid_search_max_S
 
 
 class UsageError(ValueError):
@@ -175,7 +175,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.min < args.max:
         raise UsageError("--min must be smaller than --max")
     _checks.finite_scalar("--max - --min", args.max - args.min)
-    roles = chsh.RoleAssignment(args.roles)
     spec = GridSpec(budget=args.budget)
     needed = args.points * spec.total_evaluations()
     if needed > args.budget:
@@ -184,19 +183,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 1
 
     mu_lambdas = np.linspace(args.min, args.max, args.points)
-    contrasts = [chsh.contrast(mu_lambda) for mu_lambda in mu_lambdas]
-    records = []
-    for mu_lambda, c in zip(mu_lambdas, contrasts):
-        search = grid_search_max_S(c, roles, spec)
-        records.append({
-            "mu_lambda": float(mu_lambda),
-            "c": c,
-            "s_fixed_angles": chsh.fixed_angle_curve_S(mu_lambda),
-            "s_max_analytic": chsh.analytic_max_S(c),
-            "s_max_grid": search.best_s,
-            "theta_r_opt": chsh.analytic_optimal_angles(mu_lambda).theta_r,
-        })
-    _emit_records(records, args.format)
+    contrasts = chsh.contrast(mu_lambdas)
+    # element by element these columns equal the one-point calls; no column depends on --roles
+    columns = {
+        "mu_lambda": mu_lambdas,
+        "c": contrasts,
+        "s_fixed_angles": chsh.fixed_angle_curve_S(mu_lambdas),
+        "s_max_analytic": [chsh.analytic_max_S(c) for c in contrasts.tolist()],
+        "s_max_grid": _search(contrasts, spec)[4],
+        "theta_r_opt": np.arctan(contrasts),  # analytic_optimal_angles(mu_lambda).theta_r
+    }
+    rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
+    _emit_records([dict(zip(columns, row)) for row in rows], args.format)
     return 0
 
 

@@ -6,7 +6,10 @@ explicit 4x4 operator chains, Kronecker products of inline component
 matrices stacked over arrays of points, and the CHSH maximum through a
 grid search over the two angles (a, a') with shrinking-window refinement
 and the exact maximum over (b, b') at each grid point, plus
-finite-difference stationarity checks at claimed extrema.
+finite-difference stationarity checks at claimed extrema. The grid search
+is one kernel over arrays of contrasts (:func:`_search`, which runs all of
+``topobell sweep``'s rows in one array pass per round);
+:func:`grid_search_max_S` is its one-row case.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _checks
+from . import _checks, chsh
 from .chsh import BellAngles, RoleAssignment, chsh_S, chsh_terms
 from .entangled import DetectionDistribution, Scenario, TopoPhaseSpec, _check_spec
 
@@ -147,7 +150,9 @@ class GridSpec:
     shrunk by shrink_factor around the incumbent. ``budget`` caps the
     total count. The defaults (24 points, 5 rounds, shrink 0.25) take
     3,456 evaluations, and their round-0 grid holds the maximizer
-    (a, a') = (0, pi/2), so S is found to about 1e-15.
+    (a, a') = (0, pi/2), so S is found to about 1e-15. A batched search
+    (:func:`_search`) runs every row on the same spec, with the same
+    count per row.
     """
 
     points_per_angle: int = 24
@@ -211,6 +216,83 @@ def _max_over_b(a, a_prime, c):
     return value, np.arctan2(sum_y, sum_x), np.arctan2(diff_y, diff_x)
 
 
+#: Grid points per block of rows in :func:`_search`: each of a round's few
+#: (rows, n, n) temporaries stays near 512 KiB, however many rows are searched.
+_BLOCK_POINTS = 2**16
+
+#: Index of the (a, a') axes of a (2, rows, n) grid, paired with each row's winner.
+_AXES = np.array([[0], [1]])
+
+
+def _search(contrasts: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The grid search of :func:`grid_search_max_S` for every contrast at once; no validation.
+
+    Takes a non-empty 1-D float array of contrasts and returns
+    (5, len(contrasts)): the role angles a, a', b, b' and S, one column per
+    contrast. Rows are searched in blocks of
+    ``_BLOCK_POINTS // points_per_angle**2`` (at least one), so memory does
+    not grow with the row count, and a row's result depends neither on the
+    other rows nor on the blocking.
+    """
+    per_block = max(1, _BLOCK_POINTS // spec.points_per_angle ** 2)
+    return np.concatenate([_search_block(contrasts[lo:lo + per_block], spec)
+                           for lo in range(0, len(contrasts), per_block)], axis=1)
+
+
+def _windows(centres: np.ndarray, half: float, ramp: np.ndarray) -> np.ndarray:
+    """``np.linspace(x - half, x + half, len(ramp))`` for every entry x of ``centres``, stacked.
+
+    ``ramp`` is ``np.arange(points, dtype=float)``. Returns ``centres.shape
+    + ramp.shape``. Repeats linspace's arithmetic, so every point is
+    linspace's bit for bit.
+    """
+    start, stop = centres - half, centres + half
+    div = len(ramp) - 1
+    step = (stop - start) / div
+    grid = ramp * step[..., None]
+    if np.count_nonzero(step) < step.size:  # linspace's rule for a step that underflows to 0
+        grid = np.where(step[..., None] == 0, ramp / div * (stop - start)[..., None], grid)
+    grid += start[..., None]
+    grid[..., -1] = stop
+    return grid
+
+
+def _search_block(c: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """:func:`_search` on one block of rows, every round one array pass over the block.
+
+    Each row keeps its own incumbent (a, a'): a round's candidate is the
+    row's first maximum in C order over the round's grid, and it replaces
+    the incumbent only if strictly larger. Refinement windows come from
+    :func:`_windows`, so every grid point is the one a per-row
+    ``np.linspace`` would give.
+    """
+    points = spec.points_per_angle
+    rows = np.arange(len(c))
+    c_grid = c[:, None, None]
+    ramp = np.arange(points, dtype=float)
+    grid = np.empty((2, len(c), points))
+    # np.linspace(0, TWO_PI, points, endpoint=False), by linspace's own arithmetic
+    grid[...] = ramp * (TWO_PI / points)
+    for round_index in range(spec.refinement_rounds + 1):
+        if round_index:
+            grid = _windows(best, np.pi * spec.shrink_factor ** round_index, ramp)
+        # each round needs only the bound; (b, b') is taken once, at the final winners
+        values = _bound(grid[0, :, :, None], grid[1, :, None, :], c_grid)[0].reshape(len(c), -1)
+        first = values.argmax(axis=1)
+        top = values[rows, first]
+        candidate = grid[_AXES, rows, np.unravel_index(first, (points, points))]
+        if round_index:
+            improved = top > best_value
+            best_value = np.where(improved, top, best_value)
+            best = np.where(improved, candidate, best)
+        else:
+            best_value, best = top, candidate
+
+    _, b, b_prime = _max_over_b(*best, c)
+    angles = (*best, b, b_prime)
+    return np.array([*angles, chsh._S_from_trig(*((np.cos(t), np.sin(t)) for t in angles), c)])
+
+
 def grid_search_max_S(c: float, roles: RoleAssignment,
                       grid: GridSpec | None = None) -> SearchResult:
     """Grid search for the CHSH maximum at contrast c.
@@ -223,9 +305,11 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
     around the incumbent. The incumbent never gets worse, and identical
     inputs give identical results: the grids are deterministic and ties
     resolve to the first maximum in C order over (a, a'). The reported S
-    is recomputed by :func:`chsh_S` at the reported angles. Raises
-    ``ValueError`` before any work unless ``roles`` is a
-    :class:`RoleAssignment` and ``grid`` is None or a :class:`GridSpec`.
+    is recomputed from the reported angles, as :func:`chsh_S` would. This
+    is the one-row case of :func:`_search`, the batched search behind
+    ``topobell sweep``. Raises ``ValueError`` before any work unless
+    ``roles`` is a :class:`RoleAssignment` and ``grid`` is None or a
+    :class:`GridSpec`.
     """
     _checks.require_type("roles", roles, RoleAssignment)
     spec = GridSpec() if grid is None else grid
@@ -235,25 +319,8 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
     if needed > spec.budget:
         raise BudgetExceededError(needed, spec.budget)
 
-    points = spec.points_per_angle
-    axes = [np.linspace(0.0, TWO_PI, points, endpoint=False)] * 2
-    best_value = -np.inf
-    for round_index in range(spec.refinement_rounds + 1):
-        if round_index:
-            half = np.pi * spec.shrink_factor ** round_index
-            axes = [np.linspace(center - half, center + half, points) for center in best]
-        # each round needs only the bound; (b, b') is taken once, at the final winner
-        values = _bound(axes[0][:, None], axes[1][None, :], c)[0]
-        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-        if values[i, j] > best_value:
-            best_value = values[i, j]
-            best = axes[0][i], axes[1][j]
-
-    _, b, b_prime = _max_over_b(*best, c)
-    result_angles = roles.bell_angles(*(float(x) for x in (*best, b, b_prime)))
-    return SearchResult(best_angles=result_angles,
-                        best_s=float(chsh_S(result_angles, c, roles)),
-                        evaluations=needed)
+    *angles, s = _search(np.array([c]), spec)[:, 0].tolist()
+    return SearchResult(best_angles=roles.bell_angles(*angles), best_s=s, evaluations=needed)
 
 
 def stationarity_check(angles: BellAngles, c: float, roles: RoleAssignment,

@@ -18,6 +18,13 @@ GOLDENS = [
                                      "--lambda-l", "0.3", "--roles", "standard"]),
     ("optimize_grid_literal.json", ["optimize", "--method", "grid", "--mu", "1",
                                     "--lambda-l", "0.3", "--roles", "literal"]),
+    # c = 1, -1 and 0 (to rounding), where the maximisers form continuous families and the
+    # search's first-maximum rule picks the printed angles
+    *((f"optimize_grid_{name}_{roles}.json",
+       ["optimize", "--method", "grid", "--mu", "1", "--lambda-l", lambda_l, "--roles", roles])
+      for name, lambda_l in (("c1", "0"), ("cminus1", "1.5707963267948966"),
+                             ("c0", "0.7853981633974483"))
+      for roles in ("standard", "literal")),
     ("simulate_a.json", ["simulate", "--scenario", "A", "--theta-l", "0.3", "--theta-r", "1.1"]),
     ("simulate_a_integrals.json", ["simulate", "--scenario", "A", "--theta-l", "0.3",
                                    "--theta-r", "1.1", "--mu", "0.7", "--i-u-l", "0.3",

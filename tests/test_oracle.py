@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from topobell import chsh, oracle
@@ -182,6 +186,94 @@ class TestGridSearch:
     def test_rejects_non_finite_contrast(self, c):
         with pytest.raises(ValueError, match="contrast"):
             grid_search_max_S(c, RoleAssignment.STANDARD)
+
+
+#: Contrasts with the edges of [-1, 1] and both zeros among them, where maximisers tie.
+contrasts = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                      st.floats(-1.0, 1.0, allow_subnormal=True))
+small_specs = st.builds(GridSpec, points_per_angle=st.integers(2, 6),
+                        refinement_rounds=st.integers(0, 3),
+                        shrink_factor=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+def _per_row_search(c, spec):
+    """Reference: one row searched with ``np.linspace`` windows, first maximum wins ties."""
+    points = spec.points_per_angle
+    axes = [np.linspace(0.0, 2 * np.pi, points, endpoint=False)] * 2
+    best_value = -np.inf
+    for round_index in range(spec.refinement_rounds + 1):
+        if round_index:
+            half = np.pi * spec.shrink_factor ** round_index
+            axes = [np.linspace(x - half, x + half, points) for x in best]
+        values = oracle._bound(axes[0][:, None], axes[1][None, :], c)[0]
+        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        if values[i, j] > best_value:
+            best_value, best = values[i, j], (axes[0][i], axes[1][j])
+    return best
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestBatchedSearch:
+    """``_search``, the kernel behind ``sweep``: every row is ``grid_search_max_S`` bit for bit."""
+
+    @given(cs=st.lists(contrasts, min_size=1, max_size=6), spec=small_specs,
+           roles=st.sampled_from(list(RoleAssignment)))
+    @settings(max_examples=60, deadline=None)
+    def test_each_row_is_the_one_row_search(self, cs, spec, roles):
+        rows = oracle._search(np.array(cs), spec)
+        assert rows.shape == (5, len(cs))
+        for c, row in zip(cs, rows.T):
+            result = grid_search_max_S(c, roles, spec)
+            angles = roles.bell_angles(*row[:4])
+            assert np.array_equal(_bits(angles.as_tuple()), _bits(result.best_angles.as_tuple()))
+            assert _bits(row[4]) == _bits(result.best_s)
+
+    @given(c=contrasts, spec=small_specs)
+    @settings(max_examples=60, deadline=None)
+    def test_search_takes_the_per_row_linspace_search_winner(self, c, spec):
+        a, a_prime = oracle._search(np.array([c]), spec)[:2, 0]
+        assert np.array_equal(_bits((a, a_prime)), _bits(_per_row_search(c, spec)))
+
+    @given(centres=st.lists(st.floats(-1e3, 1e3, allow_subnormal=True), min_size=1, max_size=4),
+           half=st.one_of(st.floats(0.0, 4.0), st.sampled_from([5e-324, 1.5e-323, 1e-310])),
+           points=st.integers(2, 30))
+    @settings(max_examples=100, deadline=None)
+    @example(centres=[0.0, 1.0], half=1.5e-323, points=24)
+    def test_windows_are_linspace_bit_for_bit(self, centres, half, points):
+        # a subnormal half makes linspace's step underflow to 0 around a centre of 0
+        ramp = np.arange(points, dtype=float)
+        windows = oracle._windows(np.array(centres), half, ramp)
+        expected = [np.linspace(x - half, x + half, points) for x in np.array(centres)]
+        assert np.array_equal(_bits(windows), _bits(expected))
+
+    @pytest.mark.parametrize("points", range(2, 65))
+    def test_round_zero_grid_is_linspace(self, points):
+        ramp = np.arange(points, dtype=float)
+        expected = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
+        assert np.array_equal(_bits(ramp * (oracle.TWO_PI / points)), _bits(expected))
+
+    def test_rows_do_not_depend_on_the_blocking(self, monkeypatch):
+        cs = np.cos(np.linspace(0.0, np.pi, 11))
+        spec = GridSpec(points_per_angle=6, refinement_rounds=2)
+        whole = oracle._search(cs, spec)
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 3 * 6 ** 2)  # blocks of 3, 3, 3, 2 rows
+        assert np.array_equal(_bits(oracle._search(cs, spec)), _bits(whole))
+
+    def test_memory_stays_within_one_block(self):
+        # unblocked, the search peaks at 55 MiB: each (rows, 24, 24) temporary takes 8.8 MiB
+        cs = np.cos(np.linspace(0.0, np.pi, 2_000))
+        spec = GridSpec(refinement_rounds=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            oracle._search(cs, spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 def _evaluate_grid_on_full_mesh(axes, c, roles):
