@@ -102,8 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--min", required=True, type=_finite_arg, help="smallest mu*lambda (radians)")
     swp.add_argument("--max", required=True, type=_finite_arg, help="largest mu*lambda (radians)")
     swp.add_argument("--points", required=True, type=int)
-    swp.add_argument("--roles", choices=[r.value for r in chsh.RoleAssignment],
-                     default=chsh.RoleAssignment.STANDARD.value)
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
     swp.add_argument("--budget", type=_positive_int_arg, default=GridSpec().budget,
                      help="total grid-search evaluation budget for the sweep")
@@ -175,7 +173,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.min < args.max:
         raise UsageError("--min must be smaller than --max")
     _checks.finite_scalar("--max - --min", args.max - args.min)
-    spec = GridSpec(budget=args.budget)
+    spec = GridSpec()
     needed = args.points * spec.total_evaluations()
     if needed > args.budget:
         print(f"error: sweep needs {needed} grid evaluations, budget is {args.budget}",
@@ -184,7 +182,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     mu_lambdas = np.linspace(args.min, args.max, args.points)
     contrasts = chsh.contrast(mu_lambdas)
-    # element by element these columns equal the one-point calls; no column depends on --roles
+    # element by element these columns equal the one-point calls
     columns = {
         "mu_lambda": mu_lambdas,
         "c": contrasts,

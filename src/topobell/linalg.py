@@ -1,36 +1,13 @@
-"""Exact-size complex linear algebra for two-port quanton pairs.
+"""Unitarity deviation of a complex matrix or a stack of them.
 
-Conventions used throughout the package:
-
-* single-quanton port basis: index 0 is (1, 0)^T, index 1 is (0, 1)^T;
-* joint two-quanton basis: left-factor-major order
-  (0,0), (0,1), (1,0), (1,1), so ``tensor_product(left, right)`` and
-  ``numpy.kron`` agree on index placement;
-* operators are plain complex ndarrays of shape (2, 2) or (4, 4), with
-  row = output port and column = input port; a stack of them adds
-  leading axes, (..., 2, 2);
-* state vectors are complex ndarrays of shape (2,) or (4,).
-
-Everything here is a pure function over immutable inputs; nothing keeps
-state, so concurrent use needs no coordination.
+The port and joint-basis conventions live with the 4x4 operators in
+:mod:`topobell.oracle`. The one helper here is a pure function; nothing
+keeps state, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two single-quanton operators.
-
-    Entry ((i,j),(k,l)) of the result is a[i,k] * b[j,l] under the
-    left-factor-major basis ordering.
-    """
-    left = np.asarray(a, dtype=complex)
-    right = np.asarray(b, dtype=complex)
-    if left.shape != (2, 2) or right.shape != (2, 2):
-        raise ValueError("tensor_product expects two 2x2 operators")
-    return np.kron(left, right)
 
 
 def unitarity_deviation(m: np.ndarray) -> float:

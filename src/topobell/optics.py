@@ -1,7 +1,7 @@
 """Constructors for the interferometer components.
 
 All constructors return fresh complex ndarrays in the port conventions of
-:mod:`topobell.linalg`. Angles are taken in radians and are not reduced
+:mod:`topobell.oracle`. Angles are taken in radians and are not reduced
 modulo 2*pi; the trigonometry is periodic anyway and unreduced angles keep
 finite-difference checks simple. Every constructor but the splitter
 broadcasts its arguments against each other: array input gives a stack

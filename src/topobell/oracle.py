@@ -10,6 +10,17 @@ finite-difference stationarity checks at claimed extrema. The grid search
 is one kernel over arrays of contrasts (:func:`_search`, which runs all of
 ``topobell sweep``'s rows in one array pass per round);
 :func:`grid_search_max_S` is its one-row case.
+
+Conventions used throughout the package:
+
+* single-quanton port basis: index 0 is (1, 0)^T, index 1 is (0, 1)^T;
+* joint two-quanton basis: left-factor-major order
+  (0,0), (0,1), (1,0), (1,1), so :func:`_kron` and ``numpy.kron`` agree
+  on index placement (not always on the last bit of an entry);
+* operators are plain complex ndarrays of shape (2, 2) or (4, 4), with
+  row = output port and column = input port; a stack of them adds
+  leading axes, (..., 2, 2);
+* state vectors are complex ndarrays of shape (2,) or (4,).
 """
 
 from __future__ import annotations
@@ -25,10 +36,17 @@ from .entangled import DetectionDistribution, Scenario, TopoPhaseSpec, _check_sp
 
 TWO_PI = 2.0 * np.pi
 
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of two stacks of 2x2 operators, (..., 4, 4), left factor major."""
+    product = np.einsum("...ik,...jl->...ijkl", a, b)
+    return product.reshape(product.shape[:-4] + (4, 4))
+
+
 # Component matrices restated inline so the oracle does not lean on the
 # optics constructors it is meant to cross-check.
 _BS = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
-_SPLITTERS = np.kron(_BS, _BS)
+_SPLITTERS = _kron(_BS, _BS)
 _MIRROR = np.eye(4, dtype=complex)[[1, 0, 3, 2]]  # 1 (x) swap: right-hand detector labels
 
 
@@ -49,12 +67,6 @@ def _diag(d0, d1) -> np.ndarray:
     out[..., 0, 0] = d0
     out[..., 1, 1] = d1
     return out
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products of two stacks of 2x2 operators, (..., 4, 4), left factor major."""
-    product = np.einsum("...ik,...jl->...ijkl", a, b)
-    return product.reshape(product.shape[:-4] + (4, 4))
 
 
 def brute_force_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _checks, chsh, closed_form
 from .entangled import Scenario, TopoPhaseSpec, _spec_mode, scenario_probabilities
-from .linalg import tensor_product, unitarity_deviation
+from .linalg import unitarity_deviation
 from .optics import beam_splitter, mach_zehnder, path_phase_operator, phase_retarder, spin_loop_phase
 from .oracle import brute_force_probabilities
 
@@ -53,36 +53,12 @@ def _rng(index: int) -> np.random.Generator:
     return np.random.default_rng([BASE_SEED, index])
 
 
-def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _suite_linalg(rng: np.random.Generator, draws: int) -> SuiteResult:
+def _suite_linalg(rng: np.random.Generator) -> SuiteResult:
     theta = rng.uniform(-10.0, 10.0, size=64)
     worst = max(unitarity_deviation(phase_retarder(theta)),
                 unitarity_deviation(mach_zehnder(theta)),
                 unitarity_deviation(path_phase_operator(theta, 0.5 * theta, 1.3)),
                 unitarity_deviation(beam_splitter()))
-    for _ in range(max(8, draws // 100)):
-        u2 = _random_unitary(rng, 2)
-        v2 = _random_unitary(rng, 2)
-        worst = max(worst, unitarity_deviation(tensor_product(u2, v2)))
-        # norm preservation
-        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-        big = tensor_product(u2, v2)
-        worst = max(worst, abs(np.linalg.norm(big @ vec) - np.linalg.norm(vec)))
-        # mixed product: (a (x) b)(c (x) d) = (a c) (x) (b d)
-        c2, d2 = _random_unitary(rng, 2), _random_unitary(rng, 2)
-        lhs = tensor_product(u2, v2) @ tensor_product(c2, d2)
-        rhs = tensor_product(u2 @ c2, v2 @ d2)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        # bilinearity in the left factor
-        alpha = complex(rng.normal(), rng.normal())
-        lhs = tensor_product(alpha * u2 + c2, v2)
-        rhs = alpha * tensor_product(u2, v2) + tensor_product(c2, v2)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return SuiteResult("linalg-unitarity", worst, 1e-12)
 
 
@@ -304,7 +280,7 @@ def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,
     if heavy < 1 or light < 1:
         raise ValueError(f"draw counts must be at least 1, got {heavy} and {light}")
     return [
-        _suite_linalg(_rng(1), heavy),
+        _suite_linalg(_rng(1)),
         _suite_optics(_rng(2)),
         _suite_distribution_validity(_rng(3), heavy),
         _suite_scenario_b_closed_form(),

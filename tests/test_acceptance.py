@@ -17,7 +17,7 @@ RNG_SEED = 424242
 
 #: Default `topobell verify` stdout, byte for byte.
 VERIFY_DEFAULT = (
-    "linalg-unitarity: PASS  worst residual 1.776e-15 (tol 1.0e-12)\n"
+    "linalg-unitarity: PASS  worst residual 2.229e-16 (tol 1.0e-12)\n"
     "optics-compact-form: PASS  worst residual 3.564e-15 (tol 1.0e-12)\n"
     "distribution-validity: PASS  worst residual 1.776e-15 (tol 1.0e-12)\n"
     "scenario-b-closed-form: PASS  worst residual 7.772e-16 (tol 1.0e-12)\n"

@@ -13,7 +13,7 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDENS = [
     ("sweep_readme.csv", ["sweep", "--min", "0", "--max", "3.14159", "--points", "25"]),
     ("sweep_literal.json", ["sweep", "--min", "0.1", "--max", "1.3", "--points", "4",
-                            "--roles", "literal", "--format", "json"]),
+                            "--format", "json"]),
     ("optimize_grid_standard.json", ["optimize", "--method", "grid", "--mu", "1",
                                      "--lambda-l", "0.3", "--roles", "standard"]),
     ("optimize_grid_literal.json", ["optimize", "--method", "grid", "--mu", "1",
@@ -48,7 +48,7 @@ SCENARIO_FIELDS = {
 
 #: Golden stdout of ``verify --budget 1000``, byte for byte.
 VERIFY_BUDGET_1000 = (
-    "linalg-unitarity: PASS  worst residual 8.882e-16 (tol 1.0e-12)\n"
+    "linalg-unitarity: PASS  worst residual 2.229e-16 (tol 1.0e-12)\n"
     "optics-compact-form: PASS  worst residual 3.564e-15 (tol 1.0e-12)\n"
     "distribution-validity: PASS  worst residual 1.776e-15 (tol 1.0e-12)\n"
     "scenario-b-closed-form: PASS  worst residual 7.772e-16 (tol 1.0e-12)\n"
@@ -285,6 +285,11 @@ class TestSweep:
         assert code == 2
         assert "--min" in err
 
+    def test_roles_is_not_a_sweep_option(self, capsys):
+        code, err = usage_exit(capsys, "sweep", "--min", "0", "--max", "1", "--points", "2",
+                               "--roles", "literal")
+        assert code == 2
+        assert "--roles" in err
 
     @pytest.mark.parametrize("flags", [
         ["--min=-inf", "--max", "1"],

@@ -95,6 +95,35 @@ def test_both_one_point_entry_points_reject_a_bad_spec_alike(scenario, topo):
     assert messages[0] == messages[1]
 
 
+class TestKron:
+    """``oracle._kron`` is the package's one Kronecker product."""
+
+    def _pairs(self, rng):
+        a, b = (rng.normal(size=(3, 5, 2, 2)) + 1j * rng.normal(size=(3, 5, 2, 2))
+                for _ in range(2))
+        return a, b
+
+    def test_each_matrix_of_a_stack_equals_numpy_kron(self, rng):
+        # einsum rounds each product as Python's complex multiply does; numpy's
+        # array multiply, which np.kron uses, may differ in the last bit
+        a, b = self._pairs(rng)
+        product = oracle._kron(a, b)
+        assert product.shape == (3, 5, 4, 4)
+        for index in np.ndindex(3, 5):
+            assert_allclose(product[index], np.kron(a[index], b[index]), rtol=0, atol=1e-14)
+
+    def test_entries_are_placed_left_factor_major_bit_for_bit(self, rng):
+        a, b = self._pairs(rng)
+        product = oracle._kron(a, b)
+        for index in np.ndindex(3, 5):
+            for i, j, k, l in np.ndindex(2, 2, 2, 2):
+                entry = np.complex128(complex(a[index][i, k]) * complex(b[index][j, l]))
+                assert product[index][2 * i + j, 2 * k + l].tobytes() == entry.tobytes()
+
+    def test_splitter_pair_is_the_kron_of_the_splitter(self):
+        assert oracle._SPLITTERS.tobytes() == np.kron(oracle._BS, oracle._BS).tobytes()
+
+
 class TestGridSpec:
     def test_defaults_fit_their_budget(self):
         spec = GridSpec()

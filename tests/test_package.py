@@ -15,7 +15,7 @@ REMOVED = {
                 "run_scenario_b", "run_scenario_c", "run_scenario_ab", "_finite_array",
                 "_SCENARIO_MODES", "_scenario_modes", "_interferometer"),
     linalg: ("as_operator", "as_state", "dagger", "is_unitary", "apply",
-             "joint_probabilities", "norm", "DEFAULT_TOL"),
+             "joint_probabilities", "norm", "DEFAULT_TOL", "tensor_product"),
     optics: ("custom_beam_splitter", "NonUnitaryError", "CUSTOM_SPLITTER_TOL",
              "polarizing_splitter_candidate", "spin_eigenstates", "_finite"),
     oracle: ("_ID", "_SWAP", "_require_type"),

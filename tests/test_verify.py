@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,18 @@ def test_all_suites_pass_at_reduced_draws():
     for result in results:
         assert result.passed, f"{result.name}: residual {result.worst_residual}"
         assert result.worst_residual <= result.tolerance
+
+
+def test_suite_names_are_the_ones_the_benchmark_reports(monkeypatch):
+    # the benchmark reads a suite it cannot find as zero seconds, so a renamed
+    # suite would go unreported rather than fail
+    spans_path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(spans)
+    names = [result.name for result in verify.run_suites(50, 10)]
+    assert names == list(spans.VERIFY_SUITES)
 
 
 def test_injected_sign_fault_fails_only_the_scenario_c_suite():
