@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import random_unitary
 from topobell import chsh, oracle
 from topobell.chsh import BellAngles, RoleAssignment
 from topobell.entangled import Scenario, TopoPhaseSpec, run_scenario
@@ -122,6 +123,38 @@ class TestKron:
 
     def test_splitter_pair_is_the_kron_of_the_splitter(self):
         assert oracle._SPLITTERS.tobytes() == np.kron(oracle._BS, oracle._BS).tobytes()
+
+    def test_identity_times_identity(self):
+        eye = np.eye(2, dtype=complex)
+        assert_allclose(oracle._kron(eye, eye), np.eye(4), atol=0)
+
+    def test_splitter_on_left_factor(self):
+        # BS (x) I applied to |0>|1> spreads only the left quanton
+        state = np.zeros(4, dtype=complex)
+        state[1] = 1.0  # |0,1>
+        out = oracle._kron(oracle._BS, np.eye(2, dtype=complex)) @ state
+        expected = np.array([0.0, 1.0 / np.sqrt(2), 0.0, 1.0j / np.sqrt(2)])
+        assert_allclose(out, expected, atol=1e-15)
+
+    def test_diagonal_phases(self):
+        # the retarder pair the oracle builds: phase on the left factor's port 0
+        # lands on joint ports (0,0) and (0,1)
+        a = np.diag([np.exp(1j * np.pi / 2), 1.0]).astype(complex)
+        b = np.diag([np.exp(1j * np.pi), 1.0]).astype(complex)
+        assert_allclose(np.diag(oracle._kron(a, b)), [-1j, 1j, -1.0, 1.0], atol=1e-15)
+
+    def test_mixed_product_property(self, rng):
+        for _ in range(50):
+            a, b, c, d = (random_unitary(rng, 2) for _ in range(4))
+            lhs = oracle._kron(a, b) @ oracle._kron(c, d)
+            assert_allclose(lhs, oracle._kron(a @ c, b @ d), atol=1e-12)
+
+    def test_bilinearity(self, rng):
+        a, b, m = (random_unitary(rng, 2) for _ in range(3))
+        z = complex(rng.normal(), rng.normal())
+        lhs = oracle._kron(z * a + b, m)
+        rhs = z * oracle._kron(a, m) + oracle._kron(b, m)
+        assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestGridSpec:
