@@ -109,7 +109,8 @@ def _brute_force(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.ndarr
     Each product with a factor shared by every point, a constant 4x4
     operator or the two singlet start vectors, is one 2-D matmul over the
     whole stack (:func:`_left_product`, :func:`_right_product`); only
-    scenario A's arm phases meet the retarders point by point.
+    scenario A's arm phases meet the retarders point by point, as a
+    scaling of the chain's columns by the retarders' diagonal.
     """
     retarders = _kron(_diag(np.exp(1j * theta_l), 1.0), _diag(np.exp(1j * theta_r), 1.0))
     unit = np.ones(np.shape(theta_l))
@@ -122,7 +123,9 @@ def _brute_force(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.ndarr
             mu = fields["mu"]
             arm = _kron(*(_diag(np.exp(1j * mu * fields[f"i_u_{side}"]),
                                 np.exp(-1j * mu * fields[f"i_d_{side}"])) for side in "lr"))
-            chain = _left_product(readout, arm) @ retarders
+            # the retarders are diagonal, so they scale the chain's columns
+            diagonal = np.diagonal(retarders, axis1=-2, axis2=-1)
+            chain = _left_product(readout, arm) * diagonal[..., None, :]
         else:
             chain = _left_product(readout, retarders)
     else:

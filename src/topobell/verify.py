@@ -7,6 +7,7 @@ fails. Random draws use fixed seeds so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,23 +226,100 @@ def _suite_chsh_consistency() -> SuiteResult:
     return SuiteResult("chsh-consistency", worst, 1e-12)
 
 
-def _suite_chsh_bounds(rng: np.random.Generator, draws: int) -> SuiteResult:
-    samples = max(1000, 100 * draws)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(4, samples))
-    contrasts = rng.uniform(-1.0, 1.0, size=samples)
+def _chsh_samples(draws: int) -> int:
+    return max(1000, 100 * draws)
+
+
+def _chsh_draws(rng: np.random.Generator, samples: int):
+    """The chsh-bounds draws, one ``_CHSH_BLOCK`` of columns at a time.
+
+    Yields each block's four angle rows and its contrasts: bit for bit the
+    columns of ``rng.uniform(0, 2*pi, size=(4, samples))`` and then
+    ``rng.uniform(-1, 1, size=samples)``. They are read through five copies
+    of ``rng`` made on this call, each advanced to the start of its row, so
+    ``rng`` itself does not move.
+    """
+    readers = []
+    for k in range(5):
+        bit_generator = type(rng.bit_generator)(0)
+        bit_generator.state = rng.bit_generator.state
+        bit_generator.advance(k * samples)
+        readers.append(np.random.Generator(bit_generator))
+    *angle_readers, contrast_reader = readers
+
+    def blocks():
+        for start in range(0, samples, _CHSH_BLOCK):
+            n = min(_CHSH_BLOCK, samples - start)
+            yield ([r.uniform(0.0, 2.0 * np.pi, size=n) for r in angle_readers],
+                   contrast_reader.uniform(-1.0, 1.0, size=n))
+
+    return blocks()
+
+
+def _random_bounds(draws) -> float:
+    """Worst excess of S over 2*sqrt(2) at the drawn contrast and over 2 at zero.
+
+    ``draws`` yields blocks of :func:`_chsh_draws`. Calls only private,
+    untraced code, so it may run beside the other suites on a worker thread.
+    """
     worst = 0.0
     # fixed blocks bound the temporaries; contrast row 0 is the draw, row 1 zero.
     # Both role assignments permute the same four angle rows, so each row's
     # cos/sin is taken once per block.
-    for start in range(0, samples, _CHSH_BLOCK):
-        block = slice(start, start + _CHSH_BLOCK)
-        c = np.zeros((2, len(contrasts[block])))
-        c[0] = contrasts[block]
-        trig = [(np.cos(row), np.sin(row)) for row in angles[:, block]]
+    for rows, contrasts in draws:
+        c = np.zeros((2, len(contrasts)))
+        c[0] = contrasts
+        trig = [(np.cos(row), np.sin(row)) for row in rows]
         for roles in chsh.RoleAssignment:
             s_any, s_zero = chsh._S_from_trig(*roles._roles_of(*trig), c)
             worst = max(worst, float(np.max(s_any) - chsh.TSIRELSON_BOUND),
                         float(np.max(s_zero) - 2.0))
+    return worst
+
+
+class _Background:
+    """``fn(*args)`` on a worker thread, joined when the ``with`` block ends.
+
+    :meth:`result` waits for the value and re-raises what ``fn`` raised.
+    """
+
+    def __init__(self, fn, *args):
+        self._outcome = (None, None)
+        self._thread = threading.Thread(target=self._run, args=(fn, args), daemon=True)
+
+    def _run(self, fn, args):
+        try:
+            self._outcome = (fn(*args), None)
+        except BaseException as error:
+            self._outcome = (None, error)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._thread.join()
+
+    def result(self):
+        self._thread.join()
+        value, error = self._outcome
+        if error is not None:
+            raise error
+        return value
+
+
+def _suite_chsh_bounds(rng: np.random.Generator, draws: int, random_worst=None) -> SuiteResult:
+    """The CHSH bounds over random draws, then over the fixed-angle curve.
+
+    ``random_worst``, if given, returns :func:`_random_bounds` of this
+    ``rng``'s draws, computed elsewhere; without it they are computed here.
+    """
+    samples = _chsh_samples(draws)
+    if random_worst is None:
+        worst = _random_bounds(_chsh_draws(rng, samples))
+    else:
+        worst = random_worst()
+    rng.bit_generator.advance(5 * samples)
     # monotone bracket: fixed-angle curve never beats the re-optimized
     # maximum, with equality exactly at full contrast
     mu_lambdas = np.linspace(0.0, np.pi, 1001)
@@ -279,17 +357,20 @@ def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,
     heavy, light = _checks.integer("heavy_draws", heavy), _checks.integer("light_draws", light)
     if heavy < 1 or light < 1:
         raise ValueError(f"draw counts must be at least 1, got {heavy} and {light}")
-    return [
-        _suite_linalg(_rng(1)),
-        _suite_optics(_rng(2)),
-        _suite_distribution_validity(_rng(3), heavy),
-        _suite_scenario_b_closed_form(),
-        _suite_scenario_c_closed_form(inject_fault),
-        _suite_scenario_c_gauge(_rng(4), light),
-        _suite_scenario_a_topo_invariance(_rng(5), light),
-        _suite_scenario_ab_reduction(_rng(6), light),
-        _suite_degiorgio(_rng(7), light),
-        _suite_oracle_equivalence(_rng(8), heavy),
-        _suite_chsh_consistency(),
-        _suite_chsh_bounds(_rng(10), heavy),
-    ]
+    # chsh-bounds' random half runs on a worker beside the other suites
+    rng = _rng(10)
+    with _Background(_random_bounds, _chsh_draws(rng, _chsh_samples(heavy))) as background:
+        return [
+            _suite_linalg(_rng(1)),
+            _suite_optics(_rng(2)),
+            _suite_distribution_validity(_rng(3), heavy),
+            _suite_scenario_b_closed_form(),
+            _suite_scenario_c_closed_form(inject_fault),
+            _suite_scenario_c_gauge(_rng(4), light),
+            _suite_scenario_a_topo_invariance(_rng(5), light),
+            _suite_scenario_ab_reduction(_rng(6), light),
+            _suite_degiorgio(_rng(7), light),
+            _suite_oracle_equivalence(_rng(8), heavy),
+            _suite_chsh_consistency(),
+            _suite_chsh_bounds(rng, heavy, background.result),
+        ]

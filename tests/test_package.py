@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,9 @@ def test_readme_library_example_runs():
 def test_only_the_checks_module_decides_what_is_finite(path):
     # "finite" is decided in one place; a second isfinite would let the rules drift apart
     assert (path.name == "_checks.py") == ("isfinite" in path.read_text())
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # concurrent.futures adds milliseconds to every start-up; verify's worker is a plain thread
+    code = "import sys, topobell.cli; sys.exit('concurrent.futures' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], cwd=SRC.parent, check=True)

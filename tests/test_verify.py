@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -156,9 +157,10 @@ def test_optics_stacked_product_equals_the_per_point_products():
     np.testing.assert_array_equal(stacked, per_point)
 
 
-def test_chsh_bounds_checks_the_last_partial_block(monkeypatch):
-    # 8,300 samples: one full block of 8,192 columns and a last one of 108
-    planted = verify._rng(10).uniform(0.0, 2.0 * np.pi, size=(4, 8_300))[0, -1]
+def _plant_fault_at_the_last_column(monkeypatch, samples):
+    """Make ``chsh._S_from_trig`` add 1 to S at the last angle column of the
+    chsh-bounds draws of ``samples`` columns; returns the sizes of the hit blocks."""
+    planted = verify._rng(10).uniform(0.0, 2.0 * np.pi, size=(4, samples))[0, -1]
     s_from_trig = chsh._S_from_trig
     seen = []
 
@@ -170,13 +172,72 @@ def test_chsh_bounds_checks_the_last_partial_block(monkeypatch):
         return s_from_trig(a, *rest) + hit
 
     monkeypatch.setattr(chsh, "_S_from_trig", faulty)
+    return seen
+
+
+def test_chsh_bounds_checks_the_last_partial_block(monkeypatch):
+    # 8,300 samples: one full block of 8,192 columns and a last one of 108
+    seen = _plant_fault_at_the_last_column(monkeypatch, 8_300)
     result = verify._suite_chsh_bounds(verify._rng(10), 83)
     assert seen == [108, 108]
     assert not result.passed and result.worst_residual > 0.5
 
 
+@pytest.mark.parametrize("samples", [8_300, 100_000])
+def test_chsh_draws_read_the_up_front_draws_block_by_block(samples):
+    rng = verify._rng(10)
+    state = rng.bit_generator.state
+    rows, contrasts = zip(*verify._chsh_draws(rng, samples))
+    assert rng.bit_generator.state == state
+    assert [len(c) for c in contrasts] == [min(verify._CHSH_BLOCK, samples - start)
+                                           for start in range(0, samples, verify._CHSH_BLOCK)]
+    up_front = verify._rng(10)
+    angles = up_front.uniform(0.0, 2.0 * np.pi, size=(4, samples))
+    assert np.hstack([np.array(block) for block in rows]).tobytes() == angles.tobytes()
+    assert np.concatenate(contrasts).tobytes() == up_front.uniform(-1.0, 1.0, size=samples).tobytes()
+
+
+def test_run_suites_fails_chsh_bounds_on_a_fault_in_the_background_half(monkeypatch):
+    seen = _plant_fault_at_the_last_column(monkeypatch, 8_300)
+    result = verify.run_suites(83, 10)[-1]
+    assert seen == [108, 108]
+    assert result.name == "chsh-bounds"
+    assert not result.passed and result.worst_residual > 0.5
+    # the worker's worst value is the one the suite computes inline
+    assert result == verify._suite_chsh_bounds(verify._rng(10), 83)
+
+
+def test_run_suites_computes_the_random_half_on_a_worker(monkeypatch):
+    random_bounds = verify._random_bounds
+    threads = []
+
+    def spy(draws):
+        threads.append(threading.current_thread())
+        return random_bounds(draws)
+
+    monkeypatch.setattr(verify, "_random_bounds", spy)
+    before = threading.active_count()
+    result = verify.run_suites(50, 10)[-1]
+    assert threading.active_count() == before
+    assert len(threads) == 1 and threads[0] is not threading.main_thread()
+    assert result == verify._suite_chsh_bounds(verify._rng(10), 50)
+
+
+@pytest.mark.parametrize("name", ["_random_bounds", "_suite_linalg"])
+def test_run_suites_raises_what_the_worker_or_a_suite_raises(monkeypatch, name):
+    # _random_bounds runs on the worker, _suite_linalg on the main thread
+    def broken(*args):
+        raise RuntimeError(f"planted in {name}")
+
+    monkeypatch.setattr(verify, name, broken)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"planted in {name}"):
+        verify.run_suites(50, 10)
+    assert threading.active_count() == before
+
+
 def test_chsh_bounds_memory_is_bounded():
-    # the default budget's draws alone take 38.1 MiB
+    # the default budget's draws alone take 38.1 MiB; the suite reads them block by block
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -184,4 +245,4 @@ def test_chsh_bounds_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 45 * 2**20
+    assert peak <= 4 * 2**20
