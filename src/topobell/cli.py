@@ -136,7 +136,7 @@ def _topo_from_flags(args: argparse.Namespace, scenario: Scenario) -> TopoPhaseS
             raise UsageError(f"{_flag(name)} is not valid for scenario {scenario.value}")
     if mode is None:
         return None
-    fields = {name: given.get(name) or 0.0 for name in wanted}
+    fields = {name: given.get(name, 0.0) for name in wanted}
     if "mu" in fields:
         fields["mu"] = given.get("mu", 1.0)
     return TopoPhaseSpec(mode, **fields)

@@ -176,16 +176,23 @@ class TopoPhaseSpec:
         Raises ``ValueError`` for a missing or foreign field, a non-finite
         angle, field or phase product, or shapes that do not broadcast.
         """
-        mode = _spec_mode(scenario, bool(fields))
-        if mode is not None:
-            fields = _checked_fields(mode, fields)
-        elif fields:
-            raise ValueError(f"scenario {scenario.value} takes no phase fields, "
-                             f"got {sorted(fields)}")
-        angles = (_checks.finite_array("theta_l", theta_l),
-                  _checks.finite_array("theta_r", theta_r))
-        theta_l, theta_r, *values = np.broadcast_arrays(*angles, *fields.values())
+        theta_l, theta_r, fields = _checked_batch(scenario, theta_l, theta_r, fields)
+        theta_l, theta_r, *values = np.broadcast_arrays(theta_l, theta_r, *fields.values())
         return theta_l, theta_r, dict(zip(fields, values))
+
+
+def _checked_batch(scenario: Scenario, theta_l, theta_r, fields: dict):
+    """:meth:`TopoPhaseSpec.broadcast`'s checks, with the inputs left at their own shapes."""
+    mode = _spec_mode(scenario, bool(fields))
+    if mode is not None:
+        fields = _checked_fields(mode, fields)
+    elif fields:
+        raise ValueError(f"scenario {scenario.value} takes no phase fields, "
+                         f"got {sorted(fields)}")
+    theta_l = _checks.finite_array("theta_l", theta_l)
+    theta_r = _checks.finite_array("theta_r", theta_r)
+    np.broadcast(theta_l, theta_r, *fields.values())  # ValueError unless the shapes broadcast
+    return theta_l, theta_r, fields
 
 
 @dataclass(frozen=True)
@@ -336,16 +343,29 @@ def scenario_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np
     (:meth:`TopoPhaseSpec.broadcast` says which scenario takes which), and
     every input broadcasts against the others. Returns (..., 4) in
     :class:`DetectionDistribution` order; :func:`run_scenario` is one row.
+
+    Only scenario A's arm integrals enter the side matrices. Otherwise the
+    angles are broadcast against each other and the fields against each
+    other, so a grid with the fields on their own axes builds each side
+    matrix once per pair of angles, not once per point; the result is the
+    same bits as for the inputs broadcast to one shape.
     """
-    return _probabilities(scenario, *TopoPhaseSpec.broadcast(scenario, theta_l, theta_r, **fields))
+    theta_l, theta_r, fields = _checked_batch(scenario, theta_l, theta_r, fields)
+    if scenario is Scenario.A and fields:
+        theta_l, theta_r, *values = np.broadcast_arrays(theta_l, theta_r, *fields.values())
+    else:
+        theta_l, theta_r = np.broadcast_arrays(theta_l, theta_r)
+        values = np.broadcast_arrays(*fields.values())
+    return _probabilities(scenario, theta_l, theta_r, dict(zip(fields, values)))
 
 
 def _probabilities(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.ndarray:
-    """The scenario kernel on checked inputs of one shape (floats or arrays); no validation.
+    """The scenario kernel on checked inputs (floats or arrays); no validation.
 
-    ``fields`` maps the scenario's field names to values (empty for A
-    without a spec). The two sides are stacked on a new leading axis, so
-    one call builds both sides' matrices.
+    The two angles have one shape, and so have the fields (empty for A
+    without a spec); A's arm integrals have the angles' shape, the other
+    fields any shape that broadcasts against it. The two sides are stacked
+    on a new leading axis, so one call builds both sides' matrices.
     """
     thetas = np.array((theta_l, theta_r))
     if scenario is Scenario.A:

@@ -123,7 +123,7 @@ def _suite_distribution_validity(rng: np.random.Generator, draws: int) -> SuiteR
 
 def _suite_scenario_b_closed_form() -> SuiteResult:
     grid = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
-    theta_l, theta_r = np.meshgrid(grid, grid, indexing="ij")
+    theta_l, theta_r = np.meshgrid(grid, grid, indexing="ij", sparse=True)
     simulated = scenario_probabilities(Scenario.B, theta_l, theta_r)
     reference = closed_form.scenario_b_probabilities(theta_l, theta_r)
     worst = float(np.max(np.abs(simulated - reference)))
@@ -135,10 +135,14 @@ def _suite_scenario_b_closed_form() -> SuiteResult:
 
 
 def _scenario_c_grid():
-    """The fixed (theta_l, theta_r, mu*lambda) grid of the scenario-C suites."""
+    """The fixed (theta_l, theta_r, mu*lambda) grid of the scenario-C suites.
+
+    Sparse: each coordinate varies along its own axis and the consumers
+    broadcast, so the kernel builds each side matrix once per angle pair.
+    """
     angles = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
     mu_lambdas = np.linspace(0.0, np.pi, 25, endpoint=False)
-    return np.meshgrid(angles, angles, mu_lambdas, indexing="ij")
+    return np.meshgrid(angles, angles, mu_lambdas, indexing="ij", sparse=True)
 
 
 def _suite_scenario_c_closed_form(inject_fault: str | None) -> SuiteResult:
@@ -216,8 +220,9 @@ def _suite_chsh_consistency() -> SuiteResult:
     measured = chsh.expectation_from_probabilities(p)
     worst = float(np.max(np.abs(measured - expected)))
     # zero loop: E reduces to -cos(theta_l - theta_r)
-    zero = mu_lambda == 0.0
-    worst = max(worst, float(np.max(np.abs(measured[zero] + np.cos(theta_l - theta_r)[zero]))))
+    zero = np.broadcast_to(mu_lambda == 0.0, measured.shape)
+    cos_difference = np.broadcast_to(np.cos(theta_l - theta_r), measured.shape)
+    worst = max(worst, float(np.max(np.abs(measured[zero] + cos_difference[zero]))))
     # fixed-angle curve against the literal combination
     mu_lambdas = np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)
     literal = chsh.chsh_S_values(*chsh.canonical_angles().as_tuple(), chsh.contrast(mu_lambdas),
@@ -237,7 +242,8 @@ def _chsh_draws(rng: np.random.Generator, samples: int):
     columns of ``rng.uniform(0, 2*pi, size=(4, samples))`` and then
     ``rng.uniform(-1, 1, size=samples)``. They are read through five copies
     of ``rng`` made on this call, each advanced to the start of its row, so
-    ``rng`` itself does not move.
+    ``rng`` itself does not move. Several threads may drain the one
+    iterator together; each block goes to one of them.
     """
     readers = []
     for k in range(5):
@@ -253,14 +259,32 @@ def _chsh_draws(rng: np.random.Generator, samples: int):
             yield ([r.uniform(0.0, 2.0 * np.pi, size=n) for r in angle_readers],
                    contrast_reader.uniform(-1.0, 1.0, size=n))
 
-    return blocks()
+    return _Shared(blocks())
+
+
+class _Shared:
+    """An iterator that several threads may drain together: one ``next`` at a time."""
+
+    def __init__(self, iterator):
+        self._iterator = iterator
+        self._lock = threading.Lock()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        with self._lock:
+            return next(self._iterator)
 
 
 def _random_bounds(draws) -> float:
     """Worst excess of S over 2*sqrt(2) at the drawn contrast and over 2 at zero.
 
-    ``draws`` yields blocks of :func:`_chsh_draws`. Calls only private,
-    untraced code, so it may run beside the other suites on a worker thread.
+    Taken over the blocks of :func:`_chsh_draws` that this call takes from
+    ``draws``: two threads that drain one stream each get the worst of
+    their blocks, and the larger of the two is the worst of the stream.
+    Calls only private, untraced code, so it may run beside the other
+    suites on a worker thread.
     """
     worst = 0.0
     # fixed blocks bound the temporaries; contrast row 0 is the draw, row 1 zero.
@@ -281,6 +305,8 @@ class _Background:
     """``fn(*args)`` on a worker thread, joined when the ``with`` block ends.
 
     :meth:`result` waits for the value and re-raises what ``fn`` raised.
+    :func:`run_suites` runs chsh-bounds' :func:`_random_bounds` here, and
+    the main thread drains the same blocks once its other suites are done.
     """
 
     def __init__(self, fn, *args):
@@ -312,7 +338,8 @@ def _suite_chsh_bounds(rng: np.random.Generator, draws: int, random_worst=None) 
     """The CHSH bounds over random draws, then over the fixed-angle curve.
 
     ``random_worst``, if given, returns :func:`_random_bounds` of this
-    ``rng``'s draws, computed elsewhere; without it they are computed here.
+    ``rng``'s draws, computed elsewhere or shared with another thread;
+    without it they are computed here.
     """
     samples = _chsh_samples(draws)
     if random_worst is None:
@@ -323,21 +350,20 @@ def _suite_chsh_bounds(rng: np.random.Generator, draws: int, random_worst=None) 
     # monotone bracket: fixed-angle curve never beats the re-optimized
     # maximum, with equality exactly at full contrast
     mu_lambdas = np.linspace(0.0, np.pi, 1001)
+    contrasts = np.abs(np.cos(2.0 * mu_lambdas))
     curve = chsh.fixed_angle_curve_S(mu_lambdas)
-    best = 2.0 * np.sqrt(1.0 + np.cos(2.0 * mu_lambdas) ** 2)
+    best = 2.0 * np.sqrt(1.0 + contrasts ** 2)
     worst = max(worst, float(np.max(curve - best)))
-    full_contrast = np.abs(np.abs(np.cos(2.0 * mu_lambdas)) - 1.0) < 1e-12
+    full_contrast = np.abs(contrasts - 1.0) < 1e-12
     worst = max(worst, float(np.max(np.abs((curve - best)[full_contrast]))))
-    if np.any(~full_contrast & (np.abs(np.cos(2.0 * mu_lambdas)) < 0.999)):
-        gap = (best - curve)[~full_contrast & (np.abs(np.cos(2.0 * mu_lambdas)) < 0.999)]
-        if np.min(gap) <= 1e-9:
-            worst = max(worst, 1.0)
+    partial = ~full_contrast & (contrasts < 0.999)
+    if np.any(partial) and np.min((best - curve)[partial]) <= 1e-9:
+        worst = max(worst, 1.0)
     # periodicity and evenness of the fixed-angle curve
     probe = rng.uniform(-10.0, 10.0, size=256)
-    worst = max(worst, float(np.max(np.abs(
-        chsh.fixed_angle_curve_S(probe) - chsh.fixed_angle_curve_S(-probe)))))
-    worst = max(worst, float(np.max(np.abs(
-        chsh.fixed_angle_curve_S(probe) - chsh.fixed_angle_curve_S(probe + np.pi)))))
+    at_probe = chsh.fixed_angle_curve_S(probe)
+    worst = max(worst, float(np.max(np.abs(at_probe - chsh.fixed_angle_curve_S(-probe)))))
+    worst = max(worst, float(np.max(np.abs(at_probe - chsh.fixed_angle_curve_S(probe + np.pi)))))
     return SuiteResult("chsh-bounds", worst, 1e-9)
 
 
@@ -349,6 +375,12 @@ def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,
     light_draws the cheaper pairwise-comparison suites (default 10^3); a
     count that is not an integer (a bool is not one) or is below 1 raises
     ValueError. The fixed verification grids never shrink.
+
+    A worker thread (:class:`_Background`) takes chsh-bounds' random blocks
+    while this thread runs the other eleven suites; then this thread takes
+    the blocks that are left, and chsh-bounds reports the larger of the two
+    worsts, the value the suite computes alone. The worker is joined
+    before this returns or raises.
     """
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; known: {KNOWN_FAULTS}")
@@ -357,9 +389,14 @@ def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,
     heavy, light = _checks.integer("heavy_draws", heavy), _checks.integer("light_draws", light)
     if heavy < 1 or light < 1:
         raise ValueError(f"draw counts must be at least 1, got {heavy} and {light}")
-    # chsh-bounds' random half runs on a worker beside the other suites
+    # chsh-bounds' random half: a worker beside the other suites, then both threads
     rng = _rng(10)
-    with _Background(_random_bounds, _chsh_draws(rng, _chsh_samples(heavy))) as background:
+    draws = _chsh_draws(rng, _chsh_samples(heavy))
+
+    def random_worst():
+        return max(_random_bounds(draws), background.result())
+
+    with _Background(_random_bounds, draws) as background:
         return [
             _suite_linalg(_rng(1)),
             _suite_optics(_rng(2)),
@@ -372,5 +409,5 @@ def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,
             _suite_degiorgio(_rng(7), light),
             _suite_oracle_equivalence(_rng(8), heavy),
             _suite_chsh_consistency(),
-            _suite_chsh_bounds(rng, heavy, background.result),
+            _suite_chsh_bounds(rng, heavy, random_worst),
         ]

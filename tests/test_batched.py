@@ -150,6 +150,31 @@ def test_side_stacks_equal_the_runners_at_every_shape(scenario, shape_l, shape_r
         assert np.array_equal(p[index], one.as_array())
 
 
+@pytest.mark.parametrize("scenario, with_fields", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("shape_l, shape_r, shape_fields", [
+    ((4, 1, 1), (1, 6, 1), (1, 1, 5)),
+    ((4, 1), (1, 6), ()),
+    ((), (), (7,)),
+    ((3, 1, 1), (3, 1, 1), (1, 2, 5)),
+], ids=["axes", "scalar-fields", "scalar-angles", "fields-wider"])
+def test_sparse_grids_equal_the_dense_call_bit_for_bit(scenario, with_fields,
+                                                        shape_l, shape_r, shape_fields):
+    # the kernel builds the side matrices at the angles' shape and the branch
+    # phases at the fields' shape; broadcast up front, every input has the full shape
+    rng = np.random.default_rng([SEED, 11, list(Scenario).index(scenario)])
+    theta_l = rng.uniform(0.0, 2.0 * np.pi, shape_l)
+    theta_r = rng.uniform(0.0, 2.0 * np.pi, shape_r)
+    ranges = PHASE_FIELDS[scenario][1] if with_fields else {}
+    fields = {name: rng.uniform(-half, half, shape_fields) for name, half in ranges.items()}
+    sparse = scenario_probabilities(scenario, theta_l, theta_r, **fields)
+    shape = np.broadcast_shapes(shape_l, shape_r, *(v.shape for v in fields.values()))
+    dense = scenario_probabilities(scenario, np.broadcast_to(theta_l, shape),
+                                   np.broadcast_to(theta_r, shape),
+                                   **{name: np.broadcast_to(v, shape) for name, v in fields.items()})
+    assert sparse.shape == dense.shape == shape + (4,)
+    assert sparse.tobytes() == dense.tobytes()
+
+
 @pytest.mark.parametrize("scenario", SIDE_STACK_SCENARIOS, ids=lambda s: s.value)
 @pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=str)
 def test_empty_inputs_give_empty_rows(scenario, shape):

@@ -3,19 +3,25 @@
 One table of entry point x bad value: non-numeric, None, complex (Python
 and numpy), NaN, inf, an array where a scalar is required, a wrong type
 for a roles, grid, angles or distribution argument and a bool for an
-integer. The CLI cases at the end check the same inputs as flag values:
-exit 2 and one error line, never a traceback.
+integer. The CLI cases check the same inputs as flag values: exit 2 and
+one error line, never a traceback. The properties at the end draw any
+value for the phase spec, the angles of ``run_scenario`` and
+``BellAngles`` and the fields of ``GridSpec``: each input gives a valid
+object or distribution, or a ValueError, and NaN or inf always the error.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import topobell as tb
 from topobell import _checks, closed_form, optics
 from topobell.cli import main
-from topobell.entangled import PhaseMode
+from topobell.entangled import _SPEC_MODE, PhaseMode
 
 ROLES = tb.RoleAssignment.STANDARD
 C_FIELDS = {"mu": 1.0, "lambda_l": 0.3, "lambda_r": 0.0}
@@ -252,3 +258,113 @@ def test_cli_rejects_a_value_the_library_rejects_in_one_line(capsys, argv, fragm
 def test_scenario_a_rejects_an_angle_difference_that_overflows():
     with pytest.raises(ValueError, match="theta_l - theta_r"):
         closed_form.scenario_a_distribution(1e308, -1e308)
+
+
+# ---- the boundary, as properties -------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf]).flatmap(
+    lambda v: st.sampled_from([v, np.float64(v), np.array(v), str(v)]))
+#: Any value a caller might pass for a number: the table's bad values, non-finite
+#: floats, integers past float range, bools, text and complex numbers.
+anything = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.integers(-10 ** 400, 10 ** 400),
+    st.booleans(), st.text(max_size=3), st.complex_numbers(allow_nan=False),
+    st.sampled_from(list(BAD.values())),
+)
+
+
+def _inputs(data, names):
+    """Finite floats for ``names``; in about half the draws one of them is ``anything``."""
+    inputs = {name: data.draw(finite, label=name) for name in names}
+    if data.draw(st.booleans()):
+        inputs[data.draw(st.sampled_from(names))] = data.draw(anything, label="odd value")
+    return inputs
+
+
+def _assert_finite_floats(values):
+    assert all(type(v) is float and math.isfinite(v) for v in values)
+
+
+def _spec_and_distribution(scenario, mode, inputs):
+    """The spec of ``mode`` (None for None) from ``inputs``, then ``run_scenario`` at its angles."""
+    fields = {name: inputs[name] for name in tb.TopoPhaseSpec._FIELDS_BY_MODE.get(mode, ())}
+    topo = None if mode is None else tb.TopoPhaseSpec(mode, **fields)
+    if topo is not None:
+        _assert_finite_floats(topo.field_values().values())
+        assert list(topo.field_values()) == list(fields)
+    return tb.run_scenario(scenario, inputs["theta_l"], inputs["theta_r"], topo)
+
+
+@given(data=st.data(), scenario=st.sampled_from(list(tb.Scenario)),
+       mode=st.sampled_from([None, *PhaseMode]))
+@settings(max_examples=80, deadline=None)
+def test_phase_spec_and_run_scenario_give_a_distribution_or_reject(data, scenario, mode):
+    names = ["theta_l", "theta_r", *tb.TopoPhaseSpec._FIELDS_BY_MODE.get(mode, ())]
+    try:
+        dist = _spec_and_distribution(scenario, mode, _inputs(data, names))
+    except ValueError:
+        return
+    p = dist.as_array()
+    assert np.all((p >= 0.0) & (p <= 1.0)) and abs(p.sum() - 1.0) <= 1e-12
+
+
+@given(data=st.data(), scenario=st.sampled_from(list(tb.Scenario)), bad=non_finite)
+@settings(max_examples=40, deadline=None)
+def test_phase_spec_and_run_scenario_reject_nan_and_inf(data, scenario, bad):
+    mode = _SPEC_MODE[scenario]
+    names = ["theta_l", "theta_r", *tb.TopoPhaseSpec._FIELDS_BY_MODE.get(mode, ())]
+    inputs = {name: data.draw(finite, label=name) for name in names}
+    inputs[data.draw(st.sampled_from(names))] = bad
+    with pytest.raises(ValueError):
+        _spec_and_distribution(scenario, mode, inputs)
+
+
+ANGLE_SLOTS = ["theta_l", "theta_r", "theta_lp", "theta_rp"]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_bell_angles_are_four_finite_floats_or_rejected(data):
+    try:
+        angles = tb.BellAngles(**_inputs(data, ANGLE_SLOTS))
+    except ValueError:
+        return
+    _assert_finite_floats(angles.as_tuple())
+
+
+@given(data=st.data(), bad=non_finite)
+@settings(max_examples=20, deadline=None)
+def test_bell_angles_reject_nan_and_inf(data, bad):
+    inputs = {name: data.draw(finite, label=name) for name in ANGLE_SLOTS}
+    inputs[data.draw(st.sampled_from(ANGLE_SLOTS))] = bad
+    with pytest.raises(ValueError):
+        tb.BellAngles(**inputs)
+
+
+grid_counts = st.integers(-3, 40) | st.integers(-10 ** 30, 10 ** 30)
+grid_fields = {"points_per_angle": grid_counts, "refinement_rounds": grid_counts,
+               "shrink_factor": st.floats(-0.5, 1.5), "budget": grid_counts}
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_grid_spec_is_valid_or_rejected(data):
+    inputs = {name: data.draw(values, label=name) for name, values in grid_fields.items()}
+    if data.draw(st.booleans()):
+        inputs[data.draw(st.sampled_from(sorted(inputs)))] = data.draw(anything, label="odd value")
+    try:
+        spec = tb.GridSpec(**inputs)
+    except ValueError:
+        return
+    assert spec.points_per_angle >= 2 and spec.refinement_rounds >= 0 and spec.budget > 0
+    _assert_finite_floats([spec.shrink_factor])
+    assert 0.0 < spec.shrink_factor < 1.0
+    assert spec.total_evaluations() == spec.points_per_angle ** 2 * (spec.refinement_rounds + 1)
+
+
+@given(name=st.sampled_from(sorted(grid_fields)), bad=non_finite)
+@settings(max_examples=20, deadline=None)
+def test_grid_spec_rejects_nan_and_inf(name, bad):
+    with pytest.raises(ValueError):
+        tb.GridSpec(**{name: bad})

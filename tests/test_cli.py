@@ -162,6 +162,19 @@ class TestSimulate:
             default = 1.0 if field == "mu" else 0.0
             assert record[field] == (0.5 if field == name else default)
 
+    @pytest.mark.parametrize("scenario, name", [(scenario, name)
+                                                for scenario, fields in SCENARIO_FIELDS.items()
+                                                for name in fields])
+    def test_a_negative_zero_phase_flag_keeps_its_sign(self, capsys, scenario, name):
+        flag = f"--{name.replace('_', '-')}=-0"
+        code, out, _ = run_cli(capsys, "simulate", "--scenario", scenario,
+                               "--theta-l", "0.3", "--theta-r", "1.1", flag)
+        assert code == 0
+        record = json.loads(out)[0]
+        assert record[name] == 0.0 and np.signbit(record[name])
+        others = [field for field in SCENARIO_FIELDS[scenario] if field != name]
+        assert not any(np.signbit(record[field]) for field in others)
+
     def test_invalid_angle_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--scenario", "B", "--theta-l", "abc", "--theta-r", "0"])

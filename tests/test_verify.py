@@ -197,6 +197,33 @@ def test_chsh_draws_read_the_up_front_draws_block_by_block(samples):
     assert np.concatenate(contrasts).tobytes() == up_front.uniform(-1.0, 1.0, size=samples).tobytes()
 
 
+def test_threads_draining_one_stream_take_each_block_once():
+    samples = 40 * verify._CHSH_BLOCK + 5
+    alone = {contrasts.tobytes(): np.array(rows).tobytes()
+             for rows, contrasts in verify._chsh_draws(verify._rng(10), samples)}
+    draws = verify._chsh_draws(verify._rng(10), samples)
+    taken = [[] for _ in range(4)]  # more threads than cores, each draining into its own list
+
+    def drain(blocks):
+        blocks.extend(draws)
+
+    threads = [threading.Thread(target=drain, args=(blocks,)) for blocks in taken]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    together = [(contrasts.tobytes(), np.array(rows).tobytes())
+                for blocks in taken for rows, contrasts in blocks]
+    assert len(together) == len(alone) == 41
+    assert dict(together) == alone
+
+
 def test_run_suites_fails_chsh_bounds_on_a_fault_in_the_background_half(monkeypatch):
     seen = _plant_fault_at_the_last_column(monkeypatch, 8_300)
     result = verify.run_suites(83, 10)[-1]
@@ -207,7 +234,7 @@ def test_run_suites_fails_chsh_bounds_on_a_fault_in_the_background_half(monkeypa
     assert result == verify._suite_chsh_bounds(verify._rng(10), 83)
 
 
-def test_run_suites_computes_the_random_half_on_a_worker(monkeypatch):
+def test_run_suites_drains_the_random_half_on_a_worker_and_the_main_thread(monkeypatch):
     random_bounds = verify._random_bounds
     threads = []
 
@@ -219,8 +246,39 @@ def test_run_suites_computes_the_random_half_on_a_worker(monkeypatch):
     before = threading.active_count()
     result = verify.run_suites(50, 10)[-1]
     assert threading.active_count() == before
-    assert len(threads) == 1 and threads[0] is not threading.main_thread()
+    assert len(threads) == 2
+    assert sorted(thread is threading.main_thread() for thread in threads) == [False, True]
     assert result == verify._suite_chsh_bounds(verify._rng(10), 50)
+
+
+def test_run_suites_fails_chsh_bounds_on_a_fault_in_a_block_the_main_thread_takes(monkeypatch):
+    seen = _plant_fault_at_the_last_column(monkeypatch, 8_300)
+    random_bounds = verify._random_bounds
+    drained = threading.Event()
+    takers = []
+
+    def taken(draws):
+        for block in draws:
+            takers.append(threading.current_thread())
+            yield block
+
+    def spy(draws):
+        # the worker waits until the main thread has drained every block
+        if threading.current_thread() is not threading.main_thread():
+            drained.wait(timeout=60.0)
+            return random_bounds(taken(draws))
+        try:
+            return random_bounds(taken(draws))
+        finally:
+            drained.set()
+
+    monkeypatch.setattr(verify, "_random_bounds", spy)
+    result = verify.run_suites(83, 10)[-1]
+    assert takers == [threading.main_thread()] * 2
+    assert seen == [108, 108]
+    assert result.name == "chsh-bounds"
+    assert not result.passed and result.worst_residual > 0.5
+    assert result == verify._suite_chsh_bounds(verify._rng(10), 83)
 
 
 @pytest.mark.parametrize("name", ["_random_bounds", "_suite_linalg"])
