@@ -82,7 +82,7 @@ def _spec_mode(scenario: Scenario, given: bool = True) -> PhaseMode | None:
 
 
 def _checked_fields(mode: PhaseMode, values: dict, check=_checks.finite_array) -> dict:
-    """The fields of ``mode`` from ``values`` through ``check``, in the mode's order.
+    """The fields of ``mode`` from ``values`` in the mode's order; ``check`` takes each phase too.
 
     Raises ValueError for a missing or foreign field, a non-finite value,
     or a finite pair whose phase product overflows.
@@ -103,7 +103,7 @@ def _checked_fields(mode: PhaseMode, values: dict, check=_checks.finite_array) -
             if mode is PhaseMode.SPIN_CONDITIONED:
                 phases["mu*(lambda_l - lambda_r)"] = mu * (fields["lambda_l"] - fields["lambda_r"])
         for label, phase in phases.items():
-            _checks.finite_array(f"phase {label}", phase)
+            check(f"phase {label}", phase)
     return fields
 
 
@@ -166,23 +166,16 @@ class TopoPhaseSpec:
         """This spec's populated fields by name, the keywords of the batched entry points."""
         return {name: getattr(self, name) for name in self._FIELDS_BY_MODE[self.mode]}
 
-    @classmethod
-    def broadcast(cls, scenario: Scenario, theta_l, theta_r, **fields):
-        """Validate one batch of inputs for ``scenario`` and broadcast it to one shape.
-
-        The keyword arrays are named after this class's fields and must be
-        exactly those of the scenario's phase mode (:data:`_SPEC_MODE`).
-        Returns float arrays ``(theta_l, theta_r, fields)``.
-        Raises ``ValueError`` for a missing or foreign field, a non-finite
-        angle, field or phase product, or shapes that do not broadcast.
-        """
-        theta_l, theta_r, fields = _checked_batch(scenario, theta_l, theta_r, fields)
-        theta_l, theta_r, *values = np.broadcast_arrays(theta_l, theta_r, *fields.values())
-        return theta_l, theta_r, dict(zip(fields, values))
-
 
 def _checked_batch(scenario: Scenario, theta_l, theta_r, fields: dict):
-    """:meth:`TopoPhaseSpec.broadcast`'s checks, with the inputs left at their own shapes."""
+    """One batch of inputs for ``scenario``, checked and broadcast as the kernels take them.
+
+    Returns float arrays ``(theta_l, theta_r, fields)``: the angles broadcast
+    against each other and the fields against each other, or all to one
+    shape for scenario A's arm integrals, which enter the side matrices.
+    Raises ``ValueError`` for a missing or foreign field (:data:`_SPEC_MODE`),
+    a non-finite angle, field or phase, or shapes that do not broadcast.
+    """
     mode = _spec_mode(scenario, bool(fields))
     if mode is not None:
         fields = _checked_fields(mode, fields)
@@ -192,7 +185,30 @@ def _checked_batch(scenario: Scenario, theta_l, theta_r, fields: dict):
     theta_l = _checks.finite_array("theta_l", theta_l)
     theta_r = _checks.finite_array("theta_r", theta_r)
     np.broadcast(theta_l, theta_r, *fields.values())  # ValueError unless the shapes broadcast
-    return theta_l, theta_r, fields
+    if scenario is Scenario.A and fields:
+        theta_l, theta_r, *values = np.broadcast_arrays(theta_l, theta_r, *fields.values())
+    else:
+        theta_l, theta_r = np.broadcast_arrays(theta_l, theta_r)
+        values = np.broadcast_arrays(*fields.values())
+    return theta_l, theta_r, dict(zip(fields, values))
+
+
+def _checked_point(scenario: Scenario, theta_l, theta_r, topo):
+    """One point's inputs for ``scenario``, checked: ``(theta_l, theta_r, fields)``.
+
+    Raises ``ValueError`` first unless ``topo`` is the scenario's phase spec
+    (:data:`_SPEC_MODE`) or None where it needs none, then for an angle that
+    is not a finite real scalar. The spec checked its own fields.
+    """
+    mode = _spec_mode(scenario, topo is not None)
+    if not ((isinstance(topo, TopoPhaseSpec) and topo.mode is mode)
+            or (topo is None and mode is None)):
+        rule = "takes no topological" if mode is None else f"requires a {mode.value}"
+        got = topo.mode.value if isinstance(topo, TopoPhaseSpec) else type(topo).__name__
+        raise ValueError(f"scenario {scenario.value} {rule} phase spec, got {got}")
+    fields = {} if topo is None else topo.field_values()
+    return (_checks.finite_scalar("theta_l", theta_l),
+            _checks.finite_scalar("theta_r", theta_r), fields)
 
 
 @dataclass(frozen=True)
@@ -226,7 +242,9 @@ class DetectionDistribution:
 
     @classmethod
     def from_array(cls, p: np.ndarray) -> "DetectionDistribution":
-        arr = np.asarray(p, dtype=float)
+        arr = np.asarray(p)
+        if arr.dtype.kind not in "biuf":  # complex, text, None and other objects
+            raise ValueError(f"probabilities must be real numbers, got {p!r}")
         if arr.shape != (4,):
             raise ValueError(f"expected 4 probabilities, got shape {arr.shape}")
         return cls(*(float(x) for x in arr))
@@ -291,16 +309,6 @@ def _joint_probabilities(m_l: np.ndarray, m_r: np.ndarray, phi_ud, phi_du) -> np
     return (np.abs(_R * amp) ** 2).reshape(amp.shape[:-2] + (4,))
 
 
-def _check_spec(scenario: Scenario, topo) -> None:
-    """ValueError unless ``topo`` is ``scenario``'s phase spec, or None where it needs none."""
-    mode = _spec_mode(scenario, topo is not None)
-    if (isinstance(topo, TopoPhaseSpec) and topo.mode is mode) or (topo is None and mode is None):
-        return
-    rule = "takes no topological" if mode is None else f"requires a {mode.value}"
-    got = topo.mode.value if isinstance(topo, TopoPhaseSpec) else type(topo).__name__
-    raise ValueError(f"scenario {scenario.value} {rule} phase spec, got {got}")
-
-
 def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
                  topo: TopoPhaseSpec | None = None) -> DetectionDistribution:
     """Joint detection probabilities of ``scenario`` at one pair of retarder angles.
@@ -311,10 +319,7 @@ def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
     symmetric) arm integrals give (cos^2, sin^2, sin^2, cos^2)/2 of half
     the retarder difference; in C only lambda_l - lambda_r survives.
     """
-    _check_spec(scenario, topo)
-    fields = {} if topo is None else topo.field_values()
-    p = _probabilities(scenario, _checks.finite_scalar("theta_l", theta_l),
-                       _checks.finite_scalar("theta_r", theta_r), fields)
+    p = _probabilities(scenario, *_checked_point(scenario, theta_l, theta_r, topo))
     return DetectionDistribution(*p.tolist())
 
 
@@ -339,33 +344,23 @@ def _loop_phase_products(mu, lambda_l, lambda_r) -> tuple[np.ndarray, np.ndarray
 def scenario_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np.ndarray:
     """Joint detection probabilities of ``scenario`` over arrays of points.
 
-    The keyword arrays are the phase spec's fields
-    (:meth:`TopoPhaseSpec.broadcast` says which scenario takes which), and
+    The keyword arrays are the phase spec's fields (:data:`_SPEC_MODE`), and
     every input broadcasts against the others. Returns (..., 4) in
     :class:`DetectionDistribution` order; :func:`run_scenario` is one row.
 
-    Only scenario A's arm integrals enter the side matrices. Otherwise the
-    angles are broadcast against each other and the fields against each
-    other, so a grid with the fields on their own axes builds each side
-    matrix once per pair of angles, not once per point; the result is the
-    same bits as for the inputs broadcast to one shape.
+    The batch check, :func:`_checked_batch`, is the oracle's too. On a
+    sparse grid with the fields on their own axes, each side matrix is
+    built once per pair of angles rather than per point (scenario A's arm
+    integrals excepted), with the bits of the inputs broadcast to one shape.
     """
-    theta_l, theta_r, fields = _checked_batch(scenario, theta_l, theta_r, fields)
-    if scenario is Scenario.A and fields:
-        theta_l, theta_r, *values = np.broadcast_arrays(theta_l, theta_r, *fields.values())
-    else:
-        theta_l, theta_r = np.broadcast_arrays(theta_l, theta_r)
-        values = np.broadcast_arrays(*fields.values())
-    return _probabilities(scenario, theta_l, theta_r, dict(zip(fields, values)))
+    return _probabilities(scenario, *_checked_batch(scenario, theta_l, theta_r, fields))
 
 
 def _probabilities(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.ndarray:
-    """The scenario kernel on checked inputs (floats or arrays); no validation.
+    """The scenario kernel on what :func:`_checked_batch` or :func:`_checked_point` returns.
 
-    The two angles have one shape, and so have the fields (empty for A
-    without a spec); A's arm integrals have the angles' shape, the other
-    fields any shape that broadcasts against it. The two sides are stacked
-    on a new leading axis, so one call builds both sides' matrices.
+    The two sides are stacked on a new leading axis, so one call builds
+    both sides' matrices.
     """
     thetas = np.array((theta_l, theta_r))
     if scenario is Scenario.A:

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import _checks, chsh
 from .chsh import BellAngles, RoleAssignment, chsh_S, chsh_terms
-from .entangled import DetectionDistribution, Scenario, TopoPhaseSpec, _check_spec
+from .entangled import (DetectionDistribution, Scenario, TopoPhaseSpec, _checked_batch,
+                        _checked_point)
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,12 +75,12 @@ def brute_force_probabilities(scenario: Scenario, theta_l, theta_r, **fields) ->
 
     Takes the inputs of :func:`topobell.entangled.scenario_probabilities`
     (angles and phase-spec fields as arrays that broadcast against each
-    other) and returns (..., 4). The singlet branches, their
-    spin-conditioned scalar phases and the mirrored right-hand detector
-    labels of scenario A are restated here from the physical conventions;
-    no closed-form result enters.
+    other, sparse grids too) through its batch check and returns (..., 4).
+    The singlet branches, their spin-conditioned scalar phases and the
+    mirrored right-hand detector labels of scenario A are restated here
+    from the physical conventions; no closed-form result enters.
     """
-    return _brute_force(scenario, *TopoPhaseSpec.broadcast(scenario, theta_l, theta_r, **fields))
+    return _brute_force(scenario, *_checked_batch(scenario, theta_l, theta_r, fields))
 
 
 def _left_product(m: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -104,13 +105,15 @@ _SINGLET_BRANCHES[1, 0], _SINGLET_BRANCHES[2, 1] = 1.0 / np.sqrt(2.0), -1.0 / np
 
 
 def _brute_force(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.ndarray:
-    """:func:`brute_force_probabilities` on checked inputs of one shape, or on floats.
+    """:func:`brute_force_probabilities` on what ``_checked_batch`` or ``_checked_point`` returns.
 
-    Each product with a factor shared by every point, a constant 4x4
-    operator or the two singlet start vectors, is one 2-D matmul over the
-    whole stack (:func:`_left_product`, :func:`_right_product`); only
-    scenario A's arm phases meet the retarders point by point, as a
-    scaling of the chain's columns by the retarders' diagonal.
+    The branch phases scale the branches elementwise, so fields may keep
+    their own shape. Each product with a factor shared by every point, a
+    constant 4x4 operator or the two singlet start vectors, is one 2-D
+    matmul over the whole stack (:func:`_left_product`,
+    :func:`_right_product`); only scenario A's arm phases meet the
+    retarders point by point, as a scaling of the chain's columns by the
+    retarders' diagonal.
     """
     retarders = _kron(_diag(np.exp(1j * theta_l), 1.0), _diag(np.exp(1j * theta_r), 1.0))
     unit = np.ones(np.shape(theta_l))
@@ -150,10 +153,8 @@ def brute_force_distribution(scenario: Scenario, theta_l: float, theta_r: float,
     with the same messages: first unless ``topo`` is the scenario's phase
     spec, then for an angle that is not a finite real scalar.
     """
-    _check_spec(scenario, topo)
-    angles = _checks.finite_scalar("theta_l", theta_l), _checks.finite_scalar("theta_r", theta_r)
-    fields = {} if topo is None else topo.field_values()
-    return DetectionDistribution.from_array(_brute_force(scenario, *angles, fields))
+    return DetectionDistribution.from_array(
+        _brute_force(scenario, *_checked_point(scenario, theta_l, theta_r, topo)))
 
 
 @dataclass(frozen=True)

@@ -197,13 +197,22 @@ def test_phase_spec_fields_are_stored_as_floats(value):
         assert all(type(v) is float for v in spec.field_values().values())
 
 
-@pytest.mark.parametrize("bad", [BAD["text"], BAD["none"], BAD["complex"], BAD["list"],
-                                 np.array([0.5]), np.complex128(0.5), np.complex64(0.5)],
-                         ids=["text", "none", "complex", "list", "one-entry-array",
-                              "complex128", "complex64"])
-def test_detection_distribution_rejects_a_non_real_probability(bad):
+def _as_first_probability(value):
+    return tb.DetectionDistribution(value, 0.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("build, bad", [
+    *((_as_first_probability, bad) for bad in (
+        BAD["text"], BAD["none"], BAD["complex"], BAD["list"], np.array([0.5]),
+        np.complex128(0.5), np.complex64(0.5))),
+    *((tb.DetectionDistribution.from_array, bad) for bad in (
+        np.array([0.5 + 1j, 0.5, 0.0, 0.0]), [0.5 + 0j, 0.5, 0.0, 0.0],
+        ["0.5", "0.5", "0", "0"], [None, 0.5, 0.0, 0.0])),
+], ids=["text", "none", "complex", "list", "one-entry-array", "complex128", "complex64",
+        "from-array-complex", "from-array-complex-list", "from-array-text", "from-array-none"])
+def test_detection_distribution_rejects_a_non_real_probability(build, bad):
     with pytest.raises(ValueError, match="probabilities must be real numbers"):
-        tb.DetectionDistribution(bad, 0.5, 0.0, 0.0)
+        build(bad)
 
 
 def test_bell_angles_and_shrink_factor_are_stored_as_floats():

@@ -15,7 +15,8 @@ REMOVED = {
     cli: ("_parse_angle", "_checked_contrast"),
     entangled: ("SpinBranch", "TwoQuantonState", "singlet_source", "run_scenario_a",
                 "run_scenario_b", "run_scenario_c", "run_scenario_ab", "_finite_array",
-                "_SCENARIO_MODES", "_scenario_modes", "_interferometer"),
+                "_SCENARIO_MODES", "_scenario_modes", "_interferometer", "_check_spec"),
+    entangled.TopoPhaseSpec: ("broadcast",),
     linalg: ("as_operator", "as_state", "dagger", "is_unitary", "apply",
              "joint_probabilities", "norm", "DEFAULT_TOL", "tensor_product"),
     optics: ("custom_beam_splitter", "NonUnitaryError", "CUSTOM_SPLITTER_TOL",
