@@ -15,6 +15,7 @@ disagree on which fixed angle tuples are optimal (see
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,30 @@ def _S_from_trig(a, ap, b, bp, c):
     """
     s = np.abs(_expectation(*a, *b, c) - _expectation(*a, *bp, c))
     return s + np.abs(_expectation(*ap, *b, c) + _expectation(*ap, *bp, c))
+
+
+def _S_both_roles(trig, c):
+    """S under each role assignment at contrasts ``c`` and at zero contrast; no validation.
+
+    ``trig`` is the (cos, sin) pair of each slot angle (tL, tR, tL', tR').
+    Returns ``(s_at_c, s_at_zero)`` per :class:`RoleAssignment`, in its
+    order, equal bit for bit to :func:`_S_from_trig` at the contrast rows
+    ``c`` and 0. The two assignments take their eight E terms from the six
+    pairs of the four angles: each pair's X = cos cos + sin sin * c is
+    taken once, with E = -X (negation is exact) and X symmetric in its two
+    angles, and at zero contrast X is cos cos.
+    """
+    x = {}
+    for i, j in itertools.combinations(range(4), 2):
+        (cos_i, sin_i), (cos_j, sin_j) = trig[i], trig[j]
+        cos_cos = cos_i * cos_j
+        x[i, j] = x[j, i] = (cos_cos + sin_i * sin_j * c, cos_cos)
+    out = []
+    for roles in RoleAssignment:
+        a, ap, b, bp = roles._roles_of(0, 1, 2, 3)
+        out.append(tuple(np.abs(x[a, b][k] - x[a, bp][k]) + np.abs(x[ap, b][k] + x[ap, bp][k])
+                         for k in (0, 1)))
+    return tuple(out)
 
 
 def chsh_S(angles: BellAngles, c: float, roles: RoleAssignment) -> float:

@@ -96,15 +96,25 @@ def _checked_fields(mode: PhaseMode, values: dict, check=_checks.finite_array) -
             raise ValueError(f"{mode.value} mode requires field {name!r}")
     fields = {name: check(f"field {name!r}", values[name]) for name in wanted}
     if "mu" in fields:
-        # finite fields can still give an infinite phase, and exp(-i*inf) is NaN
-        mu = fields["mu"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            phases = {f"mu*{name}": mu * fields[name] for name in wanted if name != "mu"}
-            if mode is PhaseMode.SPIN_CONDITIONED:
-                phases["mu*(lambda_l - lambda_r)"] = mu * (fields["lambda_l"] - fields["lambda_r"])
+        # finite fields can still give an infinite phase, and exp(-i*inf) is NaN;
+        # Python floats overflow to inf and nan without a warning, arrays warn
+        if check is _checks.finite_scalar:
+            phases = _phase_products(mode, fields)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                phases = _phase_products(mode, fields)
         for label, phase in phases.items():
             check(f"phase {label}", phase)
     return fields
+
+
+def _phase_products(mode: PhaseMode, fields: dict) -> dict:
+    """The phase products of ``mode``'s checked fields, by label."""
+    mu = fields["mu"]
+    phases = {f"mu*{name}": mu * value for name, value in fields.items() if name != "mu"}
+    if mode is PhaseMode.SPIN_CONDITIONED:
+        phases["mu*(lambda_l - lambda_r)"] = mu * (fields["lambda_l"] - fields["lambda_r"])
+    return phases
 
 
 @dataclass(frozen=True)
@@ -173,6 +183,7 @@ def _checked_batch(scenario: Scenario, theta_l, theta_r, fields: dict):
     Returns float arrays ``(theta_l, theta_r, fields)``: the angles broadcast
     against each other and the fields against each other, or all to one
     shape for scenario A's arm integrals, which enter the side matrices.
+    Scenario B takes no fields, so its angles keep their own shapes.
     Raises ``ValueError`` for a missing or foreign field (:data:`_SPEC_MODE`),
     a non-finite angle, field or phase, or shapes that do not broadcast.
     """
@@ -187,6 +198,8 @@ def _checked_batch(scenario: Scenario, theta_l, theta_r, fields: dict):
     np.broadcast(theta_l, theta_r, *fields.values())  # ValueError unless the shapes broadcast
     if scenario is Scenario.A and fields:
         theta_l, theta_r, *values = np.broadcast_arrays(theta_l, theta_r, *fields.values())
+    elif scenario is Scenario.B:
+        values = ()
     else:
         theta_l, theta_r = np.broadcast_arrays(theta_l, theta_r)
         values = np.broadcast_arrays(*fields.values())
@@ -250,9 +263,10 @@ class DetectionDistribution:
         return cls(*(float(x) for x in arr))
 
 
-# shared read-only instance for the scenario hot paths
+# shared read-only instance for the scenario hot paths, and its columns as (2, 1) views
 _BS = beam_splitter()
 _BS.setflags(write=False)
+_BS_COLUMNS = (_BS[:, None, 0], _BS[:, None, 1])
 
 _R = 1.0 / math.sqrt(2.0)  # magnitude of each singlet amplitude
 
@@ -266,12 +280,13 @@ def _splitter_fronts(d0: np.ndarray, d1: np.ndarray | None = None) -> np.ndarray
     zero real or imaginary part, so every entry is one exactly rounded
     product, the bits of the matmul.
     """
+    column_0, column_1 = _BS_COLUMNS
     out = np.empty((2, d0.size, 2), dtype=complex)
-    np.multiply(_BS[:, None, 0], d0, out=out[..., 0])
+    np.multiply(column_0, d0, out=out[..., 0])
     if d1 is None:
-        out[..., 1] = _BS[:, None, 1]
+        out[..., 1] = column_1
     else:
-        np.multiply(_BS[:, None, 1], d1, out=out[..., 1])
+        np.multiply(column_1, d1, out=out[..., 1])
     return out
 
 
@@ -293,19 +308,21 @@ def _interferometers(theta: np.ndarray) -> np.ndarray:
     return _stacked((fronts.reshape(-1, 2) @ _BS).reshape(fronts.shape), theta.shape)
 
 
-def _joint_probabilities(m_l: np.ndarray, m_r: np.ndarray, phi_ud, phi_du) -> np.ndarray:
+def _joint_probabilities(m_l: np.ndarray, m_r: np.ndarray,
+                         phi_ud=None, phi_du=None) -> np.ndarray:
     """Joint detection probabilities of the path singlet behind per-side optics.
 
     ``m_l`` and ``m_r`` are stacks (..., 2, 2) of the sides' transfer
     matrices (row = detector, column = input port); ``phi_ud`` and
     ``phi_du`` are the up-down and down-up branch phases, scalars or arrays
     with two trailing unit axes, so that they broadcast against the
-    (..., 2, 2) detector pairs. The amplitude at detectors (j, k) is
-    (phi_1 M_L[j,0] M_R[k,1] - phi_2 M_L[j,1] M_R[k,0]) / sqrt(2); the
-    result is (..., 4) in :class:`DetectionDistribution` order.
+    (..., 2, 2) detector pairs, or None for no branch phase. The amplitude
+    at detectors (j, k) is (phi_1 M_L[j,0] M_R[k,1] - phi_2 M_L[j,1] M_R[k,0])
+    / sqrt(2); the result is (..., 4) in :class:`DetectionDistribution` order.
     """
-    amp = (phi_ud * (m_l[..., :, 0, None] * m_r[..., None, :, 1])
-           - phi_du * (m_l[..., :, 1, None] * m_r[..., None, :, 0]))
+    ud = m_l[..., :, 0, None] * m_r[..., None, :, 1]
+    du = m_l[..., :, 1, None] * m_r[..., None, :, 0]
+    amp = ud - du if phi_ud is None else phi_ud * ud - phi_du * du
     return (np.abs(_R * amp) ** 2).reshape(amp.shape[:-2] + (4,))
 
 
@@ -351,9 +368,13 @@ def scenario_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np
     The batch check, :func:`_checked_batch`, is the oracle's too. On a
     sparse grid with the fields on their own axes, each side matrix is
     built once per pair of angles rather than per point (scenario A's arm
-    integrals excepted), with the bits of the inputs broadcast to one shape.
+    integrals excepted), and scenario B's once per angle, with the bits of
+    the inputs broadcast to one shape.
     """
-    return _probabilities(scenario, *_checked_batch(scenario, theta_l, theta_r, fields))
+    theta_l, theta_r, fields = _checked_batch(scenario, theta_l, theta_r, fields)
+    if theta_l.shape != theta_r.shape:  # scenario B's sides, each at its own shape
+        return _joint_probabilities(_interferometers(theta_l), _interferometers(theta_r))
+    return _probabilities(scenario, theta_l, theta_r, fields)
 
 
 def _probabilities(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.ndarray:
@@ -375,10 +396,10 @@ def _probabilities(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.nda
             sides = _splitter_fronts(retarders)
         m_l, m_r = _stacked(sides, thetas.shape)
         # mirrored right side: detector k reads splitter port 1-k
-        return _joint_probabilities(m_l, m_r[..., ::-1, :], 1, 1)
+        return _joint_probabilities(m_l, m_r[..., ::-1, :])
     m_l, m_r = _interferometers(thetas)
     if scenario is Scenario.B:
-        return _joint_probabilities(m_l, m_r, 1, 1)
+        return _joint_probabilities(m_l, m_r)
     if scenario is Scenario.C:
         phi_ud, phi_du = _loop_phase_products(fields["mu"], fields["lambda_l"], fields["lambda_r"])
         phi_ud, phi_du = phi_ud[..., None, None], phi_du[..., None, None]

@@ -135,20 +135,25 @@ def _suite_scenario_b_closed_form() -> SuiteResult:
 
 
 def _scenario_c_grid():
-    """The fixed (theta_l, theta_r, mu*lambda) grid of the scenario-C suites.
+    """The fixed (theta_l, theta_r, mu*lambda) grid of the scenario-C suites, and C simulated on it.
 
     Sparse: each coordinate varies along its own axis and the consumers
     broadcast, so the kernel builds each side matrix once per angle pair.
+    Returns ``(theta_l, theta_r, mu_lambda, probabilities)``;
+    :func:`run_suites` simulates it once for both suites that read it.
     """
     angles = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
     mu_lambdas = np.linspace(0.0, np.pi, 25, endpoint=False)
-    return np.meshgrid(angles, angles, mu_lambdas, indexing="ij", sparse=True)
-
-
-def _suite_scenario_c_closed_form(inject_fault: str | None) -> SuiteResult:
-    theta_l, theta_r, mu_lambda = _scenario_c_grid()
+    theta_l, theta_r, mu_lambda = np.meshgrid(angles, angles, mu_lambdas, indexing="ij",
+                                              sparse=True)
     simulated = scenario_probabilities(Scenario.C, theta_l, theta_r,
                                        mu=1.0, lambda_l=mu_lambda, lambda_r=0.0)
+    return theta_l, theta_r, mu_lambda, simulated
+
+
+def _suite_scenario_c_closed_form(inject_fault: str | None, grid=None) -> SuiteResult:
+    """The scenario-C grid against its closed form; ``grid``: :func:`_scenario_c_grid`, if taken."""
+    theta_l, theta_r, mu_lambda, simulated = _scenario_c_grid() if grid is None else grid
     two_ml = 2.0 * mu_lambda
     if inject_fault == FAULT_SCENARIO_C_SIGN:
         two_ml = np.pi - two_ml  # flips the interference term sign
@@ -211,11 +216,10 @@ def _suite_oracle_equivalence(rng: np.random.Generator, draws: int) -> SuiteResu
     return SuiteResult("oracle-equivalence", worst, 1e-12)
 
 
-def _suite_chsh_consistency() -> SuiteResult:
+def _suite_chsh_consistency(grid=None) -> SuiteResult:
+    """E from the pipeline against the closed forms; ``grid``: :func:`_scenario_c_grid`, if taken."""
     # channel consistency: pipeline distribution vs closed-form expectation
-    theta_l, theta_r, mu_lambda = _scenario_c_grid()
-    p = scenario_probabilities(Scenario.C, theta_l, theta_r,
-                               mu=1.0, lambda_l=mu_lambda, lambda_r=0.0)
+    theta_l, theta_r, mu_lambda, p = _scenario_c_grid() if grid is None else grid
     expected = chsh.expectation_closed_form(theta_l, theta_r, np.cos(2.0 * mu_lambda))
     measured = chsh.expectation_from_probabilities(p)
     worst = float(np.max(np.abs(measured - expected)))
@@ -278,7 +282,7 @@ class _Shared:
 
 
 def _random_bounds(draws) -> float:
-    """Worst excess of S over 2*sqrt(2) at the drawn contrast and over 2 at zero.
+    """Worst excess of S over 2*sqrt(1 + c*c) at the drawn contrast c and over 2 at zero.
 
     Taken over the blocks of :func:`_chsh_draws` that this call takes from
     ``draws``: two threads that drain one stream each get the worst of
@@ -287,17 +291,13 @@ def _random_bounds(draws) -> float:
     suites on a worker thread.
     """
     worst = 0.0
-    # fixed blocks bound the temporaries; contrast row 0 is the draw, row 1 zero.
-    # Both role assignments permute the same four angle rows, so each row's
-    # cos/sin is taken once per block.
+    # fixed blocks bound the temporaries; each row's cos/sin and each column's
+    # bound are taken once per block and serve both role assignments
     for rows, contrasts in draws:
-        c = np.zeros((2, len(contrasts)))
-        c[0] = contrasts
+        bound = 2.0 * np.sqrt(1.0 + contrasts * contrasts)
         trig = [(np.cos(row), np.sin(row)) for row in rows]
-        for roles in chsh.RoleAssignment:
-            s_any, s_zero = chsh._S_from_trig(*roles._roles_of(*trig), c)
-            worst = max(worst, float(np.max(s_any) - chsh.TSIRELSON_BOUND),
-                        float(np.max(s_zero) - 2.0))
+        for s_any, s_zero in chsh._S_both_roles(trig, contrasts):
+            worst = max(worst, float(np.max(s_any - bound)), float(np.max(s_zero) - 2.0))
     return worst
 
 
@@ -380,7 +380,8 @@ def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,
     while this thread runs the other eleven suites; then this thread takes
     the blocks that are left, and chsh-bounds reports the larger of the two
     worsts, the value the suite computes alone. The worker is joined
-    before this returns or raises.
+    before this returns or raises. The scenario-C grid is simulated once,
+    for both suites that read it.
     """
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; known: {KNOWN_FAULTS}")
@@ -397,17 +398,18 @@ def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,
         return max(_random_bounds(draws), background.result())
 
     with _Background(_random_bounds, draws) as background:
+        c_grid = _scenario_c_grid()
         return [
             _suite_linalg(_rng(1)),
             _suite_optics(_rng(2)),
             _suite_distribution_validity(_rng(3), heavy),
             _suite_scenario_b_closed_form(),
-            _suite_scenario_c_closed_form(inject_fault),
+            _suite_scenario_c_closed_form(inject_fault, c_grid),
             _suite_scenario_c_gauge(_rng(4), light),
             _suite_scenario_a_topo_invariance(_rng(5), light),
             _suite_scenario_ab_reduction(_rng(6), light),
             _suite_degiorgio(_rng(7), light),
             _suite_oracle_equivalence(_rng(8), heavy),
-            _suite_chsh_consistency(),
+            _suite_chsh_consistency(c_grid),
             _suite_chsh_bounds(rng, heavy, random_worst),
         ]

@@ -106,7 +106,7 @@ def test_criterion_06_bounds_over_a_million_draws():
     # 100 * 10^4 = 10^6 draws of four angles and a contrast, both role assignments
     result = verify._suite_chsh_bounds(np.random.default_rng(RNG_SEED), 10_000)
     _check(result, 1e-9)
-    _report(6, "no draw among 10^6 beats 2*sqrt2 anywhere or 2 at zero contrast, "
+    _report(6, "no draw among 10^6 beats 2*sqrt(1+c^2) at its contrast or 2 at zero contrast, "
                "and the fixed-angle curve stays below 2*sqrt(1+c^2)", result.worst_residual)
 
 

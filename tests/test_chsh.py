@@ -162,6 +162,22 @@ class TestChshS:
         assert values.shape == expected.shape == (2, n)
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
+    def test_both_roles_helper_equals_the_trig_helper_bit_for_bit(self, rng):
+        # random columns, then every tuple of special angles at each special contrast
+        special = np.array([0.0, -0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+        corners = np.array(np.meshgrid(*[special] * 4, indexing="ij")).reshape(4, -1)
+        special_c = np.array([0.0, -0.0, 1.0, -1.0])
+        thetas = np.hstack([rng.uniform(0.0, 2 * np.pi, size=(4, 20_000)),
+                            np.repeat(corners, special_c.size, axis=1)])
+        c = np.concatenate([rng.uniform(-1.0, 1.0, 20_000), np.tile(special_c, corners.shape[1])])
+        trig = [(np.cos(t), np.sin(t)) for t in thetas]
+        both = chsh._S_both_roles(trig, c)
+        assert len(both) == len(RoleAssignment)
+        for roles, rows in zip(RoleAssignment, both):
+            expected = chsh._S_from_trig(*roles._roles_of(*trig), np.array([c, np.zeros_like(c)]))
+            assert np.array(rows).shape == expected.shape == (2, c.size)
+            assert np.array(rows).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("slot", range(4))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_angle_by_name(self, slot, bad):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topobell import chsh, optics, verify
+from topobell import chsh, entangled, optics, verify
 from topobell.entangled import Scenario
 
 
@@ -158,20 +158,20 @@ def test_optics_stacked_product_equals_the_per_point_products():
 
 
 def _plant_fault_at_the_last_column(monkeypatch, samples):
-    """Make ``chsh._S_from_trig`` add 1 to S at the last angle column of the
+    """Make ``chsh._S_both_roles`` add 1 to every S at the last angle column of the
     chsh-bounds draws of ``samples`` columns; returns the sizes of the hit blocks."""
     planted = verify._rng(10).uniform(0.0, 2.0 * np.pi, size=(4, samples))[0, -1]
-    s_from_trig = chsh._S_from_trig
+    s_both_roles = chsh._S_both_roles
     seen = []
 
-    def faulty(a, *rest):
-        # slot theta_l is role a under both assignments
-        hit = (a[0] == np.cos(planted)) & (a[1] == np.sin(planted))
+    def faulty(trig, c):
+        cos_l, sin_l = trig[0]  # slot theta_l
+        hit = (cos_l == np.cos(planted)) & (sin_l == np.sin(planted))
         if hit.any():
             seen.append(np.size(hit))
-        return s_from_trig(a, *rest) + hit
+        return tuple(tuple(s + hit for s in rows) for rows in s_both_roles(trig, c))
 
-    monkeypatch.setattr(chsh, "_S_from_trig", faulty)
+    monkeypatch.setattr(chsh, "_S_both_roles", faulty)
     return seen
 
 
@@ -179,8 +179,18 @@ def test_chsh_bounds_checks_the_last_partial_block(monkeypatch):
     # 8,300 samples: one full block of 8,192 columns and a last one of 108
     seen = _plant_fault_at_the_last_column(monkeypatch, 8_300)
     result = verify._suite_chsh_bounds(verify._rng(10), 83)
-    assert seen == [108, 108]
+    assert seen == [108]
     assert not result.passed and result.worst_residual > 0.5
+
+
+def test_chsh_bounds_fails_a_contrast_inflated_inside_S(monkeypatch):
+    # S at contrast sign(c)*sqrt(|c|) stays under 2*sqrt(2), and the zero row keeps
+    # contrast 0, so only the bound 2*sqrt(1 + c*c) at the drawn c sees it (+0.206)
+    s_both_roles = chsh._S_both_roles
+    monkeypatch.setattr(chsh, "_S_both_roles",
+                        lambda trig, c: s_both_roles(trig, np.sign(c) * np.sqrt(np.abs(c))))
+    result = verify._suite_chsh_bounds(verify._rng(10), 83)
+    assert not result.passed and result.worst_residual > 0.2
 
 
 @pytest.mark.parametrize("samples", [8_300, 100_000])
@@ -227,7 +237,7 @@ def test_threads_draining_one_stream_take_each_block_once():
 def test_run_suites_fails_chsh_bounds_on_a_fault_in_the_background_half(monkeypatch):
     seen = _plant_fault_at_the_last_column(monkeypatch, 8_300)
     result = verify.run_suites(83, 10)[-1]
-    assert seen == [108, 108]
+    assert seen == [108]
     assert result.name == "chsh-bounds"
     assert not result.passed and result.worst_residual > 0.5
     # the worker's worst value is the one the suite computes inline
@@ -275,10 +285,43 @@ def test_run_suites_fails_chsh_bounds_on_a_fault_in_a_block_the_main_thread_take
     monkeypatch.setattr(verify, "_random_bounds", spy)
     result = verify.run_suites(83, 10)[-1]
     assert takers == [threading.main_thread()] * 2
-    assert seen == [108, 108]
+    assert seen == [108]
     assert result.name == "chsh-bounds"
     assert not result.passed and result.worst_residual > 0.5
     assert result == verify._suite_chsh_bounds(verify._rng(10), 83)
+
+
+def test_scenario_b_grid_builds_one_side_matrix_per_angle(monkeypatch):
+    # 100 angles per side: the sides keep their own shapes, not the 100 x 100 grid's
+    interferometers = entangled._interferometers
+    built = []
+
+    def spy(theta):
+        built.append(theta.size)
+        return interferometers(theta)
+
+    monkeypatch.setattr(entangled, "_interferometers", spy)
+    assert verify._suite_scenario_b_closed_form().passed
+    assert built == [100, 100]
+
+
+def test_run_suites_simulates_the_scenario_c_grid_once(monkeypatch):
+    scenario_probabilities = verify.scenario_probabilities
+    grids = []
+
+    def spy(scenario, *args, **fields):
+        p = scenario_probabilities(scenario, *args, **fields)
+        if scenario is Scenario.C and p.shape == (20, 20, 25, 4):
+            grids.append(p)
+        return p
+
+    monkeypatch.setattr(verify, "scenario_probabilities", spy)
+    results = {result.name: result for result in verify.run_suites(50, 10)}
+    assert len(grids) == 1
+    # each suite called alone simulates the grid itself, with the same result
+    assert results["scenario-c-closed-form"] == verify._suite_scenario_c_closed_form(None)
+    assert results["chsh-consistency"] == verify._suite_chsh_consistency()
+    assert len(grids) == 3
 
 
 @pytest.mark.parametrize("name", ["_random_bounds", "_suite_linalg"])
