@@ -20,9 +20,6 @@ from .oracle import brute_force_probabilities
 
 BASE_SEED = 20260810
 
-DEFAULT_HEAVY_DRAWS = 10_000
-DEFAULT_LIGHT_DRAWS = 1_000
-
 #: Test-harness fault hook: evaluates the scenario-C reference closed form
 #: with the sign of its interference term flipped, so the equivalence
 #: suite must fail. Exists to prove the check has teeth.
@@ -367,14 +364,14 @@ def _suite_chsh_bounds(rng: np.random.Generator, draws: int, random_worst=None) 
     return SuiteResult("chsh-bounds", worst, 1e-9)
 
 
-def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,
-               inject_fault: str | None = None) -> list[SuiteResult]:
+def run_suites(draws: int | None = None, inject_fault: str | None = None) -> list[SuiteResult]:
     """Run every invariant suite; returns one result per suite.
 
-    heavy_draws scales the per-scenario random-draw suites (default 10^4),
-    light_draws the cheaper pairwise-comparison suites (default 10^3); a
-    count that is not an integer (a bool is not one) or is below 1 raises
-    ValueError. The fixed verification grids never shrink.
+    ``draws`` is the random-draw budget (default 10^4): the per-scenario
+    suites and chsh-bounds take it whole, the cheaper pairwise-comparison
+    suites a tenth of it, at least 1. A budget that is not an integer (a
+    bool is not one) or is below 1 raises ValueError. The fixed
+    verification grids never shrink.
 
     A worker thread (:class:`_Background`) takes chsh-bounds' random blocks
     while this thread runs the other eleven suites; then this thread takes
@@ -385,19 +382,18 @@ def run_suites(heavy_draws: int | None = None, light_draws: int | None = None,
     """
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; known: {KNOWN_FAULTS}")
-    heavy = DEFAULT_HEAVY_DRAWS if heavy_draws is None else heavy_draws
-    light = DEFAULT_LIGHT_DRAWS if light_draws is None else light_draws
-    heavy, light = _checks.integer("heavy_draws", heavy), _checks.integer("light_draws", light)
-    if heavy < 1 or light < 1:
-        raise ValueError(f"draw counts must be at least 1, got {heavy} and {light}")
+    heavy = _checks.integer("draws", 10_000 if draws is None else draws)
+    if heavy < 1:
+        raise ValueError(f"draws must be at least 1, got {heavy}")
+    light = max(1, heavy // 10)
     # chsh-bounds' random half: a worker beside the other suites, then both threads
     rng = _rng(10)
-    draws = _chsh_draws(rng, _chsh_samples(heavy))
+    blocks = _chsh_draws(rng, _chsh_samples(heavy))
 
     def random_worst():
-        return max(_random_bounds(draws), background.result())
+        return max(_random_bounds(blocks), background.result())
 
-    with _Background(_random_bounds, draws) as background:
+    with _Background(_random_bounds, blocks) as background:
         c_grid = _scenario_c_grid()
         return [
             _suite_linalg(_rng(1)),

@@ -60,17 +60,6 @@ class TestExpectationClosedForm:
         with pytest.raises(ValueError, match=name):
             chsh.expectation_closed_form(theta_l, theta_r, 0.5)
 
-    def test_matches_pipeline_distribution(self, rng):
-        for _ in range(100):
-            theta_l, theta_r = rng.uniform(0, 2 * np.pi, 2)
-            mu_lambda = rng.uniform(0, np.pi)
-            dist = run_scenario(Scenario.C, theta_l, theta_r,
-                                TopoPhaseSpec.spin_conditioned(1.0, mu_lambda, 0.0))
-            expected = chsh.expectation_closed_form(theta_l, theta_r,
-                                                    np.cos(2 * mu_lambda))
-            assert chsh.expectation_from_distribution(dist) == pytest.approx(
-                expected, abs=1e-12)
-
     def test_stays_in_the_unit_interval(self, rng):
         for _ in range(500):
             a, b = rng.uniform(-10, 10, 2)
@@ -216,20 +205,6 @@ class TestFixedAngleCurve:
     def test_quarter_turn_recovers_the_maximum(self):
         assert chsh.fixed_angle_curve_S(np.pi / 2) == pytest.approx(TWO_SQRT_TWO, abs=1e-12)
 
-    def test_matches_literal_combination_everywhere(self):
-        for mu_lambda in np.linspace(0, 2 * np.pi, 1000, endpoint=False):
-            literal = chsh.chsh_S(chsh.canonical_angles(), chsh.contrast(mu_lambda),
-                                  RoleAssignment.LITERAL)
-            assert literal == pytest.approx(chsh.fixed_angle_curve_S(mu_lambda), abs=1e-12)
-
-    def test_even_and_periodic(self, rng):
-        probe = rng.uniform(-10, 10, 100)
-        assert_allclose(chsh.fixed_angle_curve_S(probe), chsh.fixed_angle_curve_S(-probe),
-                        atol=1e-12)
-        assert_allclose(chsh.fixed_angle_curve_S(probe),
-                        chsh.fixed_angle_curve_S(probe + np.pi), atol=1e-12)
-
-
     @pytest.mark.parametrize("mu_lambda", [np.nan, np.inf, -np.inf, 1e308,
                                            np.array([0.1, np.nan]), np.array([0.1, 1e308])])
     def test_rejects_mu_lambda_without_a_finite_contrast(self, mu_lambda):
@@ -276,44 +251,6 @@ class TestAnalyticOptimum:
             chsh.analytic_max_S(np.array([0.1, 0.2]))
         with pytest.raises(ValueError, match="mu_lambda must be a scalar"):
             chsh.analytic_optimal_angles(np.array([0.1, 0.2]))
-
-    def test_beats_random_sampling(self, rng):
-        # sampling oracle: a million random angle tuples never beat the
-        # analytic optimum at any of 25 loop phases
-        draws = rng.uniform(0, 2 * np.pi, size=(4, 1_000_000))
-        # the draws' cos/sin are taken once and serve every contrast
-        trig = RoleAssignment.STANDARD._roles_of(*((np.cos(t), np.sin(t)) for t in draws))
-        for mu_lambda in np.linspace(0, np.pi, 25):
-            c = chsh.contrast(mu_lambda)
-            sampled = chsh._S_from_trig(*trig, c)
-            analytic = chsh.chsh_S(chsh.analytic_optimal_angles(mu_lambda), c,
-                                   RoleAssignment.STANDARD)
-            assert analytic >= float(np.max(sampled)) - 1e-9
-
-
-class TestBounds:
-    def test_tsirelson_ceiling(self, rng):
-        angles = rng.uniform(0, 2 * np.pi, size=(4, 200_000))
-        contrasts = rng.uniform(-1, 1, size=200_000)
-        for roles in RoleAssignment:
-            values = chsh.chsh_S_values(*angles, contrasts, roles)
-            assert float(np.max(values)) <= chsh.TSIRELSON_BOUND + 1e-9
-
-    def test_classical_bound_at_zero_contrast(self, rng):
-        angles = rng.uniform(0, 2 * np.pi, size=(4, 200_000))
-        for roles in RoleAssignment:
-            values = chsh.chsh_S_values(*angles, 0.0, roles)
-            assert float(np.max(values)) <= 2.0 + 1e-9
-
-    def test_fixed_angle_curve_never_beats_the_reoptimized_maximum(self):
-        mu_lambdas = np.linspace(0, np.pi, 1001)
-        curve = chsh.fixed_angle_curve_S(mu_lambdas)
-        best = 2 * np.sqrt(1 + np.cos(2 * mu_lambdas) ** 2)
-        assert np.all(curve <= best + 1e-9)
-        at_full = np.abs(np.abs(np.cos(2 * mu_lambdas)) - 1) < 1e-12
-        assert np.max(np.abs(curve[at_full] - best[at_full])) < 1e-9
-        away = np.abs(np.cos(2 * mu_lambdas)) < 0.999
-        assert np.min(best[away] - curve[away]) > 1e-9
 
 
 class TestBellAngles:

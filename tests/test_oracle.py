@@ -25,40 +25,6 @@ class TestBruteForceDistribution:
         dist = brute_force_distribution(Scenario.B, np.pi / 2, 0.0)
         assert dist.p_d0p_d0 == pytest.approx(0.25, abs=1e-12)
 
-    def test_scenario_c_with_zero_loop_equals_scenario_b(self, rng):
-        for _ in range(50):
-            theta_l, theta_r = rng.uniform(0, 2 * np.pi, 2)
-            c = brute_force_distribution(Scenario.C, theta_l, theta_r,
-                                         TopoPhaseSpec.spin_conditioned(1.3, 0.4, 0.4))
-            b = brute_force_distribution(Scenario.B, theta_l, theta_r)
-            assert_allclose(c.as_array(), b.as_array(), atol=1e-12)
-
-    def test_scenario_a_symmetric_integrals_are_invisible(self, rng):
-        for _ in range(50):
-            theta_l, theta_r = rng.uniform(0, 2 * np.pi, 2)
-            topo = TopoPhaseSpec.path_integrals(0.9, 1.2, -0.3, 1.2, -0.3)
-            with_topo = brute_force_distribution(Scenario.A, theta_l, theta_r, topo)
-            without = brute_force_distribution(Scenario.A, theta_l, theta_r)
-            assert_allclose(with_topo.as_array(), without.as_array(), atol=1e-12)
-
-    @pytest.mark.parametrize("scenario", list(Scenario))
-    def test_agrees_with_the_simulators(self, rng, scenario):
-        for _ in range(300):
-            theta_l, theta_r = rng.uniform(0, 2 * np.pi, 2)
-            if scenario is Scenario.A:
-                topo = TopoPhaseSpec.path_integrals(rng.uniform(-2, 2),
-                                                    *rng.uniform(-3, 3, 4))
-            elif scenario is Scenario.B:
-                topo = None
-            elif scenario is Scenario.C:
-                topo = TopoPhaseSpec.spin_conditioned(rng.uniform(-2, 2),
-                                                      *rng.uniform(-3, 3, 2))
-            else:
-                topo = TopoPhaseSpec.aharonov_bohm(rng.uniform(-6, 6))
-            brute = brute_force_distribution(scenario, theta_l, theta_r, topo)
-            simulated = run_scenario(scenario, theta_l, theta_r, topo)
-            assert_allclose(brute.as_array(), simulated.as_array(), atol=1e-12)
-
     def test_rejects_mode_mismatch(self):
         with pytest.raises(ValueError):
             brute_force_distribution(Scenario.C, 0.0, 0.0,

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import topobell
-from topobell import chsh, cli, entangled, linalg, optics, oracle
+from topobell import chsh, cli, entangled, linalg, optics, oracle, verify
 
 SRC = Path(topobell.__file__).resolve().parent
 
@@ -22,6 +22,7 @@ REMOVED = {
     optics: ("custom_beam_splitter", "NonUnitaryError", "CUSTOM_SPLITTER_TOL",
              "polarizing_splitter_candidate", "spin_eigenstates", "_finite"),
     oracle: ("_ID", "_SWAP", "_require_type"),
+    verify: ("DEFAULT_LIGHT_DRAWS", "DEFAULT_HEAVY_DRAWS"),
 }
 
 

@@ -11,12 +11,21 @@ from topobell import chsh, entangled, optics, verify
 from topobell.entangled import Scenario
 
 
-def test_all_suites_pass_at_reduced_draws():
-    results = verify.run_suites(heavy_draws=200, light_draws=50)
-    assert len(results) == 12
-    for result in results:
-        assert result.passed, f"{result.name}: residual {result.worst_residual}"
-        assert result.worst_residual <= result.tolerance
+def test_one_budget_sets_every_suites_draws(monkeypatch):
+    # a budget of 9: the pairwise suites take a tenth, at least 1, the others all of it
+    pairwise = {"_suite_scenario_c_gauge", "_suite_scenario_a_topo_invariance",
+                "_suite_scenario_ab_reduction", "_suite_degiorgio"}
+    random_suites = [*PER_POINT_DRAWS, "_suite_chsh_bounds"]
+    taken = {}
+    for name in random_suites:
+        def spy(rng, draws, *rest, suite=getattr(verify, name), name=name):
+            taken[name] = draws
+            return suite(rng, draws, *rest)
+
+        monkeypatch.setattr(verify, name, spy)
+    results = verify.run_suites(9)
+    assert len(results) == 12 and all(result.passed for result in results)
+    assert taken == {name: 1 if name in pairwise else 9 for name in random_suites}
 
 
 def test_suite_names_are_the_ones_the_benchmark_reports(monkeypatch):
@@ -27,13 +36,12 @@ def test_suite_names_are_the_ones_the_benchmark_reports(monkeypatch):
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec.loader.exec_module(spans)
-    names = [result.name for result in verify.run_suites(50, 10)]
+    names = [result.name for result in verify.run_suites(50)]
     assert names == list(spans.VERIFY_SUITES)
 
 
 def test_injected_sign_fault_fails_only_the_scenario_c_suite():
-    results = verify.run_suites(heavy_draws=100, light_draws=20,
-                                inject_fault=verify.FAULT_SCENARIO_C_SIGN)
+    results = verify.run_suites(100, inject_fault=verify.FAULT_SCENARIO_C_SIGN)
     by_name = {r.name: r for r in results}
     assert not by_name["scenario-c-closed-form"].passed
     assert by_name["scenario-c-closed-form"].worst_residual > 0.1
@@ -43,24 +51,21 @@ def test_injected_sign_fault_fails_only_the_scenario_c_suite():
 
 def test_unknown_fault_is_rejected():
     with pytest.raises(ValueError, match="unknown fault"):
-        verify.run_suites(heavy_draws=10, light_draws=10, inject_fault="no-such-fault")
+        verify.run_suites(10, inject_fault="no-such-fault")
 
 
-@pytest.mark.parametrize("heavy, light, message", [
-    (0, 0, "at least 1"), (0, 10, "at least 1"), (10, -1, "at least 1"),
-    (float("inf"), 10, "heavy_draws must be an integer"),
-    (2.7, 10, "heavy_draws must be an integer"),
-    (10, True, "light_draws must be an integer"),
-    ("10", 10, "heavy_draws must be an integer"),
+@pytest.mark.parametrize("draws, message", [
+    (0, "at least 1"), (-1, "at least 1"), (2.7, "an integer"), (True, "an integer"),
+    ("10", "an integer"), (float("inf"), "an integer"),
 ])
-def test_draw_counts_below_one_or_not_integers_are_rejected(heavy, light, message):
-    with pytest.raises(ValueError, match=message):
-        verify.run_suites(heavy, light)
+def test_a_budget_below_one_or_not_an_integer_is_rejected(draws, message):
+    with pytest.raises(ValueError, match=f"draws must be {message}"):
+        verify.run_suites(draws)
 
 
 def test_results_are_reproducible():
-    first = verify.run_suites(heavy_draws=50, light_draws=20)
-    second = verify.run_suites(heavy_draws=50, light_draws=20)
+    first = verify.run_suites(50)
+    second = verify.run_suites(50)
     assert first == second
 
 
@@ -236,7 +241,7 @@ def test_threads_draining_one_stream_take_each_block_once():
 
 def test_run_suites_fails_chsh_bounds_on_a_fault_in_the_background_half(monkeypatch):
     seen = _plant_fault_at_the_last_column(monkeypatch, 8_300)
-    result = verify.run_suites(83, 10)[-1]
+    result = verify.run_suites(83)[-1]
     assert seen == [108]
     assert result.name == "chsh-bounds"
     assert not result.passed and result.worst_residual > 0.5
@@ -254,7 +259,7 @@ def test_run_suites_drains_the_random_half_on_a_worker_and_the_main_thread(monke
 
     monkeypatch.setattr(verify, "_random_bounds", spy)
     before = threading.active_count()
-    result = verify.run_suites(50, 10)[-1]
+    result = verify.run_suites(50)[-1]
     assert threading.active_count() == before
     assert len(threads) == 2
     assert sorted(thread is threading.main_thread() for thread in threads) == [False, True]
@@ -283,7 +288,7 @@ def test_run_suites_fails_chsh_bounds_on_a_fault_in_a_block_the_main_thread_take
             drained.set()
 
     monkeypatch.setattr(verify, "_random_bounds", spy)
-    result = verify.run_suites(83, 10)[-1]
+    result = verify.run_suites(83)[-1]
     assert takers == [threading.main_thread()] * 2
     assert seen == [108]
     assert result.name == "chsh-bounds"
@@ -316,7 +321,7 @@ def test_run_suites_simulates_the_scenario_c_grid_once(monkeypatch):
         return p
 
     monkeypatch.setattr(verify, "scenario_probabilities", spy)
-    results = {result.name: result for result in verify.run_suites(50, 10)}
+    results = {result.name: result for result in verify.run_suites(50)}
     assert len(grids) == 1
     # each suite called alone simulates the grid itself, with the same result
     assert results["scenario-c-closed-form"] == verify._suite_scenario_c_closed_form(None)
@@ -333,7 +338,7 @@ def test_run_suites_raises_what_the_worker_or_a_suite_raises(monkeypatch, name):
     monkeypatch.setattr(verify, name, broken)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"planted in {name}"):
-        verify.run_suites(50, 10)
+        verify.run_suites(50)
     assert threading.active_count() == before
 
 
