@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from topobell import chsh
-from topobell.cli import _build_parser, main
+from topobell.cli import _angle_arg, _build_parser, _finite_arg, _positive_int_arg, main
 
 #: Golden stdout files of the simulate, sweep and optimize commands, byte for byte.
 GOLDEN = Path(__file__).parent / "golden"
@@ -434,6 +434,45 @@ def test_a_negative_value_after_a_space_parses_as_after_an_equals_sign(capsys, a
 def test_a_negative_non_finite_value_after_a_space_is_refused_by_its_type(capsys, argv, message):
     code, err = usage_exit(capsys, *argv)
     assert code == 2 and message in err
+
+
+#: Each subcommand's required flags; a flag given again after them overrides its value.
+REQUIRED = {
+    "simulate": ["simulate", "--scenario", "C", "--theta-l", "0", "--theta-r", "0"],
+    "sweep": ["sweep", "--min", "0", "--max", "1", "--points", "2"],
+    "optimize": ["optimize"],
+    "verify": ["verify"],
+}
+
+
+def numeric_options(*types):
+    """``(command, action)`` for every option of every subcommand whose type is in ``types``."""
+    commands = next(action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    return [(name, action) for name, command in commands.items()
+            for action in command._actions if action.type in types]
+
+
+FLOAT_OPTIONS = numeric_options(_angle_arg, _finite_arg)
+INT_OPTIONS = numeric_options(int, _positive_int_arg)
+
+
+@pytest.mark.parametrize("command, action", FLOAT_OPTIONS,
+                         ids=[f"{name} {action.option_strings[0]}" for name, action in FLOAT_OPTIONS])
+def test_every_float_flag_takes_a_negative_exponent_after_a_space(command, action):
+    flag = action.option_strings[0]
+    spaced = _build_parser().parse_args([*REQUIRED[command], flag, "-2.5e-1"])
+    assert getattr(spaced, action.dest) == -0.25
+    assert spaced == _build_parser().parse_args([*REQUIRED[command], f"{flag}=-2.5e-1"])
+
+
+@pytest.mark.parametrize("command, action", INT_OPTIONS,
+                         ids=[f"{name} {action.option_strings[0]}" for name, action in INT_OPTIONS])
+def test_every_integer_flag_refuses_a_negative_exponent_by_its_type(capsys, command, action):
+    flag = action.option_strings[0]
+    code, err = usage_exit(capsys, *REQUIRED[command], flag, "-1e3")
+    assert code == 2
+    assert f"argument {flag}: invalid" in err and "'-1e3'" in err
 
 
 class TestParserReuse:
