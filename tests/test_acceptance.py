@@ -146,7 +146,7 @@ def test_criterion_11_invariant_suites_pass(capsys):
     assert len(lines) == 12
     assert all("PASS" in line for line in lines)
     assert out == VERIFY_DEFAULT
-    worst = max(verify.run_suites(100),
+    worst = max(verify.run_suites(200),
                 key=lambda r: r.worst_residual / r.tolerance)
     with capsys.disabled():
         _report(11, "all invariant suites pass under the verify command "

@@ -11,6 +11,14 @@ from topobell import chsh, entangled, optics, verify
 from topobell.entangled import Scenario
 
 
+def test_all_suites_pass_at_reduced_draws():
+    results = verify.run_suites(500)
+    assert len(results) == 12
+    for result in results:
+        assert result.passed, f"{result.name}: residual {result.worst_residual}"
+        assert result.worst_residual <= result.tolerance
+
+
 def test_one_budget_sets_every_suites_draws(monkeypatch):
     # a budget of 9: the pairwise suites take a tenth, at least 1, the others all of it
     pairwise = {"_suite_scenario_c_gauge", "_suite_scenario_a_topo_invariance",
@@ -36,12 +44,12 @@ def test_suite_names_are_the_ones_the_benchmark_reports(monkeypatch):
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec.loader.exec_module(spans)
-    names = [result.name for result in verify.run_suites(50)]
+    names = [result.name for result in verify.run_suites(100)]
     assert names == list(spans.VERIFY_SUITES)
 
 
 def test_injected_sign_fault_fails_only_the_scenario_c_suite():
-    results = verify.run_suites(100, inject_fault=verify.FAULT_SCENARIO_C_SIGN)
+    results = verify.run_suites(200, inject_fault=verify.FAULT_SCENARIO_C_SIGN)
     by_name = {r.name: r for r in results}
     assert not by_name["scenario-c-closed-form"].passed
     assert by_name["scenario-c-closed-form"].worst_residual > 0.1
@@ -51,7 +59,7 @@ def test_injected_sign_fault_fails_only_the_scenario_c_suite():
 
 def test_unknown_fault_is_rejected():
     with pytest.raises(ValueError, match="unknown fault"):
-        verify.run_suites(10, inject_fault="no-such-fault")
+        verify.run_suites(100, inject_fault="no-such-fault")
 
 
 @pytest.mark.parametrize("draws, message", [
@@ -64,8 +72,8 @@ def test_a_budget_below_one_or_not_an_integer_is_rejected(draws, message):
 
 
 def test_results_are_reproducible():
-    first = verify.run_suites(50)
-    second = verify.run_suites(50)
+    first = verify.run_suites(200)
+    second = verify.run_suites(200)
     assert first == second
 
 
@@ -259,11 +267,11 @@ def test_run_suites_drains_the_random_half_on_a_worker_and_the_main_thread(monke
 
     monkeypatch.setattr(verify, "_random_bounds", spy)
     before = threading.active_count()
-    result = verify.run_suites(50)[-1]
+    result = verify.run_suites(100)[-1]
     assert threading.active_count() == before
     assert len(threads) == 2
     assert sorted(thread is threading.main_thread() for thread in threads) == [False, True]
-    assert result == verify._suite_chsh_bounds(verify._rng(10), 50)
+    assert result == verify._suite_chsh_bounds(verify._rng(10), 100)
 
 
 def test_run_suites_fails_chsh_bounds_on_a_fault_in_a_block_the_main_thread_takes(monkeypatch):
@@ -321,7 +329,7 @@ def test_run_suites_simulates_the_scenario_c_grid_once(monkeypatch):
         return p
 
     monkeypatch.setattr(verify, "scenario_probabilities", spy)
-    results = {result.name: result for result in verify.run_suites(50)}
+    results = {result.name: result for result in verify.run_suites(100)}
     assert len(grids) == 1
     # each suite called alone simulates the grid itself, with the same result
     assert results["scenario-c-closed-form"] == verify._suite_scenario_c_closed_form(None)
@@ -338,7 +346,7 @@ def test_run_suites_raises_what_the_worker_or_a_suite_raises(monkeypatch, name):
     monkeypatch.setattr(verify, name, broken)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"planted in {name}"):
-        verify.run_suites(50)
+        verify.run_suites(100)
     assert threading.active_count() == before
 
 
