@@ -126,23 +126,6 @@ def expectation_closed_form(theta_l, theta_r, c):
     return _expectation(np.cos(theta_l), np.sin(theta_l), np.cos(theta_r), np.sin(theta_r), c)
 
 
-def chsh_terms(angles: BellAngles, c: float,
-               roles: RoleAssignment) -> tuple[float, float]:
-    """The two absolute-value arguments of the CHSH combination.
-
-    Returns (E(a,b) - E(a,b'), E(a',b) + E(a',b')); the statistic is the
-    sum of their absolute values. Exposed separately so kink detection can
-    look at the arguments before the absolute value is taken.
-    """
-    _checks.require_type("angles", angles, BellAngles)
-    _checks.require_type("roles", roles, RoleAssignment)
-    c = _checks.contrast("c", c, scalar=True)
-    a, ap, b, bp = roles.slots(angles)
-    first = expectation_closed_form(a, b, c) - expectation_closed_form(a, bp, c)
-    second = expectation_closed_form(ap, b, c) + expectation_closed_form(ap, bp, c)
-    return float(first), float(second)
-
-
 def chsh_S_values(theta_l, theta_r, theta_lp, theta_rp, c,
                   roles: RoleAssignment):
     """CHSH statistic over angle arrays (broadcasting), given slot arrays.
@@ -162,15 +145,19 @@ def chsh_S_values(theta_l, theta_r, theta_lp, theta_rp, c,
     return _S_from_trig(*((np.cos(t), np.sin(t)) for t in angles), c)
 
 
-def _S_from_trig(a, ap, b, bp, c):
-    """S from the (cos, sin) pair of each role angle (a, a', b, b'); no validation.
+def _S_terms(a, ap, b, bp, c):
+    """S's arguments (E(a,b) - E(a,b'), E(a',b) + E(a',b')) from each role angle's (cos, sin).
 
-    Each E term keeps the operation order of :func:`_expectation`, so
-    callers that take the cos/sin once for several role assignments or
-    contrasts get :func:`chsh_S_values` bit for bit.
+    No validation; each E term keeps the operation order of :func:`_expectation`.
     """
-    s = np.abs(_expectation(*a, *b, c) - _expectation(*a, *bp, c))
-    return s + np.abs(_expectation(*ap, *b, c) + _expectation(*ap, *bp, c))
+    return (_expectation(*a, *b, c) - _expectation(*a, *bp, c),
+            _expectation(*ap, *b, c) + _expectation(*ap, *bp, c))
+
+
+def _S_from_trig(a, ap, b, bp, c):
+    """S = |first| + |second| of :func:`_S_terms`: the arithmetic of :func:`chsh_S_values`."""
+    first, second = _S_terms(a, ap, b, bp, c)
+    return np.abs(first) + np.abs(second)
 
 
 def _S_both_roles(trig, c):

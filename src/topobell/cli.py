@@ -186,7 +186,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
 
-    mu_lambdas = np.linspace(args.min, args.max, args.points)
+    # only the last point can round past the float range, and linspace then sets it to --max
+    with np.errstate(over="ignore"):
+        mu_lambdas = np.linspace(args.min, args.max, args.points)
     contrasts = chsh.contrast(mu_lambdas)
     # element by element these columns equal the one-point calls
     columns = {

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks, chsh
-from .chsh import BellAngles, RoleAssignment, chsh_S, chsh_terms
+from .chsh import BellAngles, RoleAssignment
 from .entangled import (DetectionDistribution, Scenario, TopoPhaseSpec, _checked_batch,
                         _checked_point)
 
@@ -343,36 +343,33 @@ def stationarity_check(angles: BellAngles, c: float, roles: RoleAssignment,
                        h: float) -> StationarityOutcome:
     """Central-difference stationarity test of S at the given angles.
 
-    SKIPPED when either absolute-value argument of the combination lies
-    within 10*h of zero: the statistic has a kink there and finite
-    differences are meaningless. Otherwise PASSED iff every one-angle
-    central difference quotient has magnitude at most 10*h^2*scale with
-    scale = max(1, |S|), the expected truncation error at a smooth
-    stationary point. Raises ``ValueError`` unless ``angles`` is a
-    :class:`BellAngles`, ``roles`` a :class:`RoleAssignment` and h
-    positive, finite and large enough that x + h and x - h differ from
-    every angle x.
+    One call takes S's two absolute-value arguments on nine rows: the
+    angles, each angle moved by +h, and each moved by -h. SKIPPED when
+    either argument at the angles is within 10*h of zero, a kink of S;
+    otherwise PASSED iff every central difference quotient is at most
+    10*h^2*max(1, |S|) in magnitude, the truncation error at a smooth
+    stationary point. Raises ``ValueError``, in this order, unless
+    ``angles`` is a :class:`BellAngles`, ``roles`` a :class:`RoleAssignment`,
+    h positive and finite with each x + h and x - h finite and unequal to
+    its angle x, and c a contrast.
     """
     _checks.require_type("angles", angles, BellAngles)
     _checks.require_type("roles", roles, RoleAssignment)
     values = np.array(angles.as_tuple())
     h = _checks.finite_scalar("step h", h)
+    with np.errstate(over="ignore"):  # an angle moved past the float range is rejected below
+        moved = values + np.array([[h], [-h]])
     # a step below an angle's resolution makes every difference quotient 0
-    if not (0 < h and np.all(values + h != values) and np.all(values - h != values)):
+    if not (0 < h and np.all(moved != values)):
         raise ValueError(f"step h must be positive and finite and must move every angle, "
                          f"got {h!r}")
-    first, second = chsh_terms(angles, c, roles)
-    if min(abs(first), abs(second)) <= 10.0 * h:
+    _checks.finite_array("step h", moved, rule="must keep every angle finite")
+    c = _checks.contrast("c", c, scalar=True)
+    rows = np.vstack([values, *(np.where(np.eye(4, dtype=bool), x, values) for x in moved)])
+    first, second = chsh._S_terms(*roles._roles_of(*((np.cos(t), np.sin(t)) for t in rows.T)), c)
+    if min(abs(first[0]), abs(second[0])) <= 10.0 * h:
         return StationarityOutcome.SKIPPED
-
-    base = chsh_S(angles, c, roles)
-    threshold = 10.0 * h * h * max(1.0, abs(base))
-    for i in range(4):
-        forward, backward = values.copy(), values.copy()
-        forward[i] += h
-        backward[i] -= h
-        diff = (chsh_S(BellAngles(*forward), c, roles)
-                - chsh_S(BellAngles(*backward), c, roles)) / (2.0 * h)
-        if abs(diff) > threshold:
-            return StationarityOutcome.FAILED
+    s = np.abs(first) + np.abs(second)
+    if np.any(np.abs(s[1:5] - s[5:]) / (2.0 * h) > 10.0 * h * h * max(1.0, s[0])):
+        return StationarityOutcome.FAILED
     return StationarityOutcome.PASSED

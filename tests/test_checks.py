@@ -6,8 +6,9 @@ for a roles, grid, angles or distribution argument and a bool for an
 integer. The CLI cases check the same inputs as flag values: exit 2 and
 one error line, never a traceback. The properties at the end draw any
 value for the phase spec, the angles of ``run_scenario`` and
-``BellAngles`` and the fields of ``GridSpec``: each input gives a valid
-object or distribution, or a ValueError, and NaN or inf always the error.
+``BellAngles``, the arguments of ``chsh_S_values`` and the fields of
+``GridSpec``: each input gives a valid object, distribution or S, or a
+ValueError, and NaN or inf always the error.
 """
 
 import math
@@ -122,10 +123,6 @@ TYPE_ENTRIES = [
     ("chsh_S", "angles", "tuple", (0.0, 1.0, 2.0, 3.0), lambda v: tb.chsh_S(v, 0.5, ROLES)),
     ("chsh_S_values", "roles", "text", "standard",
      lambda v: tb.chsh.chsh_S_values(0, 0, 0, 0, 0.5, v)),
-    ("chsh_terms", "roles", "text", "standard",
-     lambda v: tb.chsh.chsh_terms(tb.canonical_angles(), 0.5, v)),
-    ("chsh_terms", "angles", "tuple", (0.0, 1.0, 2.0, 3.0),
-     lambda v: tb.chsh.chsh_terms(v, 0.5, ROLES)),
     ("expectation_from_distribution", "dist", "tuple", (0.25,) * 4,
      lambda v: tb.expectation_from_distribution(v)),
 ]
@@ -142,7 +139,9 @@ CASES = ([pytest.param(call, name, BAD[label], id=f"{entry}-{name}-{label}")
 def test_bad_value_is_a_value_error_naming_the_argument(call, name, bad):
     with pytest.raises(ValueError) as excinfo:
         call(bad)
-    assert re.search(rf"\b{re.escape(name)}\b", str(excinfo.value)), str(excinfo.value)
+    message = str(excinfo.value)
+    assert re.search(rf"\b{re.escape(name)}\b", message), message
+    assert bad is not BAD["shape"] or "must be a scalar" in message, message
 
 
 @pytest.mark.parametrize("call, name", [pytest.param(call, name, id=f"{entry}-{name}")
@@ -349,6 +348,20 @@ def test_bell_angles_reject_nan_and_inf(data, bad):
     inputs[data.draw(st.sampled_from(ANGLE_SLOTS))] = bad
     with pytest.raises(ValueError):
         tb.BellAngles(**inputs)
+
+
+@given(data=st.data(), c=st.floats(-1.0, 1.0), roles=st.sampled_from(list(tb.RoleAssignment)))
+@settings(max_examples=60, deadline=None)
+def test_chsh_s_values_are_finite_and_non_negative_or_reject_the_slot(data, c, roles):
+    inputs = _inputs(data, ANGLE_SLOTS)
+    try:
+        s = tb.chsh.chsh_S_values(*inputs.values(), c, roles)
+    except ValueError as exc:
+        named = [name for name in ANGLE_SLOTS if re.search(rf"\b{name}\b", str(exc))]
+        odd = [name for name, v in inputs.items() if not (type(v) is float and math.isfinite(v))]
+        assert named == odd, str(exc)
+        return
+    assert np.all(np.isfinite(s)) and np.all(s >= 0.0)
 
 
 grid_counts = st.integers(-3, 40) | st.integers(-10 ** 30, 10 ** 30)

@@ -10,18 +10,15 @@ TWO_SQRT_TWO = 2 * np.sqrt(2)
 
 
 class TestExpectationFromDistribution:
-    def test_equal_angles_give_perfect_anticorrelation(self):
-        dist = run_scenario(Scenario.B, 0.8, 0.8)
-        assert chsh.expectation_from_distribution(dist) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_quarter_wave_gives_zero(self):
-        dist = run_scenario(Scenario.B, np.pi / 2, 0.0)
-        assert chsh.expectation_from_distribution(dist) == pytest.approx(0.0, abs=1e-12)
-
-    def test_half_turn_loop_flips_the_correlation(self):
-        topo = TopoPhaseSpec.spin_conditioned(1.0, np.pi / 2, 0.0)
-        dist = run_scenario(Scenario.C, np.pi / 2, np.pi / 2, topo)
-        assert chsh.expectation_from_distribution(dist) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("scenario, theta_l, theta_r, topo, e", [
+        (Scenario.B, 0.8, 0.8, None, -1.0),
+        (Scenario.B, np.pi / 2, 0.0, None, 0.0),
+        (Scenario.C, np.pi / 2, np.pi / 2,
+         TopoPhaseSpec.spin_conditioned(1.0, np.pi / 2, 0.0), 1.0),
+    ], ids=["equal-angles-anticorrelate", "quarter-wave-gives-zero", "half-turn-loop-flips"])
+    def test_point_values(self, scenario, theta_l, theta_r, topo, e):
+        dist = run_scenario(scenario, theta_l, theta_r, topo)
+        assert chsh.expectation_from_distribution(dist) == pytest.approx(e, abs=1e-12)
 
 
 class TestExpectationClosedForm:
@@ -72,17 +69,11 @@ class TestExpectationClosedForm:
 
 
 class TestChshS:
-    def test_canonical_angles_at_full_contrast(self):
-        s = chsh.chsh_S(chsh.canonical_angles(), 1.0, RoleAssignment.LITERAL)
-        assert s == pytest.approx(TWO_SQRT_TWO, abs=1e-12)
-
-    def test_canonical_angles_at_zero_contrast(self):
-        s = chsh.chsh_S(chsh.canonical_angles(), 0.0, RoleAssignment.LITERAL)
-        assert s == pytest.approx(np.sqrt(2), abs=1e-12)
-
-    def test_rejects_an_array_contrast(self):
-        with pytest.raises(ValueError, match="c must be a scalar"):
-            chsh.chsh_S(chsh.canonical_angles(), np.array([0.1, 0.2]), RoleAssignment.LITERAL)
+    @pytest.mark.parametrize("c, s", [(1.0, TWO_SQRT_TWO), (0.0, np.sqrt(2))],
+                             ids=["full-contrast", "zero-contrast"])
+    def test_canonical_angles(self, c, s):
+        assert chsh.chsh_S(chsh.canonical_angles(), c, RoleAssignment.LITERAL) == pytest.approx(
+            s, abs=1e-12)
 
     def test_all_equal_angles_give_two(self, rng):
         for c in rng.uniform(-1, 1, 20):
@@ -196,14 +187,11 @@ class TestExpectationFromProbabilities:
 
 
 class TestFixedAngleCurve:
-    def test_zero_loop_attains_the_quantum_maximum(self):
-        assert chsh.fixed_angle_curve_S(0.0) == pytest.approx(TWO_SQRT_TWO, abs=1e-12)
-
-    def test_eighth_turn_drops_to_sqrt_two(self):
-        assert chsh.fixed_angle_curve_S(np.pi / 4) == pytest.approx(np.sqrt(2), abs=1e-12)
-
-    def test_quarter_turn_recovers_the_maximum(self):
-        assert chsh.fixed_angle_curve_S(np.pi / 2) == pytest.approx(TWO_SQRT_TWO, abs=1e-12)
+    @pytest.mark.parametrize("mu_lambda, s", [
+        (0.0, TWO_SQRT_TWO), (np.pi / 4, np.sqrt(2)), (np.pi / 2, TWO_SQRT_TWO),
+    ], ids=["zero-loop-quantum-maximum", "eighth-turn-sqrt-two", "quarter-turn-maximum-again"])
+    def test_point_values(self, mu_lambda, s):
+        assert chsh.fixed_angle_curve_S(mu_lambda) == pytest.approx(s, abs=1e-12)
 
     @pytest.mark.parametrize("mu_lambda", [np.nan, np.inf, -np.inf, 1e308,
                                            np.array([0.1, np.nan]), np.array([0.1, 1e308])])
@@ -226,18 +214,14 @@ class TestContrast:
 
 
 class TestAnalyticOptimum:
-    def test_full_contrast_angles_and_value(self):
-        angles = chsh.analytic_optimal_angles(0.0)
-        assert_allclose(angles.as_tuple(), (0, np.pi / 4, np.pi / 2, 3 * np.pi / 4),
-                        atol=1e-15)
-        s = chsh.chsh_S(angles, 1.0, RoleAssignment.STANDARD)
-        assert s == pytest.approx(TWO_SQRT_TWO, abs=1e-12)
-
-    def test_zero_contrast_angles_and_value(self):
-        angles = chsh.analytic_optimal_angles(np.pi / 4)
-        assert_allclose(angles.as_tuple(), (0, 0, np.pi / 2, np.pi), atol=1e-15)
-        s = chsh.chsh_S(angles, 0.0, RoleAssignment.STANDARD)
-        assert s == pytest.approx(2.0, abs=1e-12)
+    @pytest.mark.parametrize("mu_lambda, c, expected, s", [
+        (0.0, 1.0, (0, np.pi / 4, np.pi / 2, 3 * np.pi / 4), TWO_SQRT_TWO),
+        (np.pi / 4, 0.0, (0, 0, np.pi / 2, np.pi), 2.0),
+    ], ids=["full-contrast", "zero-contrast"])
+    def test_angles_and_value(self, mu_lambda, c, expected, s):
+        angles = chsh.analytic_optimal_angles(mu_lambda)
+        assert_allclose(angles.as_tuple(), expected, atol=1e-15)
+        assert chsh.chsh_S(angles, c, RoleAssignment.STANDARD) == pytest.approx(s, abs=1e-12)
 
     def test_value_is_analytic_max_for_any_contrast(self):
         for mu_lambda in np.linspace(0, np.pi, 101):
@@ -246,18 +230,8 @@ class TestAnalyticOptimum:
             s = chsh.chsh_S(angles, c, RoleAssignment.STANDARD)
             assert s == pytest.approx(chsh.analytic_max_S(c), abs=1e-12)
 
-    def test_rejects_array_inputs(self):
-        with pytest.raises(ValueError, match="c must be a scalar"):
-            chsh.analytic_max_S(np.array([0.1, 0.2]))
-        with pytest.raises(ValueError, match="mu_lambda must be a scalar"):
-            chsh.analytic_optimal_angles(np.array([0.1, 0.2]))
-
 
 class TestBellAngles:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            BellAngles(0.0, np.nan, 0.0, 0.0)
-
     def test_tuple_round_trip(self):
         angles = BellAngles(0.1, 0.2, 0.3, 0.4)
         assert angles.as_tuple() == (0.1, 0.2, 0.3, 0.4)

@@ -322,6 +322,17 @@ class TestSweep:
         assert code == 2
         assert "error:" in err
 
+    # linspace's last point can round past the float maximum before it is set to --max
+    @pytest.mark.parametrize("flags, expected", [
+        ("--min=-8.988465674311579e307 --max 8.988465674311579e307 --points 4", 0),
+        ("--min=-.5 --max 1.7976931348623157e308 --points 7", 2),
+        ("--min 8.988465674311579e307 --max 1.7976931348623157e308 --points 7", 2),
+    ])
+    def test_a_range_up_to_the_float_maximum_prints_no_warning(self, capsys, flags, expected):
+        code, _, err = any_exit(capsys, "sweep", *flags.split())
+        assert code == expected
+        assert (err == "") if code == 0 else (err.count("\n") == 1 and err.startswith("error: "))
+
 
 class TestOptimize:
     def test_analytic_at_zero_loop(self, capsys):

@@ -32,10 +32,6 @@ class TestTopoPhaseSpec:
         with pytest.raises(ValueError, match="lambda_r"):
             TopoPhaseSpec(PhaseMode.SPIN_CONDITIONED, mu=1.0, lambda_l=0.0)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            TopoPhaseSpec.aharonov_bohm(np.inf)
-
     @pytest.mark.parametrize("mode, fields", [
         ("spin-conditioned", {"mu": 1.0, "lambda_l": 0.0, "lambda_r": 0.0}),
         (None, {}),
@@ -106,10 +102,6 @@ class TestScenarioA:
         plain = run_scenario(Scenario.A, 0.4, 1.1).as_array()
         assert np.max(np.abs(shifted - plain)) > 1e-3
 
-    def test_rejects_wrong_mode(self):
-        with pytest.raises(ValueError, match="path-integrals"):
-            run_scenario(Scenario.A, 0.0, 0.0, TopoPhaseSpec.aharonov_bohm(1.0))
-
 
 class TestScenarioB:
     def test_equal_angles_anticorrelate(self):
@@ -123,21 +115,13 @@ class TestScenarioB:
 
 
 class TestScenarioC:
-    def test_quarter_turn_contrast(self):
-        # 2*mu*lambda = pi/2 kills the interference term at right angles
-        topo = TopoPhaseSpec.spin_conditioned(1.0, np.pi / 4, 0.0)
+    # 2*mu*lambda = pi/2 kills the interference term at right angles, pi flips its sign
+    @pytest.mark.parametrize("lambda_l, p", [(np.pi / 4, 0.25), (np.pi / 2, 0.5)],
+                             ids=["quarter-turn", "half-turn"])
+    def test_contrast(self, lambda_l, p):
+        topo = TopoPhaseSpec.spin_conditioned(1.0, lambda_l, 0.0)
         dist = run_scenario(Scenario.C, np.pi / 2, np.pi / 2, topo)
-        assert dist.p_d0p_d0 == pytest.approx(0.25, abs=1e-12)
-
-    def test_half_turn_contrast(self):
-        # 2*mu*lambda = pi flips the interference term sign
-        topo = TopoPhaseSpec.spin_conditioned(1.0, np.pi / 2, 0.0)
-        dist = run_scenario(Scenario.C, np.pi / 2, np.pi / 2, topo)
-        assert dist.p_d0p_d0 == pytest.approx(0.5, abs=1e-12)
-
-    def test_rejects_wrong_mode(self):
-        with pytest.raises(ValueError, match="spin-conditioned"):
-            run_scenario(Scenario.C, 0.0, 0.0, TopoPhaseSpec.aharonov_bohm(1.0))
+        assert dist.p_d0p_d0 == pytest.approx(p, abs=1e-12)
 
 
 class TestScenarioAB:
@@ -149,10 +133,6 @@ class TestScenarioAB:
         one = run_scenario(Scenario.AB, 0.9, 0.2, TopoPhaseSpec.aharonov_bohm(np.pi))
         other = run_scenario(Scenario.AB, 0.9, 0.2, TopoPhaseSpec.aharonov_bohm(3 * np.pi))
         assert_allclose(one.as_array(), other.as_array(), atol=1e-15)
-
-    def test_rejects_wrong_mode(self):
-        with pytest.raises(ValueError, match="spin-independent"):
-            run_scenario(Scenario.AB, 0.0, 0.0, TopoPhaseSpec.spin_conditioned(1.0, 0.0, 0.0))
 
 
 class TestOneFormula:
@@ -184,19 +164,3 @@ class TestDispatcher:
         for scenario, (topo, reference) in cases.items():
             assert_allclose(run_scenario(scenario, theta_l, theta_r, topo).as_array(),
                             reference.as_array(), atol=1e-12)
-
-    def test_rejects_unknown_scenario(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            run_scenario("C", 0.0, 0.0, TopoPhaseSpec.spin_conditioned(1.0, 0.0, 0.0))
-
-    def test_scenario_b_rejects_topo(self):
-        with pytest.raises(ValueError, match="takes no topological phase spec"):
-            run_scenario(Scenario.B, 0.0, 0.0, TopoPhaseSpec.aharonov_bohm(0.0))
-
-    def test_scenario_c_requires_topo(self):
-        with pytest.raises(ValueError, match="spin-conditioned"):
-            run_scenario(Scenario.C, 0.0, 0.0)
-
-    def test_scenario_ab_requires_topo(self):
-        with pytest.raises(ValueError, match="spin-independent-ab"):
-            run_scenario(Scenario.AB, 0.0, 0.0)

@@ -25,38 +25,31 @@ class TestBruteForceDistribution:
         dist = brute_force_distribution(Scenario.B, np.pi / 2, 0.0)
         assert dist.p_d0p_d0 == pytest.approx(0.25, abs=1e-12)
 
-    def test_rejects_mode_mismatch(self):
-        with pytest.raises(ValueError):
-            brute_force_distribution(Scenario.C, 0.0, 0.0,
-                                     TopoPhaseSpec.aharonov_bohm(1.0))
-        with pytest.raises(ValueError):
-            brute_force_distribution(Scenario.B, 0.0, 0.0,
-                                     TopoPhaseSpec.aharonov_bohm(1.0))
-
 
 SPIN = TopoPhaseSpec.spin_conditioned(1.0, 0.3, 0.0)
 PATH = TopoPhaseSpec.path_integrals(1.0, 0.1, 0.2, 0.3, 0.4)
 
-#: Every way to pass a scenario the wrong phase spec: a spec of another mode,
-#: a spec where none is taken, none where one is needed, an object that is no
-#: spec, and a value that is no scenario.
+#: Every way to pass a scenario the wrong phase spec, with a fragment of the
+#: message: a spec of another mode, a spec where none is taken, none where one
+#: is needed, an object that is no spec, and a value that is no scenario.
 BAD_SPECS = {
-    "A-spin-conditioned": (Scenario.A, SPIN),
-    "B-spin-conditioned": (Scenario.B, SPIN),
-    "C-path-integrals": (Scenario.C, PATH),
-    "C-missing": (Scenario.C, None),
-    "AB-spin-conditioned": (Scenario.AB, SPIN),
-    "AB-missing": (Scenario.AB, None),
-    "C-dict": (Scenario.C, {"mu": 1.0, "lambda_l": 0.3, "lambda_r": 0.0}),
-    "unknown-scenario": ("C", SPIN),
+    "A-spin-conditioned": (Scenario.A, SPIN, "requires a path-integrals"),
+    "B-spin-conditioned": (Scenario.B, SPIN, "takes no topological phase spec"),
+    "C-path-integrals": (Scenario.C, PATH, "requires a spin-conditioned"),
+    "C-missing": (Scenario.C, None, "requires a spin-conditioned"),
+    "AB-spin-conditioned": (Scenario.AB, SPIN, "requires a spin-independent-ab"),
+    "AB-missing": (Scenario.AB, None, "requires a spin-independent-ab"),
+    "C-dict": (Scenario.C, {"mu": 1.0, "lambda_l": 0.3, "lambda_r": 0.0},
+               "requires a spin-conditioned"),
+    "unknown-scenario": ("C", SPIN, "unknown scenario"),
 }
 
 
-@pytest.mark.parametrize("scenario, topo", BAD_SPECS.values(), ids=BAD_SPECS)
-def test_both_one_point_entry_points_reject_a_bad_spec_alike(scenario, topo):
+@pytest.mark.parametrize("scenario, topo, fragment", BAD_SPECS.values(), ids=BAD_SPECS)
+def test_both_one_point_entry_points_reject_a_bad_spec_alike(scenario, topo, fragment):
     messages = []
     for entry in (run_scenario, brute_force_distribution):
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(ValueError, match=fragment) as excinfo:
             entry(scenario, 0.0, 0.0, topo)
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
@@ -202,18 +195,9 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="must be a (RoleAssignment|GridSpec)"):
             grid_search_max_S(*args)
 
-    def test_rejects_an_array_contrast(self):
-        with pytest.raises(ValueError, match="c must be a scalar"):
-            grid_search_max_S(np.array([0.1, 0.2]), RoleAssignment.STANDARD)
-
     def test_rejects_contrast_outside_unit_interval(self):
         with pytest.raises(ValueError):
             grid_search_max_S(1.2, RoleAssignment.STANDARD)
-
-    @pytest.mark.parametrize("c", [np.nan, np.inf])
-    def test_rejects_non_finite_contrast(self, c):
-        with pytest.raises(ValueError, match="contrast"):
-            grid_search_max_S(c, RoleAssignment.STANDARD)
 
 
 #: Contrasts with the edges of [-1, 1] and both zeros among them, where maximisers tie.
@@ -347,10 +331,19 @@ class TestMaxOverB:
 
 
 class TestStationarityCheck:
-    def test_analytic_optimum_is_stationary(self):
-        angles = chsh.analytic_optimal_angles(0.0)
-        outcome = stationarity_check(angles, 1.0, RoleAssignment.STANDARD, 1e-4)
-        assert outcome is StationarityOutcome.PASSED
+    @pytest.mark.parametrize("angles, c, roles, expected", [
+        (chsh.analytic_optimal_angles(0.0), 1.0, RoleAssignment.STANDARD, "passed"),
+        (BellAngles(0.3, 1.0, 2.0, 0.7), 1.0, RoleAssignment.LITERAL, "failed"),
+        # all-equal angles zero out the first combination argument
+        (BellAngles(0, 0, 0, 0), 1.0, RoleAssignment.STANDARD, "skipped"),
+        # the second argument is 0 at c = 0, within ten steps of zero
+        (chsh.analytic_optimal_angles(np.pi / 4), 0.0, RoleAssignment.STANDARD, "skipped"),
+        # the first argument is 1.05e-3 at the angles, beyond 10*h, and 9.1e-4 at tL + h
+        (BellAngles(np.pi / 4 - 7.42e-4, 0, 0, np.pi / 2), 1.0, RoleAssignment.STANDARD, "failed"),
+    ], ids=["analytic-optimum", "non-stationary", "coincident-angles", "zero-contrast-kink",
+            "just-outside-the-kink-band"])
+    def test_outcome(self, angles, c, roles, expected):
+        assert stationarity_check(angles, c, roles, 1e-4) is StationarityOutcome(expected)
 
     def test_stationary_across_loop_phases(self):
         for mu_lambda in np.linspace(0.0, np.pi, 11):
@@ -362,28 +355,56 @@ class TestStationarityCheck:
             if abs(c) > 0.01:
                 assert outcome is StationarityOutcome.PASSED
 
-    def test_non_stationary_point_fails(self):
-        angles = BellAngles(0.3, 1.0, 2.0, 0.7)
-        outcome = stationarity_check(angles, 1.0, RoleAssignment.LITERAL, 1e-4)
-        assert outcome is StationarityOutcome.FAILED
-
-    def test_kink_at_coincident_angles_is_skipped(self):
-        # all-equal angles zero out the first combination argument
-        outcome = stationarity_check(BellAngles(0, 0, 0, 0), 1.0,
-                                     RoleAssignment.STANDARD, 1e-4)
-        assert outcome is StationarityOutcome.SKIPPED
-
-    def test_argument_within_ten_steps_of_zero_is_skipped(self):
-        angles = chsh.analytic_optimal_angles(np.pi / 4)  # second argument is 0 at c=0
-        outcome = stationarity_check(angles, 0.0, RoleAssignment.STANDARD, 1e-4)
-        assert outcome is StationarityOutcome.SKIPPED
-
-    def test_rejects_non_positive_step(self):
-        with pytest.raises(ValueError):
-            stationarity_check(BellAngles(1, 2, 3, 4), 0.5, RoleAssignment.STANDARD, 0.0)
-
     # 1e-17 and 1e-300 leave every angle unchanged, so all quotients would be 0
-    @pytest.mark.parametrize("h", [np.nan, np.inf, 1e-17, 1e-300])
-    def test_rejects_nan_step_naming_h(self, h):
-        with pytest.raises(ValueError, match="step h"):
-            stationarity_check(BellAngles(1, 2, 3, 4), 0.5, RoleAssignment.STANDARD, h)
+    @pytest.mark.parametrize("angles, h, rule", [
+        ((1, 2, 3, 4), 0.0, "must be positive"), ((1, 2, 3, 4), np.nan, "must be finite"),
+        ((1, 2, 3, 4), np.inf, "must be finite"), ((1, 2, 3, 4), 1e-17, "must move every angle"),
+        ((1, 2, 3, 4), 1e-300, "must move every angle"),
+        ((1e308, 0, 0, 0), 1e308, "must keep every angle finite"),
+    ])
+    def test_rejects_a_bad_step_naming_h(self, angles, h, rule):
+        with pytest.raises(ValueError, match=f"step h .*{rule}"):
+            stationarity_check(BellAngles(*angles), 0.5, RoleAssignment.STANDARD, h)
+
+
+def _reference_stationarity(angles, c, roles, h):
+    """Reference: the kink test on four E terms, then one angle at a time through chsh_S."""
+    a, a_prime, b, b_prime = roles.slots(angles)
+    e = chsh.expectation_closed_form
+    terms = (e(a, b, c) - e(a, b_prime, c), e(a_prime, b, c) + e(a_prime, b_prime, c))
+    if min(map(abs, terms)) <= 10.0 * h:
+        return StationarityOutcome.SKIPPED
+
+    def moved(i, step):  # S with angle i moved by step
+        values = list(angles.as_tuple())
+        values[i] += step
+        return chsh.chsh_S(BellAngles(*values), c, roles)
+
+    threshold = 10.0 * h * h * max(1.0, chsh.chsh_S(angles, c, roles))
+    quotients = [(moved(i, h) - moved(i, -h)) / (2.0 * h) for i in range(4)]
+    failed = max(map(abs, quotients)) > threshold
+    return StationarityOutcome.FAILED if failed else StationarityOutcome.PASSED
+
+
+@st.composite
+def stationarity_inputs(draw):
+    """(angles, c, roles): any angles at any contrast, or near the analytic optimum at its own."""
+    roles = draw(st.sampled_from(list(RoleAssignment)))
+    if draw(st.booleans()):
+        return BellAngles(*draw(st.tuples(*[st.floats(-7.0, 7.0)] * 4))), draw(contrasts), roles
+    mu_lambda = draw(st.floats(0.0, np.pi))
+    optimum = RoleAssignment.STANDARD.slots(chsh.analytic_optimal_angles(mu_lambda))
+    shift = draw(st.tuples(*[st.floats(-1e-3, 1e-3)] * 4))
+    return roles.bell_angles(*np.add(optimum, shift)), chsh.contrast(mu_lambda), roles
+
+
+@given(inputs=stationarity_inputs(), h=st.floats(1e-6, 1e-2),
+       odd=st.sampled_from([None, None, "h", "c"]), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+@settings(max_examples=100, deadline=None)
+def test_stationarity_check_is_the_one_angle_loop_or_rejects_nan_and_inf(inputs, h, odd, bad):
+    angles, c, roles = inputs
+    if odd is None:
+        assert stationarity_check(*inputs, h) is _reference_stationarity(*inputs, h)
+    else:  # NaN or inf in h or c
+        with pytest.raises(ValueError, match=rf"\b{odd}\b"):
+            stationarity_check(angles, bad if odd == "c" else c, roles, bad if odd == "h" else h)

@@ -9,9 +9,10 @@ import topobell
 from topobell import chsh, cli, entangled, linalg, optics, oracle, verify
 
 SRC = Path(topobell.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 REMOVED = {
-    chsh: ("_check_contrast", "_scalar", "_doubled_mu_lambda"),
+    chsh: ("_check_contrast", "_scalar", "_doubled_mu_lambda", "chsh_terms"),
     cli: ("_parse_angle", "_checked_contrast"),
     entangled: ("SpinBranch", "TwoQuantonState", "singlet_source", "run_scenario_a",
                 "run_scenario_b", "run_scenario_c", "run_scenario_ab", "_finite_array",
@@ -40,10 +41,22 @@ def test_removed_names_are_gone(module, name):
 
 
 def test_readme_library_example_runs():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 1
-    exec(compile(blocks[0], str(readme), "exec"), {})
+    exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def _readme_cli_examples():
+    """The ``topobell`` lines of README's sh blocks, joined across ``\\`` and cut at # and >."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = (line.split("#")[0].split(">")[0].split() for line in lines)
+    return [words for words in commands if words[:1] == ["topobell"]]
+
+
+@pytest.mark.parametrize("words", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_exits_zero(capsys, words):
+    assert cli.main(words[1:]) == 0 and capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
