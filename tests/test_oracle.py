@@ -366,6 +366,20 @@ class TestStationarityCheck:
         with pytest.raises(ValueError, match=f"step h .*{rule}"):
             stationarity_check(BellAngles(*angles), 0.5, RoleAssignment.STANDARD, h)
 
+    # with several bad arguments the first in the order angles, roles, h, c is named
+    @pytest.mark.parametrize("angles, c, roles, h, named", [
+        ((0, 0, 0, 0), np.nan, "standard", np.nan, "angles"),
+        (BellAngles(0, 0, 0, 0), np.nan, "standard", np.nan, "roles"),
+        (BellAngles(0, 0, 0, 0), np.nan, RoleAssignment.STANDARD, np.nan, "step h"),
+        (BellAngles(0, 0, 0, 0), 1.5, RoleAssignment.STANDARD, 0.0, "step h"),
+        (BellAngles(1, 2, 3, 4), 1.5, RoleAssignment.STANDARD, 1e-17, "step h"),
+        (BellAngles(1e308, 0, 0, 0), np.inf, RoleAssignment.STANDARD, 1e308, "step h"),
+    ], ids=["angles-before-roles", "roles-before-h", "nan-h-before-c", "zero-h-before-c",
+            "unmoving-h-before-c", "overflowing-h-before-c"])
+    def test_names_the_first_bad_argument_in_check_order(self, angles, c, roles, h, named):
+        with pytest.raises(ValueError, match=rf"^{named} must"):
+            stationarity_check(angles, c, roles, h)
+
 
 def _reference_stationarity(angles, c, roles, h):
     """Reference: the kink test on four E terms, then one angle at a time through chsh_S."""
