@@ -49,6 +49,8 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _BS = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 _SPLITTERS = _kron(_BS, _BS)
 _MIRROR = np.eye(4, dtype=complex)[[1, 0, 3, 2]]  # 1 (x) swap: right-hand detector labels
+# scenario A's right-hand detectors are labeled opposite to the splitter ports
+_READOUT = _MIRROR @ _SPLITTERS
 
 
 class BudgetExceededError(RuntimeError):
@@ -83,16 +85,6 @@ def brute_force_probabilities(scenario: Scenario, theta_l, theta_r, **fields) ->
     return _brute_force(scenario, *_checked_batch(scenario, theta_l, theta_r, fields))
 
 
-def _left_product(m: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``m @ stack`` for a 4x4 ``m`` and a stack (..., 4, 4), as one 2-D matmul.
-
-    The stack's matrices sit side by side in one (4, 4N) matrix, so the
-    shared factor costs one gemm call rather than one per matrix.
-    """
-    side = stack.reshape(-1, 4, 4).transpose(1, 0, 2).reshape(4, -1)
-    return (m @ side).reshape(4, -1, 4).transpose(1, 0, 2).reshape(stack.shape)
-
-
 def _right_product(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``stack @ m`` for a stack (..., 4, 4) and a (4, k) ``m``: one 2-D matmul on (4N, 4)."""
     return (stack.reshape(-1, 4) @ m).reshape(stack.shape[:-1] + m.shape[-1:])
@@ -108,39 +100,34 @@ def _brute_force(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.ndarr
     """:func:`brute_force_probabilities` on what ``_checked_batch`` or ``_checked_point`` returns.
 
     The branch phases scale the branches elementwise, so fields may keep
-    their own shape. Each product with a factor shared by every point, a
-    constant 4x4 operator or the two singlet start vectors, is one 2-D
-    matmul over the whole stack (:func:`_left_product`,
-    :func:`_right_product`); only scenario A's arm phases meet the
-    retarders point by point, as a scaling of the chain's columns by the
-    retarders' diagonal.
+    their own shape. Each diagonal factor, a retarder pair or scenario A's
+    arm phases, scales the columns of the product to its left by its
+    diagonal; each product with a factor shared by every point, the
+    second splitter pair or the two singlet start vectors, is one 2-D
+    matmul over the whole stack (:func:`_right_product`).
     """
-    retarders = _kron(_diag(np.exp(1j * theta_l), 1.0), _diag(np.exp(1j * theta_r), 1.0))
-    unit = np.ones(np.shape(theta_l))
-    phi_ud = phi_du = unit
-
+    retarders = np.diagonal(_kron(_diag(np.exp(1j * theta_l), 1.0),
+                                  _diag(np.exp(1j * theta_r), 1.0)), axis1=-2, axis2=-1)
     if scenario is Scenario.A:
-        # right-hand detectors are labeled opposite to the splitter ports
-        readout = _MIRROR @ _SPLITTERS
+        chain = _READOUT
         if fields:
             mu = fields["mu"]
             arm = _kron(*(_diag(np.exp(1j * mu * fields[f"i_u_{side}"]),
                                 np.exp(-1j * mu * fields[f"i_d_{side}"])) for side in "lr"))
-            # the retarders are diagonal, so they scale the chain's columns
-            diagonal = np.diagonal(retarders, axis1=-2, axis2=-1)
-            chain = _left_product(readout, arm) * diagonal[..., None, :]
-        else:
-            chain = _left_product(readout, retarders)
+            chain = chain * np.diagonal(arm, axis1=-2, axis2=-1)[..., None, :]
+        chain = chain * retarders[..., None, :]
     else:
-        chain = _right_product(_left_product(_SPLITTERS, retarders), _SPLITTERS)
+        chain = _right_product(_SPLITTERS * retarders[..., None, :], _SPLITTERS)
+    branches = _right_product(chain, _SINGLET_BRANCHES)
+
     if scenario is Scenario.C:
         phi_ud, phi_du = (np.exp(-1j * fields["mu"] * (s_l * fields["lambda_l"]
                                                       + s_r * fields["lambda_r"]))
                           for (s_l, s_r) in ((1, -1), (-1, 1)))
     elif scenario is Scenario.AB:
         phi_ud = phi_du = np.exp(-1j * fields["flux"])
-
-    branches = _right_product(chain, _SINGLET_BRANCHES)
+    else:
+        return np.abs(branches[..., 0] + branches[..., 1]) ** 2
     amplitudes = phi_ud[..., None] * branches[..., 0] + phi_du[..., None] * branches[..., 1]
     return np.abs(amplitudes) ** 2
 

@@ -6,9 +6,9 @@ for a roles, grid, angles or distribution argument and a bool for an
 integer. The CLI cases check the same inputs as flag values: exit 2 and
 one error line, never a traceback. The properties at the end draw any
 value for the phase spec, the angles of ``run_scenario`` and
-``BellAngles``, the arguments of ``chsh_S_values`` and the fields of
-``GridSpec``: each input gives a valid object, distribution or S, or a
-ValueError, and NaN or inf always the error.
+``BellAngles``, the arguments of ``chsh_S_values`` and ``chsh_S`` and the
+fields of ``GridSpec``: each input gives a valid object, distribution or
+S, or a ValueError, and NaN or inf always the error.
 """
 
 import math
@@ -390,3 +390,19 @@ def test_grid_spec_is_valid_or_rejected(data):
 def test_grid_spec_rejects_nan_and_inf(name, bad):
     with pytest.raises(ValueError):
         tb.GridSpec(**{name: bad})
+
+
+unit_contrasts = st.sampled_from([-1.0, -0.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@given(angles=st.tuples(*[st.floats(-7.0, 7.0)] * 4), c=unit_contrasts,
+       roles=st.sampled_from(list(tb.RoleAssignment)), bad=st.none() | non_finite)
+@settings(max_examples=30, deadline=None)
+def test_chsh_s_is_finite_and_non_negative_or_rejects_nan_and_inf(angles, c, roles, bad):
+    angles = tb.BellAngles(*angles)
+    if bad is None:
+        s = tb.chsh_S(angles, c, roles)
+        assert type(s) is float and math.isfinite(s) and s >= 0.0
+    else:
+        with pytest.raises(ValueError, match=r"\bc\b"):
+            tb.chsh_S(angles, bad, roles)

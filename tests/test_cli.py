@@ -1,12 +1,16 @@
 import argparse
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from topobell import chsh
-from topobell.cli import _angle_arg, _build_parser, _finite_arg, _positive_int_arg, main
+from topobell.cli import (_angle_arg, _build_parser, _finite_arg, _flag, _positive_int_arg,
+                          main)
 
 #: Golden stdout files of the simulate, sweep and optimize commands, byte for byte.
 GOLDEN = Path(__file__).parent / "golden"
@@ -528,3 +532,78 @@ class TestParserReuse:
                      ["optimize"], self.B_POINT):
             any_exit(capsys, *argv)
         assert len(built) == 1
+
+
+# ---- every command, as properties ------------------------------------------
+
+#: Finite flag values, moderate and extreme, as the text a shell would pass.
+finite_texts = st.one_of(
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, -0.0]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(repr)
+non_finite_texts = st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity"])
+#: Mostly finite, so that most draws of several flags reach the command's work.
+number_texts = st.integers(0, 4).flatmap(lambda k: finite_texts if k else non_finite_texts)
+angle_texts = number_texts | finite_texts.map(lambda text: text + "deg")
+
+#: The record fields that hold text rather than a number.
+LABELS = {"scenario", "method", "roles"}
+
+#: capsys is read and emptied after every call, so its examples may share it.
+cli_settings = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def assert_finite_output_or_one_error(capsys, argv):
+    """Exit 0 printing only finite numbers, or exit 2 with one error line; never a traceback."""
+    code, out, err = any_exit(capsys, *argv)
+    if code == 0:
+        assert err == ""
+        records = json.loads(out) if out.startswith("[") else parse_csv(out)[1]
+        assert records
+        assert all(math.isfinite(float(value)) for record in records
+                   for key, value in record.items() if key not in LABELS), out
+    else:
+        assert (code, out) == (2, ""), err
+        lines = err.splitlines()
+        assert lines and [line for line in lines if "error:" in line] == lines[-1:], err
+
+
+@given(data=st.data(), scenario=st.sampled_from(sorted(SCENARIO_FIELDS)))
+@settings(cli_settings, max_examples=30)
+def test_simulate_prints_finite_numbers_or_one_error(capsys, data, scenario):
+    argv = ["simulate", "--scenario", scenario,
+            *(f"{flag}={data.draw(angle_texts, label=flag)}"
+              for flag in ("--theta-l", "--theta-r")),
+            *(f"{_flag(field)}={data.draw(number_texts, label=field)}"
+              for field in SCENARIO_FIELDS[scenario]),
+            "--format", data.draw(st.sampled_from(["json", "csv"]))]
+    assert_finite_output_or_one_error(capsys, argv)
+
+
+@given(low=number_texts, high=number_texts, points=st.integers(1, 4),
+       fmt=st.sampled_from(["csv", "json"]))
+@settings(cli_settings, max_examples=30)
+def test_sweep_prints_finite_numbers_or_one_error(capsys, low, high, points, fmt):
+    assert_finite_output_or_one_error(
+        capsys, ["sweep", f"--min={low}", f"--max={high}", f"--points={points}", "--format", fmt])
+
+
+@given(mu=number_texts, lambda_l=number_texts, lambda_r=number_texts,
+       method=st.sampled_from(["analytic", "grid"]),
+       roles=st.sampled_from(["standard", "literal"]))
+@settings(cli_settings, max_examples=20)
+def test_optimize_prints_finite_numbers_or_one_error(capsys, mu, lambda_l, lambda_r, method,
+                                                     roles):
+    assert_finite_output_or_one_error(
+        capsys, ["optimize", f"--mu={mu}", f"--lambda-l={lambda_l}", f"--lambda-r={lambda_r}",
+                 "--method", method, "--roles", roles])
+
+
+@given(budget=st.integers(1, 20))
+@settings(cli_settings, max_examples=5)
+def test_verify_passes_every_suite_at_a_small_budget(capsys, budget):
+    code, out, err = run_cli(capsys, "verify", "--budget", str(budget))
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 12)
+    assert all(": PASS " in line for line in lines)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_unitary
+from test_batched import CASE_IDS, CASES, SEED, _draws
 from topobell import chsh, oracle
 from topobell.chsh import BellAngles, RoleAssignment
 from topobell.entangled import Scenario, TopoPhaseSpec, run_scenario
@@ -15,6 +16,7 @@ from topobell.oracle import (
     GridSpec,
     StationarityOutcome,
     brute_force_distribution,
+    brute_force_probabilities,
     grid_search_max_S,
     stationarity_check,
 )
@@ -24,6 +26,65 @@ class TestBruteForceDistribution:
     def test_scenario_b_quarter_wave(self):
         dist = brute_force_distribution(Scenario.B, np.pi / 2, 0.0)
         assert dist.p_d0p_d0 == pytest.approx(0.25, abs=1e-12)
+
+
+#: 1 (x) swap: scenario A's right-hand detectors are labeled opposite to the splitter ports.
+MIRROR = np.eye(4)[[1, 0, 3, 2]]
+
+
+def _textbook_probabilities(scenario, theta_l, theta_r, fields):
+    """abs((chain @ singlet branches) . branch phases)**2, every factor a full 4x4 matrix."""
+    def pair(left, right):
+        return oracle._kron(oracle._diag(*left), oracle._diag(*right))
+
+    retarders = pair((np.exp(1j * theta_l), 1.0), (np.exp(1j * theta_r), 1.0))
+    phases = (1.0, 1.0)
+    if scenario is Scenario.A:
+        chain = MIRROR @ oracle._SPLITTERS
+        if fields:
+            mu = fields["mu"]
+            chain = chain @ pair(*((np.exp(1j * mu * fields[f"i_u_{side}"]),
+                                    np.exp(-1j * mu * fields[f"i_d_{side}"])) for side in "lr"))
+        chain = chain @ retarders
+    else:
+        chain = oracle._SPLITTERS @ retarders @ oracle._SPLITTERS
+    if scenario is Scenario.C:
+        mu, lambda_l, lambda_r = fields["mu"], fields["lambda_l"], fields["lambda_r"]
+        phases = (np.exp(-1j * mu * (lambda_l - lambda_r)),
+                  np.exp(-1j * mu * (lambda_r - lambda_l)))
+    elif scenario is Scenario.AB:
+        phases = (np.exp(-1j * fields["flux"]),) * 2
+    branches = chain @ oracle._SINGLET_BRANCHES
+    return np.abs(sum(np.asarray(phase)[..., None] * branches[..., k]
+                      for k, phase in enumerate(phases))) ** 2
+
+
+@pytest.mark.parametrize("scenario, with_fields", CASES, ids=CASE_IDS)
+def test_oracle_equals_its_textbook_chain(scenario, with_fields):
+    # every splitter and readout entry is purely real or purely imaginary, so a
+    # diagonal factor costs one rounding per component, by gemm or by scaling
+    theta_l, theta_r, fields = _draws(scenario, with_fields, 20_000)
+    oracle_p = brute_force_probabilities(scenario, theta_l, theta_r, **fields)
+    textbook = _textbook_probabilities(scenario, theta_l, theta_r, fields)
+    if scenario is Scenario.A and with_fields:
+        # readout @ arm is general, so its product with the retarders rounds by route
+        assert_allclose(oracle_p, textbook, rtol=0, atol=1e-15)
+    else:
+        assert oracle_p.tobytes() == textbook.tobytes()
+
+
+@pytest.mark.parametrize("scenario, fields", [
+    (Scenario.B, {}),
+    (Scenario.C, {"mu": 1.3, "lambda_l": np.linspace(-3.0, 3.0, 30)[None, None, :],
+                  "lambda_r": 0.4}),
+], ids=["B", "C"])
+def test_oracle_equals_its_textbook_chain_on_a_sparse_grid(scenario, fields):
+    theta = np.random.default_rng([SEED, 12]).uniform(0.0, 2.0 * np.pi, 30)
+    theta_l, theta_r = theta[:, None, None], theta[None, :, None]
+    oracle_p = brute_force_probabilities(scenario, theta_l, theta_r, **fields)
+    assert oracle_p.shape == (30, 30, 30 if fields else 1, 4)
+    assert oracle_p.tobytes() == _textbook_probabilities(scenario, theta_l, theta_r,
+                                                         fields).tobytes()
 
 
 SPIN = TopoPhaseSpec.spin_conditioned(1.0, 0.3, 0.0)
@@ -206,6 +267,24 @@ contrasts = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
 small_specs = st.builds(GridSpec, points_per_angle=st.integers(2, 6),
                         refinement_rounds=st.integers(0, 3),
                         shrink_factor=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+#: Contrasts the search must refuse: NaN, inf and values just past 1 + 1e-12 in magnitude.
+bad_contrasts = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.floats(1.0 + 1e-12, exclude_min=True, allow_infinity=False).flatmap(
+        lambda v: st.sampled_from([v, -v])))
+
+
+@given(c=contrasts, roles=st.sampled_from(list(RoleAssignment)), bad=st.none() | bad_contrasts)
+@settings(max_examples=20, deadline=None)
+def test_grid_search_finds_the_analytic_maximum_or_rejects_c(c, roles, bad):
+    if bad is not None:
+        with pytest.raises(ValueError, match=r"\bc\b"):
+            grid_search_max_S(bad, roles)
+        return
+    result = grid_search_max_S(c, roles)
+    assert abs(result.best_s - chsh.analytic_max_S(c)) <= 1e-12
+    assert result.best_s == chsh.chsh_S(result.best_angles, c, roles)
+    assert result.evaluations == 3456
 
 
 def _per_row_search(c, spec):

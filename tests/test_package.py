@@ -22,7 +22,7 @@ REMOVED = {
              "joint_probabilities", "norm", "DEFAULT_TOL", "tensor_product"),
     optics: ("custom_beam_splitter", "NonUnitaryError", "CUSTOM_SPLITTER_TOL",
              "polarizing_splitter_candidate", "spin_eigenstates", "_finite"),
-    oracle: ("_ID", "_SWAP", "_require_type"),
+    oracle: ("_ID", "_SWAP", "_require_type", "_left_product"),
     verify: ("DEFAULT_LIGHT_DRAWS", "DEFAULT_HEAVY_DRAWS"),
 }
 
