@@ -40,7 +40,11 @@ def _angle_arg(text: str) -> float:
     stripped = text.strip()
     try:
         if stripped.lower().endswith("deg"):
-            return _checks.finite_scalar("angle", float(stripped[:-3]) * np.pi / 180.0)
+            degrees = float(stripped[:-3])
+            radians = degrees * np.pi / 180.0
+            if abs(radians) == np.inf:  # degrees * pi overflowed, or degrees is inf: rejected below
+                radians = degrees / 180.0 * np.pi
+            return _checks.finite_scalar("angle", radians)
         return _checks.finite_scalar("angle", stripped)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid angle {text!r}") from None
@@ -179,8 +183,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.min < args.max:
         raise UsageError("--min must be smaller than --max")
     _checks.finite_scalar("--max - --min", args.max - args.min)
-    spec = GridSpec()
-    needed = args.points * spec.total_evaluations()
+    needed = args.points * GridSpec().total_evaluations()
     if needed > args.budget:
         print(f"error: sweep needs {needed} grid evaluations, budget is {args.budget}",
               file=sys.stderr)
@@ -196,7 +199,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "c": contrasts,
         "s_fixed_angles": chsh.fixed_angle_curve_S(mu_lambdas),
         "s_max_analytic": [chsh.analytic_max_S(c) for c in contrasts.tolist()],
-        "s_max_grid": _search(contrasts, spec)[4],
+        "s_max_grid": _search(contrasts)[4],
         "theta_r_opt": np.arctan(contrasts),  # analytic_optimal_angles(mu_lambda).theta_r
     }
     rows = zip(*(np.asarray(column).tolist() for column in columns.values()))

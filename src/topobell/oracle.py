@@ -6,9 +6,11 @@ explicit 4x4 operator chains, Kronecker products of inline component
 matrices stacked over arrays of points, and the CHSH maximum through a
 grid search over the two angles (a, a') with shrinking-window refinement
 and the exact maximum over (b, b') at each grid point, plus
-finite-difference stationarity checks at claimed extrema. The grid search
-is one kernel over arrays of contrasts (:func:`_search`, which runs all of
-``topobell sweep``'s rows in one array pass per round);
+finite-difference stationarity checks at claimed extrema. The search grid
+is fixed (24 points per angle, 5 refinement rounds, shrink factor 0.25),
+and a :class:`GridSpec` carries only its evaluation budget. The grid
+search is one kernel over arrays of contrasts (:func:`_search`, which
+runs all of ``topobell sweep``'s rows in one array pass per round);
 :func:`grid_search_max_S` is its one-row case.
 
 Conventions used throughout the package:
@@ -144,41 +146,36 @@ def brute_force_distribution(scenario: Scenario, theta_l: float, theta_r: float,
         _brute_force(scenario, *_checked_point(scenario, theta_l, theta_r, topo)))
 
 
+#: The search grid: 24 points per angle, 5 refinement rounds, each window's
+#: half-width shrunk by 0.25 per round. Round 0's axis, linspace(0, 2pi, 24,
+#: endpoint=False), holds 0 and pi/2 exactly (indices 0 and 6), so it holds
+#: the maximizer (a, a') = (0, pi/2) bit for bit at every contrast.
+_POINTS, _ROUNDS, _SHRINK = 24, 5, 0.25
+_RAMP = np.arange(_POINTS, dtype=float)
+_ROUND_ZERO = _RAMP * (TWO_PI / _POINTS)  # linspace's own arithmetic for that axis
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Search grid over (a, a'): points per angle, refinement rounds, shrink factor.
+    """Evaluation budget of a grid search over (a, a').
 
-    Each round evaluates points_per_angle**2 grid points, each one the
-    exact maximum of S over (b, b'); refinement rounds re-grid a window
-    shrunk by shrink_factor around the incumbent. ``budget`` caps the
-    total count. The defaults (24 points, 5 rounds, shrink 0.25) take
-    3,456 evaluations, and their round-0 grid holds the maximizer
-    (a, a') = (0, pi/2), so S is found to about 1e-15. A batched search
-    (:func:`_search`) runs every row on the same spec, with the same
-    count per row.
+    The grid is fixed: 24 points per angle in round 0 and in each of 5
+    refinement rounds, 3,456 evaluations in all, each one the exact
+    maximum of S over (b, b'). Round 0's grid holds the maximizer
+    (a, a') = (0, pi/2), so S is found to about 1e-15; other sizes miss
+    it (by 5.6e-9 at 23 points per angle). ``budget`` caps the count, and
+    a batched search (:func:`_search`) takes the same count per row.
     """
 
-    points_per_angle: int = 24
-    refinement_rounds: int = 5
-    shrink_factor: float = 0.25
     budget: int = 50_000_000
 
     def __post_init__(self):
-        for name in ("points_per_angle", "refinement_rounds", "budget"):
-            _checks.integer(name, getattr(self, name))
-        if self.points_per_angle < 2:
-            raise ValueError("points_per_angle must be at least 2")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be non-negative")
-        object.__setattr__(self, "shrink_factor",
-                           _checks.finite_scalar("shrink_factor", self.shrink_factor))
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError("shrink_factor must lie in (0, 1)")
+        _checks.integer("budget", self.budget)
         if self.budget <= 0:
             raise ValueError("budget must be positive")
 
     def total_evaluations(self) -> int:
-        return self.points_per_angle ** 2 * (self.refinement_rounds + 1)
+        return _POINTS ** 2 * (_ROUNDS + 1)
 
 
 @dataclass(frozen=True)
@@ -227,40 +224,37 @@ _BLOCK_POINTS = 2**16
 _AXES = np.array([[0], [1]])
 
 
-def _search(contrasts: np.ndarray, spec: GridSpec) -> np.ndarray:
+def _search(contrasts: np.ndarray) -> np.ndarray:
     """The grid search of :func:`grid_search_max_S` for every contrast at once; no validation.
 
     Takes a non-empty 1-D float array of contrasts and returns
     (5, len(contrasts)): the role angles a, a', b, b' and S, one column per
-    contrast. Rows are searched in blocks of
-    ``_BLOCK_POINTS // points_per_angle**2`` (at least one), so memory does
-    not grow with the row count, and a row's result depends neither on the
-    other rows nor on the blocking.
+    contrast. Rows are searched in blocks of ``_BLOCK_POINTS // 24**2``,
+    so memory does not grow with the row count, and a row's result
+    depends neither on the other rows nor on the blocking.
     """
-    per_block = max(1, _BLOCK_POINTS // spec.points_per_angle ** 2)
-    return np.concatenate([_search_block(contrasts[lo:lo + per_block], spec)
+    per_block = _BLOCK_POINTS // _POINTS ** 2
+    return np.concatenate([_search_block(contrasts[lo:lo + per_block])
                            for lo in range(0, len(contrasts), per_block)], axis=1)
 
 
-def _windows(centres: np.ndarray, half: float, ramp: np.ndarray) -> np.ndarray:
-    """``np.linspace(x - half, x + half, len(ramp))`` for every entry x of ``centres``, stacked.
+def _windows(centres: np.ndarray, half: float) -> np.ndarray:
+    """``np.linspace(x - half, x + half, 24)`` for every entry x of ``centres``, stacked.
 
-    ``ramp`` is ``np.arange(points, dtype=float)``. Returns ``centres.shape
-    + ramp.shape``. Repeats linspace's arithmetic, so every point is
-    linspace's bit for bit.
+    Returns ``centres.shape + (24,)``. Repeats linspace's arithmetic, so
+    every point is linspace's bit for bit. Linspace's special case for a
+    step that underflows to 0 is left out: every half-width the search
+    asks for is at least pi*0.25**5, about 3.1e-3, around a centre in
+    (-1.1, 7.4), so the step is never 0.
     """
     start, stop = centres - half, centres + half
-    div = len(ramp) - 1
-    step = (stop - start) / div
-    grid = ramp * step[..., None]
-    if np.count_nonzero(step) < step.size:  # linspace's rule for a step that underflows to 0
-        grid = np.where(step[..., None] == 0, ramp / div * (stop - start)[..., None], grid)
+    grid = _RAMP * ((stop - start) / (_POINTS - 1))[..., None]
     grid += start[..., None]
     grid[..., -1] = stop
     return grid
 
 
-def _search_block(c: np.ndarray, spec: GridSpec) -> np.ndarray:
+def _search_block(c: np.ndarray) -> np.ndarray:
     """:func:`_search` on one block of rows, every round one array pass over the block.
 
     Each row keeps its own incumbent (a, a'): a round's candidate is the
@@ -269,27 +263,21 @@ def _search_block(c: np.ndarray, spec: GridSpec) -> np.ndarray:
     :func:`_windows`, so every grid point is the one a per-row
     ``np.linspace`` would give.
     """
-    points = spec.points_per_angle
     rows = np.arange(len(c))
     c_grid = c[:, None, None]
-    ramp = np.arange(points, dtype=float)
-    grid = np.empty((2, len(c), points))
-    # np.linspace(0, TWO_PI, points, endpoint=False), by linspace's own arithmetic
-    grid[...] = ramp * (TWO_PI / points)
-    for round_index in range(spec.refinement_rounds + 1):
+    grid = np.broadcast_to(_ROUND_ZERO, (2, len(c), _POINTS))
+    best_value, best = np.full(len(c), -np.inf), np.zeros((2, len(c)))
+    for round_index in range(_ROUNDS + 1):
         if round_index:
-            grid = _windows(best, np.pi * spec.shrink_factor ** round_index, ramp)
+            grid = _windows(best, np.pi * _SHRINK ** round_index)
         # each round needs only the bound; (b, b') is taken once, at the final winners
         values = _bound(grid[0, :, :, None], grid[1, :, None, :], c_grid)[0].reshape(len(c), -1)
         first = values.argmax(axis=1)
         top = values[rows, first]
-        candidate = grid[_AXES, rows, np.unravel_index(first, (points, points))]
-        if round_index:
-            improved = top > best_value
-            best_value = np.where(improved, top, best_value)
-            best = np.where(improved, candidate, best)
-        else:
-            best_value, best = top, candidate
+        improved = top > best_value
+        best_value = np.where(improved, top, best_value)
+        best = np.where(improved, grid[_AXES, rows, np.unravel_index(first, (_POINTS, _POINTS))],
+                        best)
 
     _, b, b_prime = _max_over_b(*best, c)
     angles = (*best, b, b_prime)
@@ -301,18 +289,19 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
     """Grid search for the CHSH maximum at contrast c.
 
     Grids (a, a') and takes the exact maximum over (b, b') at every grid
-    point (:func:`_max_over_b`), so ``evaluations`` counts
-    points_per_angle**2 per round. Round 0 covers [0, 2pi) per angle,
-    endpoint excluded since the objective is periodic; each refinement
-    round re-grids a window of width shrink_factor**round times 2pi
-    around the incumbent. The incumbent never gets worse, and identical
-    inputs give identical results: the grids are deterministic and ties
-    resolve to the first maximum in C order over (a, a'). The reported S
-    is recomputed from the reported angles, as :func:`chsh_S` would. This
-    is the one-row case of :func:`_search`, the batched search behind
-    ``topobell sweep``. Raises ``ValueError`` before any work unless
-    ``roles`` is a :class:`RoleAssignment` and ``grid`` is None or a
-    :class:`GridSpec`.
+    point (:func:`_max_over_b`), so ``evaluations`` counts the 24**2 grid
+    points of each of the six rounds, 3,456. Round 0 covers [0, 2pi) per
+    angle, endpoint excluded since the objective is periodic; refinement
+    round k re-grids a window of width 0.25**k times 2pi around the
+    incumbent. The incumbent never gets worse, and identical inputs give
+    identical results: the grids are deterministic and ties resolve to
+    the first maximum in C order over (a, a'). The reported S is
+    recomputed from the reported angles, as :func:`chsh_S` would. This is
+    the one-row case of :func:`_search`, the batched search behind
+    ``topobell sweep``. ``grid`` carries only the evaluation budget.
+    Raises ``ValueError`` before any work unless ``roles`` is a
+    :class:`RoleAssignment` and ``grid`` is None or a :class:`GridSpec`,
+    and :class:`BudgetExceededError` if the budget is below 3,456.
     """
     _checks.require_type("roles", roles, RoleAssignment)
     spec = GridSpec() if grid is None else grid
@@ -322,7 +311,7 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
     if needed > spec.budget:
         raise BudgetExceededError(needed, spec.budget)
 
-    *angles, s = _search(np.array([c]), spec)[:, 0].tolist()
+    *angles, s = _search(np.array([c]))[:, 0].tolist()
     return SearchResult(best_angles=roles.bell_angles(*angles), best_s=s, evaluations=needed)
 
 

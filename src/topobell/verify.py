@@ -148,9 +148,9 @@ def _scenario_c_grid():
     return theta_l, theta_r, mu_lambda, simulated
 
 
-def _suite_scenario_c_closed_form(inject_fault: str | None, grid=None) -> SuiteResult:
-    """The scenario-C grid against its closed form; ``grid``: :func:`_scenario_c_grid`, if taken."""
-    theta_l, theta_r, mu_lambda, simulated = _scenario_c_grid() if grid is None else grid
+def _suite_scenario_c_closed_form(inject_fault: str | None, grid) -> SuiteResult:
+    """The scenario-C grid against its closed form; ``grid``: :func:`_scenario_c_grid`."""
+    theta_l, theta_r, mu_lambda, simulated = grid
     two_ml = 2.0 * mu_lambda
     if inject_fault == FAULT_SCENARIO_C_SIGN:
         two_ml = np.pi - two_ml  # flips the interference term sign
@@ -213,10 +213,10 @@ def _suite_oracle_equivalence(rng: np.random.Generator, draws: int) -> SuiteResu
     return SuiteResult("oracle-equivalence", worst, 1e-12)
 
 
-def _suite_chsh_consistency(grid=None) -> SuiteResult:
-    """E from the pipeline against the closed forms; ``grid``: :func:`_scenario_c_grid`, if taken."""
+def _suite_chsh_consistency(grid) -> SuiteResult:
+    """E from the pipeline against the closed forms; ``grid``: :func:`_scenario_c_grid`."""
     # channel consistency: pipeline distribution vs closed-form expectation
-    theta_l, theta_r, mu_lambda, p = _scenario_c_grid() if grid is None else grid
+    theta_l, theta_r, mu_lambda, p = grid
     expected = chsh.expectation_closed_form(theta_l, theta_r, np.cos(2.0 * mu_lambda))
     measured = chsh.expectation_from_probabilities(p)
     worst = float(np.max(np.abs(measured - expected)))

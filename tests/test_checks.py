@@ -7,7 +7,7 @@ integer. The CLI cases check the same inputs as flag values: exit 2 and
 one error line, never a traceback. The properties at the end draw any
 value for the phase spec, the angles of ``run_scenario`` and
 ``BellAngles``, the arguments of ``chsh_S_values`` and ``chsh_S`` and the
-fields of ``GridSpec``: each input gives a valid object, distribution or
+budget of ``GridSpec``: each input gives a valid object, distribution or
 S, or a ValueError, and NaN or inf always the error.
 """
 
@@ -62,7 +62,6 @@ SCALAR_ENTRIES = [
     ("analytic_max_S", "c", lambda v: tb.analytic_max_S(v)),
     ("analytic_optimal_angles", "mu_lambda", lambda v: tb.analytic_optimal_angles(v)),
     ("grid_search_max_S", "c", lambda v: tb.grid_search_max_S(v, ROLES)),
-    ("GridSpec", "shrink_factor", lambda v: tb.GridSpec(shrink_factor=v)),
     ("stationarity_check", "h",
      lambda v: tb.stationarity_check(tb.canonical_angles(), 0.5, ROLES, h=v)),
     ("stationarity_check", "c",
@@ -116,8 +115,6 @@ TYPE_ENTRIES = [
      lambda v: tb.stationarity_check(tb.canonical_angles(), 0.5, v, 1e-4)),
     ("stationarity_check", "angles", "tuple", (0.0, 0.5, 0.25, 0.75),
      lambda v: tb.stationarity_check(v, 0.5, ROLES, 1e-4)),
-    ("GridSpec", "points_per_angle", "bool", True, lambda v: tb.GridSpec(points_per_angle=v)),
-    ("GridSpec", "refinement_rounds", "bool", True, lambda v: tb.GridSpec(refinement_rounds=v)),
     ("GridSpec", "budget", "bool", True, lambda v: tb.GridSpec(budget=v)),
     ("chsh_S", "roles", "text", "standard", lambda v: tb.chsh_S(tb.canonical_angles(), 0.5, v)),
     ("chsh_S", "angles", "tuple", (0.0, 1.0, 2.0, 3.0), lambda v: tb.chsh_S(v, 0.5, ROLES)),
@@ -214,12 +211,10 @@ def test_detection_distribution_rejects_a_non_real_probability(build, bad):
         build(bad)
 
 
-def test_bell_angles_and_shrink_factor_are_stored_as_floats():
+def test_bell_angles_are_stored_as_floats():
     angles = tb.BellAngles(np.float64(0.5), 1, True, "0.25")
     assert angles.as_tuple() == (0.5, 1.0, 1.0, 0.25)
     assert all(type(v) is float for v in angles.as_tuple())
-    spec = tb.GridSpec(shrink_factor="0.5")
-    assert type(spec.shrink_factor) is float and spec.shrink_factor == 0.5
 
 
 def _cli(capsys, *argv):
@@ -364,32 +359,21 @@ def test_chsh_s_values_are_finite_and_non_negative_or_reject_the_slot(data, c, r
     assert np.all(np.isfinite(s)) and np.all(s >= 0.0)
 
 
-grid_counts = st.integers(-3, 40) | st.integers(-10 ** 30, 10 ** 30)
-grid_fields = {"points_per_angle": grid_counts, "refinement_rounds": grid_counts,
-               "shrink_factor": st.floats(-0.5, 1.5), "budget": grid_counts}
-
-
-@given(data=st.data())
+@given(budget=st.integers(-3, 40) | st.integers(-10 ** 30, 10 ** 30) | anything)
 @settings(max_examples=60, deadline=None)
-def test_grid_spec_is_valid_or_rejected(data):
-    inputs = {name: data.draw(values, label=name) for name, values in grid_fields.items()}
-    if data.draw(st.booleans()):
-        inputs[data.draw(st.sampled_from(sorted(inputs)))] = data.draw(anything, label="odd value")
+def test_grid_spec_is_valid_or_rejected(budget):
     try:
-        spec = tb.GridSpec(**inputs)
+        spec = tb.GridSpec(budget)
     except ValueError:
         return
-    assert spec.points_per_angle >= 2 and spec.refinement_rounds >= 0 and spec.budget > 0
-    _assert_finite_floats([spec.shrink_factor])
-    assert 0.0 < spec.shrink_factor < 1.0
-    assert spec.total_evaluations() == spec.points_per_angle ** 2 * (spec.refinement_rounds + 1)
+    assert spec.budget > 0 and spec.total_evaluations() == 3456
 
 
-@given(name=st.sampled_from(sorted(grid_fields)), bad=non_finite)
+@given(bad=non_finite)
 @settings(max_examples=20, deadline=None)
-def test_grid_spec_rejects_nan_and_inf(name, bad):
+def test_grid_spec_rejects_nan_and_inf(bad):
     with pytest.raises(ValueError):
-        tb.GridSpec(**{name: bad})
+        tb.GridSpec(budget=bad)
 
 
 unit_contrasts = st.sampled_from([-1.0, -0.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)

@@ -140,6 +140,20 @@ class TestSimulate:
         assert json.loads(out_deg)[0]["p_d0p_d0"] == pytest.approx(
             json.loads(out_rad)[0]["p_d0p_d0"], abs=1e-12)
 
+    @pytest.mark.parametrize("flag", ["--theta-l", "--theta-r"])
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_degrees_whose_product_with_pi_overflows(self, capsys, flag, sign):
+        # 1e308 * pi overflows; 1e308 / 180 * pi is a finite angle
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "B", "--theta-l", "0",
+                                 "--theta-r", "0", f"{flag}={sign}1e308deg")
+        assert (code, err) == (0, "")
+        assert f'"{flag[2:].replace("-", "_")}": {sign}1.745329251994e+306,' in out
+
+    @given(degrees=st.floats(-5e307, 5e307))
+    def test_degrees_keep_the_bits_of_the_left_to_right_product(self, degrees):
+        # dividing by 180 first would move the last bit of about a third of all angles
+        assert repr(_angle_arg(f"{degrees!r}deg")) == repr(degrees * np.pi / 180.0)
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--scenario", "B",
                                "--theta-l", "0", "--theta-r", "0", "--format", "csv")

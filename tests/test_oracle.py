@@ -1,8 +1,9 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -177,74 +178,71 @@ class TestKron:
         assert_allclose(lhs, rhs, atol=1e-12)
 
 
+#: The search grid, restated: points per angle, refinement rounds, shrink factor.
+POINTS, ROUNDS, SHRINK = 24, 5, 0.25
+
+
 class TestGridSpec:
     def test_defaults_fit_their_budget(self):
         spec = GridSpec()
-        assert spec.total_evaluations() <= spec.budget
+        assert spec.total_evaluations() == POINTS ** 2 * (ROUNDS + 1) == 3456 <= spec.budget
 
-    @pytest.mark.parametrize("kwargs", [
-        {"points_per_angle": 1},
-        {"refinement_rounds": -1},
-        {"shrink_factor": 0.0},
-        {"shrink_factor": 1.0},
-        {"budget": 0},
-        {"points_per_angle": 2.5},
-        {"points_per_angle": 24.0},
-        {"refinement_rounds": 1.5},
-        {"budget": 1e6},
-        {"shrink_factor": np.nan},
-    ])
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            GridSpec(**kwargs)
+    def test_budget_is_the_only_field(self):
+        assert [field.name for field in dataclasses.fields(GridSpec)] == ["budget"]
 
-    @pytest.mark.parametrize("name", ["points_per_angle", "refinement_rounds", "budget"])
-    def test_rejects_a_bool_for_an_integer(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
-            GridSpec(**{name: True})
+    @pytest.mark.parametrize("budget", [0, -1, 1e6], ids=["zero", "negative", "float"])
+    def test_rejects_bad_parameters(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            GridSpec(budget=budget)
+
+    def test_rejects_a_bool_for_an_integer(self):
+        with pytest.raises(ValueError, match="budget must be an integer, got True"):
+            GridSpec(budget=True)
 
 
 class TestGridSearch:
-    # near c = 0 the maximum exceeds 2 by only about c², which a coarse grid can miss
     @pytest.mark.parametrize("roles", list(RoleAssignment))
     @pytest.mark.parametrize("c", [1.0, 0.0, 0.5, 0.0022, -0.0022, 0.005, -0.005,
                                    0.0105, -0.0105])
     def test_finds_the_analytic_maximum(self, c, roles):
         result = grid_search_max_S(c, roles)
-        assert result.best_s == pytest.approx(2 * np.sqrt(1 + c * c), abs=1e-6)
+        assert result.best_s == pytest.approx(2 * np.sqrt(1 + c * c), abs=1e-15)
         assert result.evaluations == 3456
 
-    def test_monotone_across_refinement_rounds(self):
+    @pytest.mark.parametrize("c", [0.37, -0.9, 0.0022, 1.0])
+    def test_monotone_across_refinement_rounds(self, monkeypatch, c):
         previous = -np.inf
-        for rounds in range(5):
-            spec = GridSpec(points_per_angle=10, refinement_rounds=rounds)
-            result = grid_search_max_S(0.37, RoleAssignment.STANDARD, spec)
+        for rounds in range(ROUNDS + 1):
+            monkeypatch.setattr(oracle, "_ROUNDS", rounds)
+            result = grid_search_max_S(c, RoleAssignment.STANDARD)
+            assert result.evaluations == POINTS ** 2 * (rounds + 1)
             assert result.best_s >= previous - 1e-15
             previous = result.best_s
 
     def test_deterministic(self):
-        spec = GridSpec(points_per_angle=8, refinement_rounds=2)
-        first = grid_search_max_S(0.25, RoleAssignment.LITERAL, spec)
-        second = grid_search_max_S(0.25, RoleAssignment.LITERAL, spec)
+        first = grid_search_max_S(0.25, RoleAssignment.LITERAL)
+        second = grid_search_max_S(0.25, RoleAssignment.LITERAL)
         assert first == second
 
     def test_result_reevaluates_to_its_own_value(self):
-        result = grid_search_max_S(0.7, RoleAssignment.STANDARD,
-                                   GridSpec(points_per_angle=10, refinement_rounds=2))
+        result = grid_search_max_S(0.7, RoleAssignment.STANDARD)
         fresh = chsh.chsh_S(result.best_angles, 0.7, RoleAssignment.STANDARD)
         assert result.best_s == pytest.approx(fresh, abs=1e-12)
 
     def test_reports_evaluation_count(self):
-        spec = GridSpec(points_per_angle=6, refinement_rounds=3)
+        spec = GridSpec()
         result = grid_search_max_S(0.0, RoleAssignment.STANDARD, spec)
-        assert result.evaluations == spec.total_evaluations() == 6 ** 2 * 4
+        assert result.evaluations == spec.total_evaluations() == 24 ** 2 * 6
 
     def test_budget_exceeded_names_the_count(self):
-        spec = GridSpec(points_per_angle=24, refinement_rounds=3, budget=1000)
+        spec = GridSpec(budget=1000)
         with pytest.raises(BudgetExceededError) as excinfo:
             grid_search_max_S(0.0, RoleAssignment.STANDARD, spec)
         assert excinfo.value.evaluations == spec.total_evaluations()
         assert str(excinfo.value.evaluations) in str(excinfo.value)
+        with pytest.raises(BudgetExceededError):
+            grid_search_max_S(0.0, RoleAssignment.STANDARD, GridSpec(budget=3455))
+        assert grid_search_max_S(0.0, RoleAssignment.STANDARD, GridSpec(budget=3456)).best_s == 2.0
 
     @pytest.mark.parametrize("args", [(0.5, "standard"), (0.5, RoleAssignment.STANDARD, {})],
                              ids=["roles", "grid"])
@@ -264,14 +262,20 @@ class TestGridSearch:
 #: Contrasts with the edges of [-1, 1] and both zeros among them, where maximisers tie.
 contrasts = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
                       st.floats(-1.0, 1.0, allow_subnormal=True))
-small_specs = st.builds(GridSpec, points_per_angle=st.integers(2, 6),
-                        refinement_rounds=st.integers(0, 3),
-                        shrink_factor=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 #: Contrasts the search must refuse: NaN, inf and values just past 1 + 1e-12 in magnitude.
 bad_contrasts = st.one_of(
     st.sampled_from([np.nan, np.inf, -np.inf]),
     st.floats(1.0 + 1e-12, exclude_min=True, allow_infinity=False).flatmap(
         lambda v: st.sampled_from([v, -v])))
+#: Dense sets of contrasts: across [-1, 1], near 0, near +-1, and zeros and subnormals.
+DENSE_CONTRASTS = {
+    "cosine": np.cos(np.linspace(0.0, np.pi, 1001)),
+    "near-zero": np.linspace(-1e-2, 1e-2, 501),
+    "near-one": np.concatenate([1.0 - np.logspace(-16, -1, 200),
+                                np.logspace(-16, -1, 200) - 1.0]),
+    "tiny": np.concatenate([[0.0, -0.0, 5e-324, -5e-324],
+                            np.logspace(-323, -100, 100), -np.logspace(-323, -100, 100)]),
+}
 
 
 @given(c=contrasts, roles=st.sampled_from(list(RoleAssignment)), bad=st.none() | bad_contrasts)
@@ -282,20 +286,19 @@ def test_grid_search_finds_the_analytic_maximum_or_rejects_c(c, roles, bad):
             grid_search_max_S(bad, roles)
         return
     result = grid_search_max_S(c, roles)
-    assert abs(result.best_s - chsh.analytic_max_S(c)) <= 1e-12
+    assert abs(result.best_s - chsh.analytic_max_S(c)) <= 1e-15
     assert result.best_s == chsh.chsh_S(result.best_angles, c, roles)
     assert result.evaluations == 3456
 
 
-def _per_row_search(c, spec):
+def _per_row_search(c):
     """Reference: one row searched with ``np.linspace`` windows, first maximum wins ties."""
-    points = spec.points_per_angle
-    axes = [np.linspace(0.0, 2 * np.pi, points, endpoint=False)] * 2
+    axes = [np.linspace(0.0, 2 * np.pi, POINTS, endpoint=False)] * 2
     best_value = -np.inf
-    for round_index in range(spec.refinement_rounds + 1):
+    for round_index in range(ROUNDS + 1):
         if round_index:
-            half = np.pi * spec.shrink_factor ** round_index
-            axes = [np.linspace(x - half, x + half, points) for x in best]
+            half = np.pi * SHRINK ** round_index
+            axes = [np.linspace(x - half, x + half, POINTS) for x in best]
         values = oracle._bound(axes[0][:, None], axes[1][None, :], c)[0]
         i, j = np.unravel_index(int(np.argmax(values)), values.shape)
         if values[i, j] > best_value:
@@ -310,84 +313,88 @@ def _bits(values):
 class TestBatchedSearch:
     """``_search``, the kernel behind ``sweep``: every row is ``grid_search_max_S`` bit for bit."""
 
-    @given(cs=st.lists(contrasts, min_size=1, max_size=6), spec=small_specs,
+    @given(cs=st.lists(contrasts, min_size=1, max_size=12),
            roles=st.sampled_from(list(RoleAssignment)))
-    @settings(max_examples=60, deadline=None)
-    def test_each_row_is_the_one_row_search(self, cs, spec, roles):
-        rows = oracle._search(np.array(cs), spec)
+    @settings(max_examples=40, deadline=None)
+    def test_each_row_is_the_one_row_search(self, cs, roles):
+        rows = oracle._search(np.array(cs))
         assert rows.shape == (5, len(cs))
         for c, row in zip(cs, rows.T):
-            result = grid_search_max_S(c, roles, spec)
+            result = grid_search_max_S(c, roles)
             angles = roles.bell_angles(*row[:4])
             assert np.array_equal(_bits(angles.as_tuple()), _bits(result.best_angles.as_tuple()))
             assert _bits(row[4]) == _bits(result.best_s)
 
-    @given(c=contrasts, spec=small_specs)
-    @settings(max_examples=60, deadline=None)
-    def test_search_takes_the_per_row_linspace_search_winner(self, c, spec):
-        a, a_prime = oracle._search(np.array([c]), spec)[:2, 0]
-        assert np.array_equal(_bits((a, a_prime)), _bits(_per_row_search(c, spec)))
+    @given(cs=st.lists(contrasts, min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_search_takes_the_per_row_linspace_search_winner(self, cs):
+        winners = oracle._search(np.array(cs))[:2]
+        assert np.array_equal(_bits(winners.T), _bits([_per_row_search(c) for c in cs]))
 
-    @given(centres=st.lists(st.floats(-1e3, 1e3, allow_subnormal=True), min_size=1, max_size=4),
-           half=st.one_of(st.floats(0.0, 4.0), st.sampled_from([5e-324, 1.5e-323, 1e-310])),
-           points=st.integers(2, 30))
+    @pytest.mark.parametrize("cs", DENSE_CONTRASTS.values(), ids=DENSE_CONTRASTS)
+    def test_dense_contrasts_take_the_per_row_linspace_search_winner(self, cs):
+        winners = oracle._search(cs)[:2]
+        assert np.array_equal(_bits(winners.T), _bits([_per_row_search(c) for c in cs]))
+
+    @pytest.mark.parametrize("cs", DENSE_CONTRASTS.values(), ids=DENSE_CONTRASTS)
+    def test_default_search_reaches_the_analytic_maximum(self, cs):
+        # round 0 holds the maximizer, so S is only as far off as its own rounding
+        assert np.max(np.abs(oracle._search(cs)[4] - 2.0 * np.sqrt(1.0 + cs * cs))) <= 1e-15
+
+    @given(centres=st.lists(st.floats(-1.1, 7.4, allow_subnormal=True), min_size=1, max_size=4),
+           round_index=st.integers(1, ROUNDS))
     @settings(max_examples=100, deadline=None)
-    @example(centres=[0.0, 1.0], half=1.5e-323, points=24)
-    def test_windows_are_linspace_bit_for_bit(self, centres, half, points):
-        # a subnormal half makes linspace's step underflow to 0 around a centre of 0
-        ramp = np.arange(points, dtype=float)
-        windows = oracle._windows(np.array(centres), half, ramp)
-        expected = [np.linspace(x - half, x + half, points) for x in np.array(centres)]
+    def test_windows_are_linspace_bit_for_bit(self, centres, round_index):
+        # every window the search asks for: a refinement round's half-width around a
+        # centre that the rounds before can reach
+        half = np.pi * SHRINK ** round_index
+        windows = oracle._windows(np.array(centres), half)
+        expected = [np.linspace(x - half, x + half, POINTS) for x in np.array(centres)]
         assert np.array_equal(_bits(windows), _bits(expected))
 
-    @pytest.mark.parametrize("points", range(2, 65))
-    def test_round_zero_grid_is_linspace(self, points):
-        ramp = np.arange(points, dtype=float)
-        expected = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
-        assert np.array_equal(_bits(ramp * (oracle.TWO_PI / points)), _bits(expected))
+    def test_round_zero_grid_is_linspace(self):
+        expected = np.linspace(0.0, 2 * np.pi, POINTS, endpoint=False)
+        assert np.array_equal(_bits(oracle._ROUND_ZERO), _bits(expected))
+
+    def test_round_zero_grid_holds_the_maximizer(self):
+        # (a, a') = (0, pi/2) maximizes S at every contrast; 24 is a multiple of 4
+        assert _bits(oracle._ROUND_ZERO[[0, 6]]).tolist() == _bits([0.0, np.pi / 2]).tolist()
 
     def test_rows_do_not_depend_on_the_blocking(self, monkeypatch):
         cs = np.cos(np.linspace(0.0, np.pi, 11))
-        spec = GridSpec(points_per_angle=6, refinement_rounds=2)
-        whole = oracle._search(cs, spec)
-        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 3 * 6 ** 2)  # blocks of 3, 3, 3, 2 rows
-        assert np.array_equal(_bits(oracle._search(cs, spec)), _bits(whole))
+        whole = oracle._search(cs)
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 3 * POINTS ** 2)  # blocks of 3, 3, 3, 2
+        assert np.array_equal(_bits(oracle._search(cs)), _bits(whole))
 
     def test_memory_stays_within_one_block(self):
         # unblocked, the search peaks at 55 MiB: each (rows, 24, 24) temporary takes 8.8 MiB
         cs = np.cos(np.linspace(0.0, np.pi, 2_000))
-        spec = GridSpec(refinement_rounds=0)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            oracle._search(cs, spec)
+            oracle._search(cs)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
 
 
-def _evaluate_grid_on_full_mesh(axes, c, roles):
-    """Reference: S on every cell of the raveled 4-D meshgrid, first maximum wins."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    values = chsh.chsh_S_values(flat[0], flat[1], flat[2], flat[3], c, roles)
-    best = int(np.argmax(values))
-    angles = np.array([flat[0][best], flat[1][best], flat[2][best], flat[3][best]])
-    return angles, float(values[best])
+def _mesh_maximum(axis, c, roles):
+    """Reference: the largest S on every cell of the 4-D mesh of ``axis``, one axis per angle."""
+    a, a_prime, b, b_prime = np.ix_(axis, axis, axis, axis)
+    return float(chsh.chsh_S_values(a, a_prime, b, b_prime, c, roles).max())
 
 
 class TestSearchAgainstTheFullMesh:
-    """The 2-D search is at least the 4-D mesh maximum and never above the optimum."""
+    """The 2-D search is at least every 4-D mesh maximum and never above the optimum."""
 
     @pytest.mark.parametrize("roles", list(RoleAssignment))
-    @pytest.mark.parametrize("c", [-1.0, 0.0, 0.0022, 0.5, 1.0])
-    @pytest.mark.parametrize("points", [5, 6, 7, 8])
+    @pytest.mark.parametrize("c", [-1.0, -0.5, -0.0, 0.0, 5e-324, 0.0022, 0.5, 1.0])
+    @pytest.mark.parametrize("points", [5, 6, 7, 8, POINTS])
     def test_search_is_bounded_by_the_mesh_and_the_optimum(self, roles, c, points):
-        spec = GridSpec(points_per_angle=points, refinement_rounds=3)
-        result = grid_search_max_S(c, roles, spec)
-        axes = [np.linspace(0.0, 2 * np.pi, points, endpoint=False)] * 4
-        _, mesh_best = _evaluate_grid_on_full_mesh(axes, c, roles)
+        # at POINTS the mesh's (a, a') axes are round 0's own
+        result = grid_search_max_S(c, roles)
+        mesh_best = _mesh_maximum(np.linspace(0.0, 2 * np.pi, points, endpoint=False), c, roles)
         assert result.best_s >= mesh_best - 1e-15
         assert result.best_s <= 2 * np.sqrt(1 + c * c) + 1e-12
 
