@@ -203,18 +203,19 @@ class TestGridSpec:
 class TestGridSearch:
     @pytest.mark.parametrize("roles", list(RoleAssignment))
     @pytest.mark.parametrize("c", [1.0, 0.0, 0.5, 0.0022, -0.0022, 0.005, -0.005,
-                                   0.0105, -0.0105])
+                                   0.0105, -0.0105, -1.0, -0.0, 5e-324, -0.5])
     def test_finds_the_analytic_maximum(self, c, roles):
         result = grid_search_max_S(c, roles)
         assert result.best_s == pytest.approx(2 * np.sqrt(1 + c * c), abs=1e-15)
         assert result.evaluations == 3456
 
+    @pytest.mark.parametrize("roles", list(RoleAssignment))
     @pytest.mark.parametrize("c", [0.37, -0.9, 0.0022, 1.0])
-    def test_monotone_across_refinement_rounds(self, monkeypatch, c):
+    def test_monotone_across_refinement_rounds(self, monkeypatch, c, roles):
         previous = -np.inf
         for rounds in range(ROUNDS + 1):
             monkeypatch.setattr(oracle, "_ROUNDS", rounds)
-            result = grid_search_max_S(c, RoleAssignment.STANDARD)
+            result = grid_search_max_S(c, roles)
             assert result.evaluations == POINTS ** 2 * (rounds + 1)
             assert result.best_s >= previous - 1e-15
             previous = result.best_s
@@ -341,9 +342,9 @@ class TestBatchedSearch:
         # round 0 holds the maximizer, so S is only as far off as its own rounding
         assert np.max(np.abs(oracle._search(cs)[4] - 2.0 * np.sqrt(1.0 + cs * cs))) <= 1e-15
 
-    @given(centres=st.lists(st.floats(-1.1, 7.4, allow_subnormal=True), min_size=1, max_size=4),
-           round_index=st.integers(1, ROUNDS))
-    @settings(max_examples=100, deadline=None)
+    @pytest.mark.parametrize("round_index", range(1, ROUNDS + 1))
+    @given(centres=st.lists(st.floats(-1.1, 7.4, allow_subnormal=True), min_size=1, max_size=4))
+    @settings(max_examples=20, deadline=None)
     def test_windows_are_linspace_bit_for_bit(self, centres, round_index):
         # every window the search asks for: a refinement round's half-width around a
         # centre that the rounds before can reach
@@ -359,6 +360,30 @@ class TestBatchedSearch:
     def test_round_zero_grid_holds_the_maximizer(self):
         # (a, a') = (0, pi/2) maximizes S at every contrast; 24 is a multiple of 4
         assert _bits(oracle._ROUND_ZERO[[0, 6]]).tolist() == _bits([0.0, np.pi / 2]).tolist()
+
+    @pytest.mark.parametrize("quarter", range(4))
+    def test_round_zero_grid_holds_every_quarter_turn(self, quarter):
+        # any two quarter turns a quarter apart maximize S, so each must sit on the axis exactly
+        assert _bits(oracle._ROUND_ZERO[6 * quarter]) == _bits(quarter * (np.pi / 2))
+
+    @pytest.mark.parametrize("cs", DENSE_CONTRASTS.values(), ids=DENSE_CONTRASTS)
+    def test_windows_asked_for_are_in_the_range_windows_are_tested_on(self, monkeypatch, cs):
+        # the reason _windows needs no case for a step that underflows to 0
+        asked = []
+
+        def recording_windows(centres, half):
+            asked.append((centres.copy(), half))
+            return windows(centres, half)
+
+        windows = oracle._windows
+        monkeypatch.setattr(oracle, "_windows", recording_windows)
+        oracle._search(cs)
+        # each block of rows asks for the five refinement half-widths in turn
+        assert [half for _, half in asked[:ROUNDS]] == [np.pi * SHRINK ** k
+                                                        for k in range(1, ROUNDS + 1)]
+        assert {half for _, half in asked} == {half for _, half in asked[:ROUNDS]}
+        centres = np.concatenate([centres.ravel() for centres, _ in asked])
+        assert np.all((centres > -1.1) & (centres < 7.4))
 
     def test_rows_do_not_depend_on_the_blocking(self, monkeypatch):
         cs = np.cos(np.linspace(0.0, np.pi, 11))
