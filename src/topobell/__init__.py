@@ -37,8 +37,6 @@ from .optics import (
     spin_loop_phase,
 )
 from .oracle import (
-    BudgetExceededError,
-    GridSpec,
     SearchResult,
     StationarityOutcome,
     brute_force_distribution,
@@ -51,9 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellAngles",
-    "BudgetExceededError",
     "DetectionDistribution",
-    "GridSpec",
     "PhaseMode",
     "RoleAssignment",
     "Scenario",

@@ -20,7 +20,10 @@ import numpy as np
 
 from . import _checks, chsh, verify
 from .entangled import PhaseMode, Scenario, TopoPhaseSpec, _spec_mode, run_scenario
-from .oracle import BudgetExceededError, GridSpec, _search, grid_search_max_S
+from .oracle import _evaluations, _search, grid_search_max_S
+
+#: Default of ``--budget`` for sweep and optimize: grid evaluations a run may take.
+_GRID_BUDGET = 50_000_000
 
 
 class UsageError(ValueError):
@@ -108,8 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--max", required=True, type=_finite_arg, help="largest mu*lambda (radians)")
     swp.add_argument("--points", required=True, type=int)
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
-    swp.add_argument("--budget", type=_positive_int_arg, default=GridSpec().budget,
-                     help="total grid-search evaluation budget for the sweep")
+    swp.add_argument("--budget", type=_positive_int_arg, default=_GRID_BUDGET,
+                     help=f"most grid evaluations the sweep may take, {_evaluations()} "
+                          "a point (default %(default)s)")
 
     opt = sub.add_parser("optimize", help="maximize S at fixed contrast")
     opt.add_argument("--mu", type=_finite_arg, default=1.0)
@@ -118,7 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--method", choices=("analytic", "grid"), default="analytic")
     opt.add_argument("--roles", choices=[r.value for r in chsh.RoleAssignment],
                      default=chsh.RoleAssignment.STANDARD.value)
-    opt.add_argument("--budget", type=_positive_int_arg, default=GridSpec().budget)
+    opt.add_argument("--budget", type=_positive_int_arg, default=_GRID_BUDGET,
+                     help=f"most grid evaluations --method grid may take; it needs "
+                          f"{_evaluations()} (default %(default)s)")
     opt.add_argument("--format", choices=("json", "csv"), default="json")
 
     ver = sub.add_parser("verify", help="run every invariant suite")
@@ -183,7 +189,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.min < args.max:
         raise UsageError("--min must be smaller than --max")
     _checks.finite_scalar("--max - --min", args.max - args.min)
-    needed = args.points * GridSpec().total_evaluations()
+    needed = args.points * _evaluations()
     if needed > args.budget:
         print(f"error: sweep needs {needed} grid evaluations, budget is {args.budget}",
               file=sys.stderr)
@@ -217,11 +223,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         best_s = chsh.chsh_S(angles, c, roles)
         evaluations = 0
     else:
-        try:
-            result = grid_search_max_S(c, roles, GridSpec(budget=args.budget))
-        except BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        needed = _evaluations()
+        if needed > args.budget:
+            print(f"error: grid search needs {needed} evaluations, budget is {args.budget}",
+                  file=sys.stderr)
             return 1
+        result = grid_search_max_S(c, roles)
         angles, best_s, evaluations = result.best_angles, result.best_s, result.evaluations
 
     record = {

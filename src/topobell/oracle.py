@@ -7,8 +7,8 @@ matrices stacked over arrays of points, and the CHSH maximum through a
 grid search over the two angles (a, a') with shrinking-window refinement
 and the exact maximum over (b, b') at each grid point, plus
 finite-difference stationarity checks at claimed extrema. The search grid
-is fixed (24 points per angle, 5 refinement rounds, shrink factor 0.25),
-and a :class:`GridSpec` carries only its evaluation budget. The grid
+is fixed (24 points per angle, 5 refinement rounds, shrink factor 0.25)
+and takes no options; an evaluation budget is a check of the CLI. The grid
 search is one kernel over arrays of contrasts (:func:`_search`, which
 runs all of ``topobell sweep``'s rows in one array pass per round);
 :func:`grid_search_max_S` is its one-row case.
@@ -53,17 +53,6 @@ _SPLITTERS = _kron(_BS, _BS)
 _MIRROR = np.eye(4, dtype=complex)[[1, 0, 3, 2]]  # 1 (x) swap: right-hand detector labels
 # scenario A's right-hand detectors are labeled opposite to the splitter ports
 _READOUT = _MIRROR @ _SPLITTERS
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised before a grid search that would exceed its evaluation budget."""
-
-    def __init__(self, evaluations: int, budget: int):
-        self.evaluations = int(evaluations)
-        self.budget = int(budget)
-        super().__init__(
-            f"grid search needs {self.evaluations} evaluations, budget is {self.budget}"
-        )
 
 
 def _diag(d0, d1) -> np.ndarray:
@@ -149,33 +138,16 @@ def brute_force_distribution(scenario: Scenario, theta_l: float, theta_r: float,
 #: The search grid: 24 points per angle, 5 refinement rounds, each window's
 #: half-width shrunk by 0.25 per round. Round 0's axis, linspace(0, 2pi, 24,
 #: endpoint=False), holds 0 and pi/2 exactly (indices 0 and 6), so it holds
-#: the maximizer (a, a') = (0, pi/2) bit for bit at every contrast.
+#: the maximizer (a, a') = (0, pi/2) bit for bit at every contrast and S is found
+#: to about 1e-15; other sizes miss it (by 5.6e-9 at 23 points per angle).
 _POINTS, _ROUNDS, _SHRINK = 24, 5, 0.25
 _RAMP = np.arange(_POINTS, dtype=float)
 _ROUND_ZERO = _RAMP * (TWO_PI / _POINTS)  # linspace's own arithmetic for that axis
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Evaluation budget of a grid search over (a, a').
-
-    The grid is fixed: 24 points per angle in round 0 and in each of 5
-    refinement rounds, 3,456 evaluations in all, each one the exact
-    maximum of S over (b, b'). Round 0's grid holds the maximizer
-    (a, a') = (0, pi/2), so S is found to about 1e-15; other sizes miss
-    it (by 5.6e-9 at 23 points per angle). ``budget`` caps the count, and
-    a batched search (:func:`_search`) takes the same count per row.
-    """
-
-    budget: int = 50_000_000
-
-    def __post_init__(self):
-        _checks.integer("budget", self.budget)
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
-
-    def total_evaluations(self) -> int:
-        return _POINTS ** 2 * (_ROUNDS + 1)
+def _evaluations() -> int:
+    """(a, a') points a search evaluates, each the exact maximum over (b, b'): 3,456 a row."""
+    return _POINTS ** 2 * (_ROUNDS + 1)
 
 
 @dataclass(frozen=True)
@@ -284,8 +256,7 @@ def _search_block(c: np.ndarray) -> np.ndarray:
     return np.array([*angles, chsh._S_from_trig(*((np.cos(t), np.sin(t)) for t in angles), c)])
 
 
-def grid_search_max_S(c: float, roles: RoleAssignment,
-                      grid: GridSpec | None = None) -> SearchResult:
+def grid_search_max_S(c: float, roles: RoleAssignment) -> SearchResult:
     """Grid search for the CHSH maximum at contrast c.
 
     Grids (a, a') and takes the exact maximum over (b, b') at every grid
@@ -298,21 +269,14 @@ def grid_search_max_S(c: float, roles: RoleAssignment,
     the first maximum in C order over (a, a'). The reported S is
     recomputed from the reported angles, as :func:`chsh_S` would. This is
     the one-row case of :func:`_search`, the batched search behind
-    ``topobell sweep``. ``grid`` carries only the evaluation budget.
-    Raises ``ValueError`` before any work unless ``roles`` is a
-    :class:`RoleAssignment` and ``grid`` is None or a :class:`GridSpec`,
-    and :class:`BudgetExceededError` if the budget is below 3,456.
+    ``topobell sweep``. Raises ``ValueError`` before any work unless
+    ``roles`` is a :class:`RoleAssignment` and then unless c is a contrast.
     """
     _checks.require_type("roles", roles, RoleAssignment)
-    spec = GridSpec() if grid is None else grid
-    _checks.require_type("grid", spec, GridSpec)
     c = _checks.contrast("c", c, scalar=True)
-    needed = spec.total_evaluations()
-    if needed > spec.budget:
-        raise BudgetExceededError(needed, spec.budget)
-
     *angles, s = _search(np.array([c]))[:, 0].tolist()
-    return SearchResult(best_angles=roles.bell_angles(*angles), best_s=s, evaluations=needed)
+    return SearchResult(best_angles=roles.bell_angles(*angles), best_s=s,
+                        evaluations=_evaluations())
 
 
 def stationarity_check(angles: BellAngles, c: float, roles: RoleAssignment,

@@ -11,7 +11,7 @@ import numpy as np
 from topobell import chsh, verify
 from topobell.chsh import RoleAssignment
 from topobell.cli import main
-from topobell.oracle import GridSpec, grid_search_max_S
+from topobell.oracle import grid_search_max_S
 
 RNG_SEED = 424242
 
@@ -92,7 +92,7 @@ def test_criterion_05_analytic_and_grid_maxima():
         assert abs(np.cos(2 * mu_lambda) - c) < 1e-12
         s_analytic = chsh.chsh_S(angles, c, RoleAssignment.STANDARD)
         worst_analytic = max(worst_analytic, abs(s_analytic - 2.0 * np.sqrt(1.0 + c * c)))
-        result = grid_search_max_S(c, RoleAssignment.STANDARD, GridSpec())
+        result = grid_search_max_S(c, RoleAssignment.STANDARD)
         worst_grid = max(worst_grid, abs(result.best_s - 2.0 * np.sqrt(1.0 + c * c)))
     elapsed = time.perf_counter() - start
     assert worst_analytic <= 1e-12

@@ -1,14 +1,13 @@
 """Every public entry point rejects a bad number with a ValueError that names it.
 
 One table of entry point x bad value: non-numeric, None, complex (Python
-and numpy), NaN, inf, an array where a scalar is required, a wrong type
-for a roles, grid, angles or distribution argument and a bool for an
-integer. The CLI cases check the same inputs as flag values: exit 2 and
-one error line, never a traceback. The properties at the end draw any
-value for the phase spec, the angles of ``run_scenario`` and
-``BellAngles``, the arguments of ``chsh_S_values`` and ``chsh_S`` and the
-budget of ``GridSpec``: each input gives a valid object, distribution or
-S, or a ValueError, and NaN or inf always the error.
+and numpy), NaN, inf, an array where a scalar is required and a wrong
+type for a roles, angles or distribution argument. The CLI cases check
+the same inputs as flag values: exit 2 and one error line, never a
+traceback. The properties at the end draw any value for the phase spec,
+the angles of ``run_scenario`` and ``BellAngles`` and the arguments of
+``chsh_S_values`` and ``chsh_S``: each input gives a valid object,
+distribution or S, or a ValueError, and NaN or inf always the error.
 """
 
 import math
@@ -105,17 +104,14 @@ ARRAY_ENTRIES = [
     ("spin_loop_phase", "lam", lambda v: optics.spin_loop_phase(-1, 0.5, v)),
 ]
 
-#: (entry point, argument, label, bad value, call): a wrong type, or a bool for an integer.
+#: (entry point, argument, label, bad value, call): a wrong type.
 TYPE_ENTRIES = [
     ("grid_search_max_S", "roles", "text", "standard", lambda v: tb.grid_search_max_S(0.5, v)),
     ("grid_search_max_S", "roles", "none", None, lambda v: tb.grid_search_max_S(0.5, v)),
-    ("grid_search_max_S", "grid", "dict", {}, lambda v: tb.grid_search_max_S(0.5, ROLES, v)),
-    ("grid_search_max_S", "grid", "int", 24, lambda v: tb.grid_search_max_S(0.5, ROLES, v)),
     ("stationarity_check", "roles", "text", "standard",
      lambda v: tb.stationarity_check(tb.canonical_angles(), 0.5, v, 1e-4)),
     ("stationarity_check", "angles", "tuple", (0.0, 0.5, 0.25, 0.75),
      lambda v: tb.stationarity_check(v, 0.5, ROLES, 1e-4)),
-    ("GridSpec", "budget", "bool", True, lambda v: tb.GridSpec(budget=v)),
     ("chsh_S", "roles", "text", "standard", lambda v: tb.chsh_S(tb.canonical_angles(), 0.5, v)),
     ("chsh_S", "angles", "tuple", (0.0, 1.0, 2.0, 3.0), lambda v: tb.chsh_S(v, 0.5, ROLES)),
     ("chsh_S_values", "roles", "text", "standard",
@@ -357,23 +353,6 @@ def test_chsh_s_values_are_finite_and_non_negative_or_reject_the_slot(data, c, r
         assert named == odd, str(exc)
         return
     assert np.all(np.isfinite(s)) and np.all(s >= 0.0)
-
-
-@given(budget=st.integers(-3, 40) | st.integers(-10 ** 30, 10 ** 30) | anything)
-@settings(max_examples=60, deadline=None)
-def test_grid_spec_is_valid_or_rejected(budget):
-    try:
-        spec = tb.GridSpec(budget)
-    except ValueError:
-        return
-    assert spec.budget > 0 and spec.total_evaluations() == 3456
-
-
-@given(bad=non_finite)
-@settings(max_examples=20, deadline=None)
-def test_grid_spec_rejects_nan_and_inf(bad):
-    with pytest.raises(ValueError):
-        tb.GridSpec(budget=bad)
 
 
 unit_contrasts = st.sampled_from([-1.0, -0.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)

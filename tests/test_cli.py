@@ -310,10 +310,16 @@ class TestSweep:
             assert abs(float(row["s_max_grid"]) - float(row["s_max_analytic"])) <= 1e-6
 
     def test_budget_exceeded_is_an_error(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "--min", "0", "--max", "1",
-                               "--points", "5", "--budget", "1000")
-        assert code == 1
-        assert "budget" in err
+        code, out, err = run_cli(capsys, "sweep", "--min", "0", "--max", "1",
+                                 "--points", "5", "--budget", "17279")
+        assert (code, out) == (1, "")
+        assert err == "error: sweep needs 17280 grid evaluations, budget is 17279\n"
+
+    def test_a_budget_of_exactly_the_needed_evaluations_passes(self, capsys):
+        args = ["sweep", "--min", "0", "--max", "1", "--points", "5"]
+        code, out, err = run_cli(capsys, *args, "--budget", "17280")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *args)[1]
 
     def test_bad_range_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--min", "2", "--max", "1", "--points", "3")
@@ -378,6 +384,21 @@ class TestOptimize:
         expected = 2 * np.sqrt(1 + np.cos(0.6) ** 2)
         assert record["s"] == pytest.approx(expected, abs=1e-11)
 
+    def test_grid_budget_exceeded_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--method", "grid", "--budget", "3455")
+        assert (code, out) == (1, "")
+        assert err == "error: grid search needs 3456 evaluations, budget is 3455\n"
+
+    def test_a_grid_budget_of_exactly_the_needed_evaluations_passes(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--method", "grid", "--budget", "3456")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "optimize", "--method", "grid")[1]
+
+    def test_the_analytic_method_ignores_the_budget(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--method", "analytic", "--budget", "1")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "optimize", "--method", "analytic")[1]
+
     def test_grid_agrees_with_analytic(self, capsys):
         _, grid_out, _ = run_cli(capsys, "optimize", "--method", "grid",
                                  "--mu", "1", "--lambda-l", "0.3")
@@ -393,6 +414,8 @@ class TestOptimize:
         ["--lambda-l", "inf"],
         ["--lambda-r=-inf"],
         ["--method", "grid", "--mu", "1e308", "--lambda-l", "1e308"],
+        # the phase is checked before the budget
+        ["--method", "grid", "--budget", "10", "--mu", "1e308", "--lambda-l", "1e308"],
         ["--method", "analytic", "--mu", "1e308", "--lambda-l", "1e308"],
         ["--method", "grid", "--mu", "0", "--lambda-l", "1e308", "--lambda-r=-1e308"],
         ["--method", "grid", "--budget=-1"],

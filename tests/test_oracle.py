@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,8 +12,6 @@ from topobell import chsh, oracle
 from topobell.chsh import BellAngles, RoleAssignment
 from topobell.entangled import Scenario, TopoPhaseSpec, run_scenario
 from topobell.oracle import (
-    BudgetExceededError,
-    GridSpec,
     StationarityOutcome,
     brute_force_distribution,
     brute_force_probabilities,
@@ -182,24 +179,6 @@ class TestKron:
 POINTS, ROUNDS, SHRINK = 24, 5, 0.25
 
 
-class TestGridSpec:
-    def test_defaults_fit_their_budget(self):
-        spec = GridSpec()
-        assert spec.total_evaluations() == POINTS ** 2 * (ROUNDS + 1) == 3456 <= spec.budget
-
-    def test_budget_is_the_only_field(self):
-        assert [field.name for field in dataclasses.fields(GridSpec)] == ["budget"]
-
-    @pytest.mark.parametrize("budget", [0, -1, 1e6], ids=["zero", "negative", "float"])
-    def test_rejects_bad_parameters(self, budget):
-        with pytest.raises(ValueError, match="budget"):
-            GridSpec(budget=budget)
-
-    def test_rejects_a_bool_for_an_integer(self):
-        with pytest.raises(ValueError, match="budget must be an integer, got True"):
-            GridSpec(budget=True)
-
-
 class TestGridSearch:
     @pytest.mark.parametrize("roles", list(RoleAssignment))
     @pytest.mark.parametrize("c", [1.0, 0.0, 0.5, 0.0022, -0.0022, 0.005, -0.005,
@@ -231,28 +210,16 @@ class TestGridSearch:
         assert result.best_s == pytest.approx(fresh, abs=1e-12)
 
     def test_reports_evaluation_count(self):
-        spec = GridSpec()
-        result = grid_search_max_S(0.0, RoleAssignment.STANDARD, spec)
-        assert result.evaluations == spec.total_evaluations() == 24 ** 2 * 6
+        result = grid_search_max_S(0.0, RoleAssignment.STANDARD)
+        assert result.evaluations == oracle._evaluations() == POINTS ** 2 * (ROUNDS + 1) == 3456
 
-    def test_budget_exceeded_names_the_count(self):
-        spec = GridSpec(budget=1000)
-        with pytest.raises(BudgetExceededError) as excinfo:
-            grid_search_max_S(0.0, RoleAssignment.STANDARD, spec)
-        assert excinfo.value.evaluations == spec.total_evaluations()
-        assert str(excinfo.value.evaluations) in str(excinfo.value)
-        with pytest.raises(BudgetExceededError):
-            grid_search_max_S(0.0, RoleAssignment.STANDARD, GridSpec(budget=3455))
-        assert grid_search_max_S(0.0, RoleAssignment.STANDARD, GridSpec(budget=3456)).best_s == 2.0
-
-    @pytest.mark.parametrize("args", [(0.5, "standard"), (0.5, RoleAssignment.STANDARD, {})],
-                             ids=["roles", "grid"])
+    @pytest.mark.parametrize("args", [(0.5, "standard")], ids=["roles"])
     def test_rejects_a_wrong_type_before_searching(self, monkeypatch, args):
         def no_search(*_):
             raise AssertionError("searched before checking its arguments")
 
         monkeypatch.setattr(oracle, "_bound", no_search)
-        with pytest.raises(ValueError, match="must be a (RoleAssignment|GridSpec)"):
+        with pytest.raises(ValueError, match="must be a RoleAssignment"):
             grid_search_max_S(*args)
 
     def test_rejects_contrast_outside_unit_interval(self):

@@ -1,3 +1,4 @@
+import inspect
 import re
 import subprocess
 import sys
@@ -22,8 +23,7 @@ REMOVED = {
              "joint_probabilities", "norm", "DEFAULT_TOL", "tensor_product"),
     optics: ("custom_beam_splitter", "NonUnitaryError", "CUSTOM_SPLITTER_TOL",
              "polarizing_splitter_candidate", "spin_eigenstates", "_finite"),
-    oracle: ("_ID", "_SWAP", "_require_type", "_left_product"),
-    oracle.GridSpec: ("points_per_angle", "refinement_rounds", "shrink_factor"),
+    oracle: ("_ID", "_SWAP", "_require_type", "_left_product", "GridSpec", "BudgetExceededError"),
     verify: ("DEFAULT_LIGHT_DRAWS", "DEFAULT_HEAVY_DRAWS"),
 }
 
@@ -39,6 +39,10 @@ def test_removed_names_are_gone(module, name):
     assert name not in topobell.__all__
     assert not hasattr(topobell, name)
     assert not hasattr(module, name)
+
+
+def test_the_grid_search_takes_only_a_contrast_and_roles():
+    assert list(inspect.signature(oracle.grid_search_max_S).parameters) == ["c", "roles"]
 
 
 def test_readme_library_example_runs():
