@@ -108,6 +108,7 @@ ARRAY_ENTRIES = [
 TYPE_ENTRIES = [
     ("grid_search_max_S", "roles", "text", "standard", lambda v: tb.grid_search_max_S(0.5, v)),
     ("grid_search_max_S", "roles", "none", None, lambda v: tb.grid_search_max_S(0.5, v)),
+    ("grid_search_max_S", "roles", "int", 0, lambda v: tb.grid_search_max_S(0.5, v)),
     ("stationarity_check", "roles", "text", "standard",
      lambda v: tb.stationarity_check(tb.canonical_angles(), 0.5, v, 1e-4)),
     ("stationarity_check", "angles", "tuple", (0.0, 0.5, 0.25, 0.75),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from topobell import chsh
+from topobell import chsh, oracle
 from topobell.cli import (_angle_arg, _build_parser, _finite_arg, _flag, _positive_int_arg,
                           main)
 
@@ -321,6 +321,25 @@ class TestSweep:
         assert (code, err) == (0, "")
         assert out == run_cli(capsys, *args)[1]
 
+    @pytest.mark.parametrize("points", [2, 3, 4])
+    def test_the_budget_needed_is_3456_evaluations_a_point(self, capsys, points):
+        args = ["sweep", "--min", "0", "--max", "1", "--points", str(points)]
+        needed = 3456 * points
+        code, out, err = run_cli(capsys, *args, "--budget", str(needed - 1))
+        assert (code, out) == (1, "")
+        assert err == f"error: sweep needs {needed} grid evaluations, budget is {needed - 1}\n"
+        code, out, err = run_cli(capsys, *args, "--budget", str(needed))
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *args)[1]
+
+    def test_the_budget_is_checked_against_the_rounds_at_call_time(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_ROUNDS", 1)
+        args = ["sweep", "--min", "0", "--max", "1", "--points", "2"]
+        code, out, err = run_cli(capsys, *args, "--budget", "2303")
+        assert (code, out) == (1, "")
+        assert err == "error: sweep needs 2304 grid evaluations, budget is 2303\n"
+        assert run_cli(capsys, *args, "--budget", "2304")[0] == 0
+
     def test_bad_range_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--min", "2", "--max", "1", "--points", "3")
         assert code == 2
@@ -384,15 +403,30 @@ class TestOptimize:
         expected = 2 * np.sqrt(1 + np.cos(0.6) ** 2)
         assert record["s"] == pytest.approx(expected, abs=1e-11)
 
-    def test_grid_budget_exceeded_is_an_error(self, capsys):
-        code, out, err = run_cli(capsys, "optimize", "--method", "grid", "--budget", "3455")
+    @pytest.mark.parametrize("roles", ["standard", "literal"])
+    def test_grid_budget_exceeded_is_an_error(self, capsys, roles):
+        code, out, err = run_cli(capsys, "optimize", "--method", "grid", "--roles", roles,
+                                 "--budget", "3455")
         assert (code, out) == (1, "")
         assert err == "error: grid search needs 3456 evaluations, budget is 3455\n"
 
-    def test_a_grid_budget_of_exactly_the_needed_evaluations_passes(self, capsys):
-        code, out, err = run_cli(capsys, "optimize", "--method", "grid", "--budget", "3456")
+    @pytest.mark.parametrize("roles", ["standard", "literal"])
+    def test_a_grid_budget_of_exactly_the_needed_evaluations_passes(self, capsys, roles):
+        args = ["optimize", "--method", "grid", "--roles", roles]
+        code, out, err = run_cli(capsys, *args, "--budget", "3456")
         assert (code, err) == (0, "")
-        assert out == run_cli(capsys, "optimize", "--method", "grid")[1]
+        assert out == run_cli(capsys, *args)[1]
+
+    def test_the_grid_budget_is_checked_against_the_rounds_at_call_time(self, capsys,
+                                                                        monkeypatch):
+        monkeypatch.setattr(oracle, "_ROUNDS", 2)
+        args = ["optimize", "--method", "grid", "--mu", "1", "--lambda-l", "0.3"]
+        code, out, err = run_cli(capsys, *args, "--budget", "1727")
+        assert (code, out) == (1, "")
+        assert err == "error: grid search needs 1728 evaluations, budget is 1727\n"
+        code, out, err = run_cli(capsys, *args, "--budget", "1728")
+        assert (code, err) == (0, "")
+        assert json.loads(out)[0]["evaluations"] == 1728
 
     def test_the_analytic_method_ignores_the_budget(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--method", "analytic", "--budget", "1")
@@ -426,6 +460,16 @@ class TestOptimize:
         code, err = usage_exit(capsys, "optimize", *flags)
         assert code == 2
         assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_budget_help_names_the_evaluations_a_search_needs_and_the_default(capsys, command):
+    code, out, _ = any_exit(capsys, command, "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    budget_help = text[text.index("--budget BUDGET most grid evaluations"):]
+    assert "3456" in budget_help.split("(default")[0]
+    assert budget_help.split("(default ")[1].startswith("50000000)")
 
 
 class TestVerify:
