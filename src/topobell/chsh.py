@@ -15,7 +15,6 @@ disagree on which fixed angle tuples are optimal (see
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,28 +159,42 @@ def _S_from_trig(a, ap, b, bp, c):
     return np.abs(first) + np.abs(second)
 
 
-def _S_both_roles(trig, c):
+def _S_both_roles(cos, sin, c):
     """S under each role assignment at contrasts ``c`` and at zero contrast; no validation.
 
-    ``trig`` is the (cos, sin) pair of each slot angle (tL, tR, tL', tR').
-    Returns ``(s_at_c, s_at_zero)`` per :class:`RoleAssignment`, in its
-    order, equal bit for bit to :func:`_S_from_trig` at the contrast rows
-    ``c`` and 0. The two assignments take their eight E terms from the six
-    pairs of the four angles: each pair's X = cos cos + sin sin * c is
-    taken once, with E = -X (negation is exact) and X symmetric in its two
-    angles, and at zero contrast X is cos cos.
+    ``cos`` and ``sin`` are (4, n) arrays over the slot angles (tL, tR,
+    tL', tR'), and ``c`` holds n contrasts. Returns a (2, 2, n) array: the
+    :class:`RoleAssignment` members in order, each with its S at ``c`` and
+    at 0, equal bit for bit to :func:`_S_from_trig` at those contrast rows.
+    ``cos`` and ``sin`` are spent: the result is written into ``cos``'s
+    buffer and ``sin`` is overwritten.
+
+    The two assignments take their eight E terms from the six pairs of the
+    four angles: each pair's X = cos cos + sin sin * c is taken once, with
+    E = -X (negation is exact) and X symmetric in its two angles, and at
+    zero contrast X is cos cos. The pair terms fill one (2, 6, n) buffer,
+    three row slices at a time; both assignments' S then take five
+    whole-block operations.
     """
-    x = {}
-    for i, j in itertools.combinations(range(4), 2):
-        (cos_i, sin_i), (cos_j, sin_j) = trig[i], trig[j]
-        cos_cos = cos_i * cos_j
-        x[i, j] = x[j, i] = (cos_cos + sin_i * sin_j * c, cos_cos)
-    out = []
-    for roles in RoleAssignment:
-        a, ap, b, bp = roles._roles_of(0, 1, 2, 3)
-        out.append(tuple(np.abs(x[a, b][k] - x[a, bp][k]) + np.abs(x[ap, b][k] + x[ap, bp][k])
-                         for k in (0, 1)))
-    return tuple(out)
+    n = cos.shape[-1]
+    # X at c, then at 0, over the slot pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)
+    x = np.empty((2, 6, n))
+    start = 0
+    for i in range(3):
+        rows = slice(start, start + 3 - i)
+        np.multiply(sin[i], sin[i + 1:], out=x[0, rows])
+        np.multiply(cos[i], cos[i + 1:], out=x[1, rows])
+        start = rows.stop
+    # sin sin * c + cos cos, in place: the sum commutes bit for bit
+    x[0] *= c
+    x[0] += x[1]
+    # first = X(a,b) - X(a,b') and second = X(a',b) + X(a',b') per contrast, LITERAL
+    # then STANDARD: pairs 0 - 1 and 4 + 5, then pairs 0 - 2 and 3 + 5
+    first = np.subtract(x[:, :1], x[:, 1:3], out=cos.reshape(2, 2, n))
+    second = np.add(x[:, 4:2:-1], x[:, 5:], out=sin.reshape(2, 2, n))
+    np.abs(first, out=first)
+    np.abs(second, out=second)
+    return np.add(first, second, out=first).swapaxes(0, 1)
 
 
 def chsh_S(angles: BellAngles, c: float, roles: RoleAssignment) -> float:

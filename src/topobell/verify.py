@@ -239,10 +239,12 @@ def _chsh_samples(draws: int) -> int:
 def _chsh_draws(rng: np.random.Generator, samples: int):
     """The chsh-bounds draws, one ``_CHSH_BLOCK`` of columns at a time.
 
-    Yields each block's four angle rows and its contrasts: bit for bit the
-    columns of ``rng.uniform(0, 2*pi, size=(4, samples))`` and then
-    ``rng.uniform(-1, 1, size=samples)``. They are read through five copies
-    of ``rng`` made on this call, each advanced to the start of its row, so
+    Yields each block's four angle rows as one (4, n) array, and its n
+    contrasts: bit for bit the columns of ``rng.uniform(0, 2*pi, size=(4,
+    samples))`` and then ``rng.uniform(-1, 1, size=samples)``. Each row is
+    filled by ``random(out=row)`` and scaled as ``low + (high - low) * u``,
+    the arithmetic of ``uniform``. They are read through five copies of
+    ``rng`` made on this call, each advanced to the start of its row, so
     ``rng`` itself does not move. Several threads may drain the one
     iterator together; each block goes to one of them.
     """
@@ -257,8 +259,14 @@ def _chsh_draws(rng: np.random.Generator, samples: int):
     def blocks():
         for start in range(0, samples, _CHSH_BLOCK):
             n = min(_CHSH_BLOCK, samples - start)
-            yield ([r.uniform(0.0, 2.0 * np.pi, size=n) for r in angle_readers],
-                   contrast_reader.uniform(-1.0, 1.0, size=n))
+            rows = np.empty((4, n))
+            for reader, row in zip(angle_readers, rows):
+                reader.random(out=row)
+            rows *= 2.0 * np.pi
+            contrasts = contrast_reader.random(n)
+            contrasts *= 2.0
+            contrasts -= 1.0
+            yield rows, contrasts
 
     return _Shared(blocks())
 
@@ -284,17 +292,19 @@ def _random_bounds(draws) -> float:
     Taken over the blocks of :func:`_chsh_draws` that this call takes from
     ``draws``: two threads that drain one stream each get the worst of
     their blocks, and the larger of the two is the worst of the stream.
-    Calls only private, untraced code, so it may run beside the other
-    suites on a worker thread.
+    Each block is a few whole-block numpy calls: one cos and one sin over
+    its (4, n) angles, one :func:`chsh._S_both_roles` for both role
+    assignments at both contrasts, and one maximum per bound. Calls only
+    private, untraced code, so it may run beside the other suites on a
+    worker thread.
     """
     worst = 0.0
-    # fixed blocks bound the temporaries; each row's cos/sin and each column's
-    # bound are taken once per block and serve both role assignments
+    # fixed blocks bound the temporaries; the angles' buffer takes their sines
     for rows, contrasts in draws:
         bound = 2.0 * np.sqrt(1.0 + contrasts * contrasts)
-        trig = [(np.cos(row), np.sin(row)) for row in rows]
-        for s_any, s_zero in chsh._S_both_roles(trig, contrasts):
-            worst = max(worst, float(np.max(s_any - bound)), float(np.max(s_zero) - 2.0))
+        s = chsh._S_both_roles(np.cos(rows), np.sin(rows, out=rows), contrasts)
+        worst = max(worst, float(np.max(s[:, 0] - bound)), float(np.max(s[:, 1]) - 2.0))
+        del s  # S holds the block's cosines: free them before the next block's
     return worst
 
 

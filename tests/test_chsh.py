@@ -150,13 +150,15 @@ class TestChshS:
         thetas = np.hstack([rng.uniform(0.0, 2 * np.pi, size=(4, 20_000)),
                             np.repeat(corners, special_c.size, axis=1)])
         c = np.concatenate([rng.uniform(-1.0, 1.0, 20_000), np.tile(special_c, corners.shape[1])])
+        # cos and sin per row, as the trig helper's callers take them, and over the
+        # whole block for _S_both_roles, which spends them
         trig = [(np.cos(t), np.sin(t)) for t in thetas]
-        both = chsh._S_both_roles(trig, c)
-        assert len(both) == len(RoleAssignment)
+        both = chsh._S_both_roles(np.cos(thetas), np.sin(thetas), c)
+        assert both.shape == (len(RoleAssignment), 2, c.size)
         for roles, rows in zip(RoleAssignment, both):
             expected = chsh._S_from_trig(*roles._roles_of(*trig), np.array([c, np.zeros_like(c)]))
-            assert np.array(rows).shape == expected.shape == (2, c.size)
-            assert np.array(rows).tobytes() == expected.tobytes()
+            assert rows.shape == expected.shape == (2, c.size)
+            assert np.ascontiguousarray(rows).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("slot", range(4))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

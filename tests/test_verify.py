@@ -170,19 +170,19 @@ def test_optics_stacked_product_equals_the_per_point_products():
     np.testing.assert_array_equal(stacked, per_point)
 
 
-def _plant_fault_at_the_last_column(monkeypatch, samples):
-    """Make ``chsh._S_both_roles`` add 1 to every S at the last angle column of the
+def _plant_fault(monkeypatch, samples, column):
+    """Make ``chsh._S_both_roles`` add 1 to every S at one angle column of the
     chsh-bounds draws of ``samples`` columns; returns the sizes of the hit blocks."""
-    planted = verify._rng(10).uniform(0.0, 2.0 * np.pi, size=(4, samples))[0, -1]
+    planted = verify._rng(10).uniform(0.0, 2.0 * np.pi, size=(4, samples))[0, column]
     s_both_roles = chsh._S_both_roles
     seen = []
 
-    def faulty(trig, c):
-        cos_l, sin_l = trig[0]  # slot theta_l
-        hit = (cos_l == np.cos(planted)) & (sin_l == np.sin(planted))
+    def faulty(cos, sin, c):
+        # slot theta_l, read before _S_both_roles spends cos and sin
+        hit = (cos[0] == np.cos(planted)) & (sin[0] == np.sin(planted))
         if hit.any():
             seen.append(np.size(hit))
-        return tuple(tuple(s + hit for s in rows) for rows in s_both_roles(trig, c))
+        return s_both_roles(cos, sin, c) + hit
 
     monkeypatch.setattr(chsh, "_S_both_roles", faulty)
     return seen
@@ -190,9 +190,17 @@ def _plant_fault_at_the_last_column(monkeypatch, samples):
 
 def test_chsh_bounds_checks_the_last_partial_block(monkeypatch):
     # 8,300 samples: one full block of 8,192 columns and a last one of 108
-    seen = _plant_fault_at_the_last_column(monkeypatch, 8_300)
+    seen = _plant_fault(monkeypatch, 8_300, -1)
     result = verify._suite_chsh_bounds(verify._rng(10), 83)
     assert seen == [108]
+    assert not result.passed and result.worst_residual > 0.5
+
+
+def test_run_suites_fails_chsh_bounds_on_a_fault_in_column_0_of_the_first_full_block(monkeypatch):
+    seen = _plant_fault(monkeypatch, 8_300, 0)
+    result = verify.run_suites(83)[-1]
+    assert seen == [verify._CHSH_BLOCK]
+    assert result.name == "chsh-bounds"
     assert not result.passed and result.worst_residual > 0.5
 
 
@@ -201,7 +209,7 @@ def test_chsh_bounds_fails_a_contrast_inflated_inside_S(monkeypatch):
     # contrast 0, so only the bound 2*sqrt(1 + c*c) at the drawn c sees it (+0.206)
     s_both_roles = chsh._S_both_roles
     monkeypatch.setattr(chsh, "_S_both_roles",
-                        lambda trig, c: s_both_roles(trig, np.sign(c) * np.sqrt(np.abs(c))))
+                        lambda cos, sin, c: s_both_roles(cos, sin, np.sign(c) * np.sqrt(np.abs(c))))
     result = verify._suite_chsh_bounds(verify._rng(10), 83)
     assert not result.passed and result.worst_residual > 0.2
 
@@ -214,6 +222,7 @@ def test_chsh_draws_read_the_up_front_draws_block_by_block(samples):
     assert rng.bit_generator.state == state
     assert [len(c) for c in contrasts] == [min(verify._CHSH_BLOCK, samples - start)
                                            for start in range(0, samples, verify._CHSH_BLOCK)]
+    assert [block.shape for block in rows] == [(4, len(c)) for c in contrasts]
     up_front = verify._rng(10)
     angles = up_front.uniform(0.0, 2.0 * np.pi, size=(4, samples))
     assert np.hstack([np.array(block) for block in rows]).tobytes() == angles.tobytes()
@@ -248,7 +257,7 @@ def test_threads_draining_one_stream_take_each_block_once():
 
 
 def test_run_suites_fails_chsh_bounds_on_a_fault_in_the_background_half(monkeypatch):
-    seen = _plant_fault_at_the_last_column(monkeypatch, 8_300)
+    seen = _plant_fault(monkeypatch, 8_300, -1)
     result = verify.run_suites(83)[-1]
     assert seen == [108]
     assert result.name == "chsh-bounds"
@@ -275,7 +284,7 @@ def test_run_suites_drains_the_random_half_on_a_worker_and_the_main_thread(monke
 
 
 def test_run_suites_fails_chsh_bounds_on_a_fault_in_a_block_the_main_thread_takes(monkeypatch):
-    seen = _plant_fault_at_the_last_column(monkeypatch, 8_300)
+    seen = _plant_fault(monkeypatch, 8_300, -1)
     random_bounds = verify._random_bounds
     drained = threading.Event()
     takers = []
@@ -351,13 +360,32 @@ def test_run_suites_raises_what_the_worker_or_a_suite_raises(monkeypatch, name):
     assert threading.active_count() == before
 
 
-def test_chsh_bounds_memory_is_bounded():
-    # the default budget's draws alone take 38.1 MiB; the suite reads them block by block
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, in bytes."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert verify._suite_chsh_bounds(verify._rng(10), 10_000).passed
+        value = fn(*args)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return value, peak
+
+
+def test_chsh_bounds_memory_is_bounded():
+    # the default budget's draws alone take 38.1 MiB; the suite reads them block by block
+    result, peak = _traced_peak(verify._suite_chsh_bounds, verify._rng(10), 10_000)
+    assert result.passed
     assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_chsh_blocks_peak_below_23_rows_of_one_block(blocks):
+    # 22 float64 rows of a block: the four angle rows (then their sines), the
+    # contrasts, the bound, the four cosines and the twelve pair terms; a block frees
+    # them before the next. A cos and sin per angle row and twelve pair-term arrays
+    # peaked at 32 rows for one block, 2,102,688 B, and at 34 rows for more
+    draws = verify._chsh_draws(verify._rng(10), blocks * verify._CHSH_BLOCK)
+    worst, peak = _traced_peak(verify._random_bounds, draws)
+    assert worst <= 1e-9
+    assert peak < 23 * verify._CHSH_BLOCK * np.dtype(float).itemsize
