@@ -243,7 +243,7 @@ class DetectionDistribution:
                 if isinstance(total, np.complexfloating):  # numpy orders complex numbers too
                     raise TypeError
                 total = float(total)
-        except TypeError:  # a value that is not one real number
+        except (TypeError, ValueError):  # a value that is not one real number
             raise ValueError(f"probabilities must be real numbers, got {values!r}") from None
         if not in_range:
             raise ValueError(f"probabilities out of [0, 1]: {[float(v) for v in values]}")

@@ -98,7 +98,7 @@ def spin_loop_phase(s: int, mu, lam):
     scalar when ``mu`` and ``lam`` are scalars, otherwise a complex array
     of their broadcast shape.
     """
-    if s not in (1, -1):
+    if _checks.integer("spin label", s) not in (1, -1):
         raise ValueError(f"spin label must be +1 or -1, got {s!r}")
     mu, lam = _checks.finite_array("mu", mu, None), _checks.finite_array("lam", lam, None)
     phase = np.exp(-1j * s * _phase_product("mu*lam", mu, lam))

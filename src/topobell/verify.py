@@ -308,44 +308,11 @@ def _random_bounds(draws) -> float:
     return worst
 
 
-class _Background:
-    """``fn(*args)`` on a worker thread, joined when the ``with`` block ends.
-
-    :meth:`result` waits for the value and re-raises what ``fn`` raised.
-    :func:`run_suites` runs chsh-bounds' :func:`_random_bounds` here, and
-    the main thread drains the same blocks once its other suites are done.
-    """
-
-    def __init__(self, fn, *args):
-        self._outcome = (None, None)
-        self._thread = threading.Thread(target=self._run, args=(fn, args), daemon=True)
-
-    def _run(self, fn, args):
-        try:
-            self._outcome = (fn(*args), None)
-        except BaseException as error:
-            self._outcome = (None, error)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._thread.join()
-
-    def result(self):
-        self._thread.join()
-        value, error = self._outcome
-        if error is not None:
-            raise error
-        return value
-
-
 def _suite_chsh_bounds(rng: np.random.Generator, draws: int, random_worst=None) -> SuiteResult:
     """The CHSH bounds over random draws, then over the fixed-angle curve.
 
     ``random_worst``, if given, returns :func:`_random_bounds` of this
-    ``rng``'s draws, computed elsewhere or shared with another thread;
+    ``rng``'s draws, as :func:`run_suites` shares them with its worker;
     without it they are computed here.
     """
     samples = _chsh_samples(draws)
@@ -383,12 +350,12 @@ def run_suites(draws: int | None = None, inject_fault: str | None = None) -> lis
     bool is not one) or is below 1 raises ValueError. The fixed
     verification grids never shrink.
 
-    A worker thread (:class:`_Background`) takes chsh-bounds' random blocks
+    A one-thread ``ThreadPoolExecutor`` takes chsh-bounds' random blocks
     while this thread runs the other eleven suites; then this thread takes
     the blocks that are left, and chsh-bounds reports the larger of the two
     worsts, the value the suite computes alone. The worker is joined
-    before this returns or raises. The scenario-C grid is simulated once,
-    for both suites that read it.
+    before this returns or raises, and what it raises is raised here. The
+    scenario-C grid is simulated once, for both suites that read it.
     """
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; known: {KNOWN_FAULTS}")
@@ -396,14 +363,14 @@ def run_suites(draws: int | None = None, inject_fault: str | None = None) -> lis
     if heavy < 1:
         raise ValueError(f"draws must be at least 1, got {heavy}")
     light = max(1, heavy // 10)
+    # imported here, not at the top: it adds milliseconds to every CLI start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     # chsh-bounds' random half: a worker beside the other suites, then both threads
     rng = _rng(10)
     blocks = _chsh_draws(rng, _chsh_samples(heavy))
-
-    def random_worst():
-        return max(_random_bounds(blocks), background.result())
-
-    with _Background(_random_bounds, blocks) as background:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        background = pool.submit(_random_bounds, blocks)
         c_grid = _scenario_c_grid()
         return [
             _suite_linalg(_rng(1)),
@@ -417,5 +384,6 @@ def run_suites(draws: int | None = None, inject_fault: str | None = None) -> lis
             _suite_degiorgio(_rng(7), light),
             _suite_oracle_equivalence(_rng(8), heavy),
             _suite_chsh_consistency(c_grid),
-            _suite_chsh_bounds(rng, heavy, random_worst),
+            _suite_chsh_bounds(rng, heavy,
+                               lambda: max(_random_bounds(blocks), background.result())),
         ]

@@ -197,11 +197,12 @@ def _as_first_probability(value):
 @pytest.mark.parametrize("build, bad", [
     *((_as_first_probability, bad) for bad in (
         BAD["text"], BAD["none"], BAD["complex"], BAD["list"], np.array([0.5]),
-        np.complex128(0.5), np.complex64(0.5))),
+        np.array([0.5, 0.5]), np.complex128(0.5), np.complex64(0.5))),
     *((tb.DetectionDistribution.from_array, bad) for bad in (
         np.array([0.5 + 1j, 0.5, 0.0, 0.0]), [0.5 + 0j, 0.5, 0.0, 0.0],
         ["0.5", "0.5", "0", "0"], [None, 0.5, 0.0, 0.0])),
-], ids=["text", "none", "complex", "list", "one-entry-array", "complex128", "complex64",
+], ids=["text", "none", "complex", "list", "one-entry-array", "two-entry-array",
+        "complex128", "complex64",
         "from-array-complex", "from-array-complex-list", "from-array-text", "from-array-none"])
 def test_detection_distribution_rejects_a_non_real_probability(build, bad):
     with pytest.raises(ValueError, match="probabilities must be real numbers"):

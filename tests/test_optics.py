@@ -104,9 +104,12 @@ class TestSpinLoopPhase:
         product = optics.spin_loop_phase(1, mu, lam) * optics.spin_loop_phase(-1, mu, lam)
         assert abs(product - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("bad", [0, 2, -2, "up"])
+    @pytest.mark.parametrize("bad", [0, 2, -2, "up", np.array([1, -1]), np.array([1]),
+                                     True, 1.0, 1 + 0j],
+                             ids=["0", "2", "-2", "up", "two-entry-array", "one-entry-array",
+                                  "bool", "float", "complex"])
     def test_rejects_non_spin_labels(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="spin label must be"):
             optics.spin_loop_phase(bad, 1.0, 1.0)
 
 

@@ -360,6 +360,22 @@ def test_run_suites_raises_what_the_worker_or_a_suite_raises(monkeypatch, name):
     assert threading.active_count() == before
 
 
+def test_run_suites_raises_what_only_the_worker_raises(monkeypatch):
+    # the main thread's share of the blocks returns, so only the worker's result carries the error
+    random_bounds = verify._random_bounds
+
+    def spy(draws):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("planted on the worker")
+        return random_bounds(draws)
+
+    monkeypatch.setattr(verify, "_random_bounds", spy)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="planted on the worker"):
+        verify.run_suites(100)
+    assert threading.active_count() == before
+
+
 def _traced_peak(fn, *args):
     """``fn(*args)`` and the peak of the memory it allocated, in bytes."""
     tracemalloc.start()
