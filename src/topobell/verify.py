@@ -29,7 +29,7 @@ KNOWN_FAULTS = (FAULT_SCENARIO_C_SIGN,)
 
 _ANGLE = (0.0, 2.0 * np.pi)
 
-#: Columns of the chsh-bounds draws evaluated per block.
+#: Points per block of the chsh-bounds draws and of the per-scenario suites' draws.
 _CHSH_BLOCK = 2 ** 13
 
 #: Draw range of each phase-spec field; the line integrals take (-3, 3).
@@ -100,21 +100,26 @@ def _uniform_columns(rng: np.random.Generator, draws: int, *ranges) -> list[np.n
 def _scenario_draws(rng: np.random.Generator, scenario: Scenario, draws: int):
     """Random angles and phase-spec fields for ``draws`` points of ``scenario``.
 
-    Each point draws its fields in the order of the scenario's phase mode.
+    Yields ``(theta_l, theta_r, fields)`` for at most ``_CHSH_BLOCK`` points
+    at a time, each block the next :func:`_uniform_columns` of ``rng``, so
+    memory stays bounded and the points are those of one call over all
+    ``draws``. Fields are drawn in the order of the scenario's phase mode.
     """
     names = TopoPhaseSpec._FIELDS_BY_MODE.get(_spec_mode(scenario), ())
     ranges = [_FIELD_RANGES.get(name, (-3.0, 3.0)) for name in names]
-    theta_l, theta_r, *values = _uniform_columns(rng, draws, _ANGLE, _ANGLE, *ranges)
-    return theta_l, theta_r, dict(zip(names, values))
+    for start in range(0, draws, _CHSH_BLOCK):
+        theta_l, theta_r, *values = _uniform_columns(
+            rng, min(_CHSH_BLOCK, draws - start), _ANGLE, _ANGLE, *ranges)
+        yield theta_l, theta_r, dict(zip(names, values))
 
 
 def _suite_distribution_validity(rng: np.random.Generator, draws: int) -> SuiteResult:
     worst = 0.0
     for scenario in Scenario:
-        theta_l, theta_r, fields = _scenario_draws(rng, scenario, draws)
-        p = scenario_probabilities(scenario, theta_l, theta_r, **fields)
-        worst = max(worst, float(np.max(np.abs(p.sum(axis=-1) - 1.0))),
-                    float(max(0.0, np.max(p - 1.0), np.max(-p))))
+        for theta_l, theta_r, fields in _scenario_draws(rng, scenario, draws):
+            p = scenario_probabilities(scenario, theta_l, theta_r, **fields)
+            worst = max(worst, float(np.max(np.abs(p.sum(axis=-1) - 1.0))),
+                        float(max(0.0, np.max(p - 1.0), np.max(-p))))
     return SuiteResult("distribution-validity", worst, 1e-12)
 
 
@@ -206,10 +211,10 @@ def _suite_degiorgio(rng: np.random.Generator, draws: int) -> SuiteResult:
 def _suite_oracle_equivalence(rng: np.random.Generator, draws: int) -> SuiteResult:
     worst = 0.0
     for scenario in Scenario:
-        theta_l, theta_r, fields = _scenario_draws(rng, scenario, draws)
-        simulated = scenario_probabilities(scenario, theta_l, theta_r, **fields)
-        brute = brute_force_probabilities(scenario, theta_l, theta_r, **fields)
-        worst = max(worst, float(np.max(np.abs(simulated - brute))))
+        for theta_l, theta_r, fields in _scenario_draws(rng, scenario, draws):
+            simulated = scenario_probabilities(scenario, theta_l, theta_r, **fields)
+            brute = brute_force_probabilities(scenario, theta_l, theta_r, **fields)
+            worst = max(worst, float(np.max(np.abs(simulated - brute))))
     return SuiteResult("oracle-equivalence", worst, 1e-12)
 
 
@@ -237,33 +242,19 @@ def _chsh_samples(draws: int) -> int:
 
 
 def _chsh_draws(rng: np.random.Generator, samples: int):
-    """The chsh-bounds draws, one ``_CHSH_BLOCK`` of columns at a time.
+    """The chsh-bounds draws of ``samples`` columns, one ``_CHSH_BLOCK`` at a time.
 
-    Yields each block's four angle rows as one (4, n) array, and its n
-    contrasts: bit for bit the columns of ``rng.uniform(0, 2*pi, size=(4,
-    samples))`` and then ``rng.uniform(-1, 1, size=samples)``. Each row is
-    filled by ``random(out=row)`` and scaled as ``low + (high - low) * u``,
-    the arithmetic of ``uniform``. They are read through five copies of
-    ``rng`` made on this call, each advanced to the start of its row, so
-    ``rng`` itself does not move. Several threads may drain the one
-    iterator together; each block goes to one of them.
+    Block k is the k-th ``rng.random((5, n))``: four rows scaled to angles
+    in [0, 2*pi), yielded as one (4, n) array, and a row mapped to n
+    contrasts in [-1, 1). Threads may drain the one iterator together; its
+    lock orders the draws, so block k holds the same points whichever
+    thread takes it. A drained stream moves ``rng`` on 5 * samples doubles.
     """
-    readers = []
-    for k in range(5):
-        bit_generator = type(rng.bit_generator)(0)
-        bit_generator.state = rng.bit_generator.state
-        bit_generator.advance(k * samples)
-        readers.append(np.random.Generator(bit_generator))
-    *angle_readers, contrast_reader = readers
-
     def blocks():
         for start in range(0, samples, _CHSH_BLOCK):
-            n = min(_CHSH_BLOCK, samples - start)
-            rows = np.empty((4, n))
-            for reader, row in zip(angle_readers, rows):
-                reader.random(out=row)
+            block = rng.random((5, min(_CHSH_BLOCK, samples - start)))
+            rows, contrasts = block[:4], block[4]
             rows *= 2.0 * np.pi
-            contrasts = contrast_reader.random(n)
             contrasts *= 2.0
             contrasts -= 1.0
             yield rows, contrasts
@@ -311,16 +302,16 @@ def _random_bounds(draws) -> float:
 def _suite_chsh_bounds(rng: np.random.Generator, draws: int, random_worst=None) -> SuiteResult:
     """The CHSH bounds over random draws, then over the fixed-angle curve.
 
-    ``random_worst``, if given, returns :func:`_random_bounds` of this
-    ``rng``'s draws, as :func:`run_suites` shares them with its worker;
-    without it they are computed here.
+    ``random_worst``, if given, drains :func:`_chsh_draws` of this ``rng``
+    and returns its :func:`_random_bounds`, as :func:`run_suites` shares the
+    stream with its worker; otherwise it is drained here. The probe draws
+    on from where the stream ends.
     """
     samples = _chsh_samples(draws)
     if random_worst is None:
         worst = _random_bounds(_chsh_draws(rng, samples))
     else:
         worst = random_worst()
-    rng.bit_generator.advance(5 * samples)
     # monotone bracket: fixed-angle curve never beats the re-optimized
     # maximum, with equality exactly at full contrast
     mu_lambdas = np.linspace(0.0, np.pi, 1001)

@@ -119,8 +119,15 @@ PER_POINT_DRAWS = {
 }
 
 
-@pytest.mark.parametrize("suite", sorted(PER_POINT_DRAWS))
-def test_batched_draws_equal_the_per_point_stream(suite, monkeypatch):
+@pytest.mark.parametrize("suite, block", [
+    *[pytest.param(suite, None, id=suite) for suite in sorted(PER_POINT_DRAWS)],
+    # 300 points per scenario in blocks of 128, 128 and 44
+    *[pytest.param(suite, 128, id=f"{suite}-block128")
+      for suite in ("_suite_distribution_validity", "_suite_oracle_equivalence")],
+])
+def test_batched_draws_equal_the_per_point_stream(suite, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(verify, "_CHSH_BLOCK", block)
     recorded = []
     uniform_columns = verify._uniform_columns
 
@@ -134,7 +141,9 @@ def test_batched_draws_equal_the_per_point_stream(suite, monkeypatch):
     rng = verify._rng(index)
     assert getattr(verify, suite)(rng, 300).passed
     loop_rng = verify._rng(index)
-    expected = loop(loop_rng, 300)
+    # one recorded draw per block of each of the loop's arrays
+    expected = [part for rows in loop(loop_rng, 300)
+                for part in np.split(rows, range(verify._CHSH_BLOCK, len(rows), verify._CHSH_BLOCK))]
     assert len(recorded) == len(expected)
     for got, want in zip(recorded, expected):
         assert np.array_equal(got, want)
@@ -170,10 +179,26 @@ def test_optics_stacked_product_equals_the_per_point_products():
     np.testing.assert_array_equal(stacked, per_point)
 
 
+def _restated_chsh_blocks(samples):
+    """The chsh-bounds draws of ``samples`` columns, restated: the k-th
+    ``random((5, n))`` of the suite's generator, angles and contrasts scaled."""
+    restated = verify._rng(10)
+    blocks = []
+    for start in range(0, samples, verify._CHSH_BLOCK):
+        u = restated.random((5, min(verify._CHSH_BLOCK, samples - start)))
+        blocks.append((u[:4] * (2.0 * np.pi), u[4] * 2.0 - 1.0))
+    return blocks, restated
+
+
 def _plant_fault(monkeypatch, samples, column):
-    """Make ``chsh._S_both_roles`` add 1 to every S at one angle column of the
-    chsh-bounds draws of ``samples`` columns; returns the sizes of the hit blocks."""
-    planted = verify._rng(10).uniform(0.0, 2.0 * np.pi, size=(4, samples))[0, column]
+    """Make ``chsh._S_both_roles`` add 4 to every S at one angle column of the
+    chsh-bounds draws of ``samples`` columns; returns the sizes of the hit blocks.
+
+    S + 4 exceeds every bound (at most 2*sqrt(2)) by more than 1, whatever
+    the slack of the drawn point.
+    """
+    blocks, _ = _restated_chsh_blocks(samples)
+    planted = np.hstack([rows for rows, _ in blocks])[0, column]
     s_both_roles = chsh._S_both_roles
     seen = []
 
@@ -182,7 +207,7 @@ def _plant_fault(monkeypatch, samples, column):
         hit = (cos[0] == np.cos(planted)) & (sin[0] == np.sin(planted))
         if hit.any():
             seen.append(np.size(hit))
-        return s_both_roles(cos, sin, c) + hit
+        return s_both_roles(cos, sin, c) + 4.0 * hit
 
     monkeypatch.setattr(chsh, "_S_both_roles", faulty)
     return seen
@@ -215,18 +240,19 @@ def test_chsh_bounds_fails_a_contrast_inflated_inside_S(monkeypatch):
 
 
 @pytest.mark.parametrize("samples", [8_300, 100_000])
-def test_chsh_draws_read_the_up_front_draws_block_by_block(samples):
+def test_chsh_draws_read_the_stream_block_by_block(samples):
     rng = verify._rng(10)
-    state = rng.bit_generator.state
     rows, contrasts = zip(*verify._chsh_draws(rng, samples))
-    assert rng.bit_generator.state == state
     assert [len(c) for c in contrasts] == [min(verify._CHSH_BLOCK, samples - start)
                                            for start in range(0, samples, verify._CHSH_BLOCK)]
+    assert sum(len(c) for c in contrasts) == samples
     assert [block.shape for block in rows] == [(4, len(c)) for c in contrasts]
-    up_front = verify._rng(10)
-    angles = up_front.uniform(0.0, 2.0 * np.pi, size=(4, samples))
-    assert np.hstack([np.array(block) for block in rows]).tobytes() == angles.tobytes()
-    assert np.concatenate(contrasts).tobytes() == up_front.uniform(-1.0, 1.0, size=samples).tobytes()
+    restated, restated_rng = _restated_chsh_blocks(samples)
+    for block, c, (want_rows, want_c) in zip(rows, contrasts, restated):
+        assert np.array(block).tobytes() == want_rows.tobytes()
+        assert c.tobytes() == want_c.tobytes()
+    # the drained stream leaves rng where the restatement's draws leave it
+    assert rng.bit_generator.state == restated_rng.bit_generator.state
 
 
 def test_threads_draining_one_stream_take_each_block_once():
@@ -393,6 +419,18 @@ def test_chsh_bounds_memory_is_bounded():
     result, peak = _traced_peak(verify._suite_chsh_bounds, verify._rng(10), 10_000)
     assert result.passed
     assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("suite", ["_suite_distribution_validity", "_suite_oracle_equivalence"])
+def test_scenario_suites_memory_is_bounded_by_one_block(suite):
+    # each scenario's points are drawn and simulated one block at a time
+    index = PER_POINT_DRAWS[suite][0]
+    peaks = []
+    for draws in (verify._CHSH_BLOCK, 3 * verify._CHSH_BLOCK):
+        result, peak = _traced_peak(getattr(verify, suite), verify._rng(index), draws)
+        assert result.passed
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 @pytest.mark.parametrize("blocks", [1, 3])
