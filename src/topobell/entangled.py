@@ -104,14 +104,14 @@ def _checked_fields(mode: PhaseMode, values: dict, check=_checks.finite_array) -
             with np.errstate(over="ignore", invalid="ignore"):
                 phases = _phase_products(mode, fields)
         for label, phase in phases.items():
-            check(f"phase {label}", phase)
+            check("phase " + label, phase)
     return fields
 
 
 def _phase_products(mode: PhaseMode, fields: dict) -> dict:
     """The phase products of ``mode``'s checked fields, by label."""
     mu = fields["mu"]
-    phases = {f"mu*{name}": mu * value for name, value in fields.items() if name != "mu"}
+    phases = {"mu*" + name: mu * value for name, value in fields.items() if name != "mu"}
     if mode is PhaseMode.SPIN_CONDITIONED:
         phases["mu*(lambda_l - lambda_r)"] = mu * (fields["lambda_l"] - fields["lambda_r"])
     return phases
@@ -153,10 +153,9 @@ class TopoPhaseSpec:
     def __post_init__(self):
         if not isinstance(self.mode, PhaseMode):
             raise ValueError(f"unknown phase mode {self.mode!r}")
-        given = {name: getattr(self, name) for name in self._FIELD_NAMES
-                 if getattr(self, name) is not None}
-        for name, value in _checked_fields(self.mode, given, _checks.finite_scalar).items():
-            object.__setattr__(self, name, value)
+        state = self.__dict__  # frozen: the checked floats are written past __setattr__
+        given = {name: state[name] for name in self._FIELD_NAMES if state[name] is not None}
+        state.update(_checked_fields(self.mode, given, _checks.finite_scalar))
 
     @classmethod
     def spin_conditioned(cls, mu: float, lambda_l: float, lambda_r: float) -> "TopoPhaseSpec":
@@ -174,7 +173,8 @@ class TopoPhaseSpec:
 
     def field_values(self) -> dict[str, float]:
         """This spec's populated fields by name, the keywords of the batched entry points."""
-        return {name: getattr(self, name) for name in self._FIELDS_BY_MODE[self.mode]}
+        state = self.__dict__
+        return {name: state[name] for name in self._FIELDS_BY_MODE[self.mode]}
 
 
 def _checked_batch(scenario: Scenario, theta_l, theta_r, fields: dict):
@@ -235,9 +235,11 @@ class DetectionDistribution:
 
     def __post_init__(self):
         # comparisons written so that NaN fails them
-        values = (self.p_d0p_d0, self.p_d0p_d1, self.p_d1p_d0, self.p_d1p_d1)
+        values = a, b, c, d = self.p_d0p_d0, self.p_d0p_d1, self.p_d1p_d0, self.p_d1p_d1
+        low, high = -PROB_TOL, 1.0 + PROB_TOL
         try:
-            in_range = all(-PROB_TOL <= v <= 1.0 + PROB_TOL for v in values)
+            in_range = (low <= a <= high and low <= b <= high and low <= c <= high
+                        and low <= d <= high)
             total = sum(values)
             if type(total) is not float:  # the hot paths pass floats
                 if isinstance(total, np.complexfloating):  # numpy orders complex numbers too
@@ -275,10 +277,10 @@ def _splitter_fronts(d0: np.ndarray, d1: np.ndarray | None = None) -> np.ndarray
     """BS @ diag(d0, d1) for each entry of the 1-D array ``d0`` (d1 = 1 for None), rows first.
 
     Returns (2, N, 2), matrix row first, so the N matrices' rows form one
-    (2N, 2) matrix; :func:`_stacked` turns it into the (..., 2, 2) stack.
-    The splitter's columns are scaled entrywise: each splitter entry has a
-    zero real or imaginary part, so every entry is one exactly rounded
-    product, the bits of the matmul.
+    (2N, 2) matrix; :func:`_stacked` turns it into the (..., 2, 2) stack, a
+    view. The splitter's columns are scaled entrywise: each splitter entry
+    has a zero real or imaginary part, so every entry is one exactly
+    rounded product, the bits of the matmul.
     """
     column_0, column_1 = _BS_COLUMNS
     out = np.empty((2, d0.size, 2), dtype=complex)
@@ -300,9 +302,8 @@ def _interferometers(theta: np.ndarray) -> np.ndarray:
 
     BS @ P(theta) is built entrywise (:func:`_splitter_fronts`) with the
     matrices' rows as one (2N, 2) matrix, so the second splitter factor is
-    one 2-D matmul rather than one gemm call per 2x2 matrix;
-    ``tests/test_batched.py`` pins every matrix bit for bit to the
-    ``optics`` constructors' product BS @ P(theta) @ BS.
+    one 2-D matmul; ``tests/test_batched.py`` pins every matrix bit for bit
+    to the ``optics`` constructors' product BS @ P(theta) @ BS.
     """
     fronts = _splitter_fronts(np.exp(1j * theta).ravel())
     return _stacked((fronts.reshape(-1, 2) @ _BS).reshape(fronts.shape), theta.shape)
@@ -319,11 +320,17 @@ def _joint_probabilities(m_l: np.ndarray, m_r: np.ndarray,
     (..., 2, 2) detector pairs, or None for no branch phase. The amplitude
     at detectors (j, k) is (phi_1 M_L[j,0] M_R[k,1] - phi_2 M_L[j,1] M_R[k,0])
     / sqrt(2); the result is (..., 4) in :class:`DetectionDistribution` order.
+    From the products on it works in place: the same operations, fewer arrays.
     """
-    ud = m_l[..., :, 0, None] * m_r[..., None, :, 1]
+    amp = m_l[..., :, 0, None] * m_r[..., None, :, 1]
     du = m_l[..., :, 1, None] * m_r[..., None, :, 0]
-    amp = ud - du if phi_ud is None else phi_ud * ud - phi_du * du
-    return (np.abs(_R * amp) ** 2).reshape(amp.shape[:-2] + (4,))
+    if phi_ud is not None:
+        amp, du = phi_ud * amp, phi_du * du
+    amp -= du
+    amp *= _R
+    p = np.abs(amp)
+    p *= p
+    return p.reshape(amp.shape[:-2] + (4,))
 
 
 def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
@@ -345,17 +352,17 @@ def _loop_phase_products(mu, lambda_l, lambda_r) -> tuple[np.ndarray, np.ndarray
 
     Each spin-up loop phase is exp(-i*mu*lambda) as ``optics.spin_loop_phase``
     writes it, and each spin-down one its conjugate, which is the same bits.
-    Each product of two is multiplied out in real arithmetic as Python's
-    complex product does, because numpy's complex multiply may fuse
-    multiply-adds and move the last bit; ``tests/test_batched.py`` pins the
-    products bit for bit to those of ``spin_loop_phase``.
+    The up-down phase up_l * conj(up_r) is multiplied out in real arithmetic
+    as Python's complex product does, because numpy's complex multiply may
+    fuse multiply-adds and move the last bit; ``tests/test_batched.py`` pins
+    it bit for bit to ``spin_loop_phase``. The down-up phase conj(up_l) * up_r
+    is its conjugate: rounding is symmetric, so only the sign of a zero
+    imaginary part can differ, and no probability sees a zero's sign.
     """
-    def product(a, b):
-        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-        return (ar * br - ai * bi) + 1j * (ar * bi + ai * br)
-
     up_l, up_r = np.exp(-1j * mu * lambda_l), np.exp(-1j * mu * lambda_r)
-    return product(up_l, np.conj(up_r)), product(np.conj(up_l), up_r)
+    ar, ai, br, bi = up_l.real, up_l.imag, up_r.real, up_r.imag
+    phi_ud = (ar * br + ai * bi) + 1j * (ai * br - ar * bi)
+    return phi_ud, np.conj(phi_ud)
 
 
 def scenario_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np.ndarray:
@@ -380,24 +387,26 @@ def scenario_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np
 def _probabilities(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.ndarray:
     """The scenario kernel on what :func:`_checked_batch` or :func:`_checked_point` returns.
 
-    The two sides are stacked on a new leading axis, so one call builds
-    both sides' matrices.
+    The two sides are stacked on a new leading axis, so one call builds both
+    sides' matrices. Scenario A takes its retarders' and arms' exponentials in
+    one call; exp cannot see where i*(mu*x) and (i*mu)*x differ, a zero's sign.
     """
-    thetas = np.array((theta_l, theta_r))
     if scenario is Scenario.A:
-        retarders = np.exp(1j * thetas).ravel()
         if fields:
             mu = fields["mu"]
-            i_u, i_d = (np.array((fields[f"i_{arm}_l"], fields[f"i_{arm}_r"])) for arm in "ud")
-            sides = _splitter_fronts(np.exp(1j * mu * i_u).ravel(),
-                                     np.exp(-1j * mu * i_d).ravel())
-            sides[..., 0] *= retarders  # @ diag(exp(i*theta), 1)
+            phases = np.exp(1j * np.array((theta_l, theta_r, mu * fields["i_u_l"],
+                                           mu * fields["i_u_r"], -(mu * fields["i_d_l"]),
+                                           -(mu * fields["i_d_r"])))).reshape((3, -1))
+            sides = _splitter_fronts(phases[1], phases[2])
+            sides[..., 0] *= phases[0]  # @ diag(exp(i*theta), 1)
+            del phases  # freed before the joint step's temporaries: large batches ran faster
         else:
-            sides = _splitter_fronts(retarders)
-        m_l, m_r = _stacked(sides, thetas.shape)
+            sides = _splitter_fronts(np.exp(1j * np.array((theta_l, theta_r))).ravel())
+        sides = _stacked(sides, (2,) + np.shape(theta_l))
         # mirrored right side: detector k reads splitter port 1-k
-        return _joint_probabilities(m_l, m_r[..., ::-1, :])
-    m_l, m_r = _interferometers(thetas)
+        return _joint_probabilities(sides[0], sides[1][..., ::-1, :])
+    sides = _interferometers(np.array((theta_l, theta_r)))
+    m_l, m_r = sides[0], sides[1]
     if scenario is Scenario.B:
         return _joint_probabilities(m_l, m_r)
     if scenario is Scenario.C:

@@ -1,5 +1,7 @@
 """The batched entry points: the same numbers as the scalar API, and a guarded boundary."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -96,6 +98,42 @@ def test_kernel_rows_equal_the_composed_optics_constructors(scenario, with_field
     batched = scenario_probabilities(scenario, theta_l, theta_r, **fields)
     assert np.array_equal(_composed_from_constructors(scenario, theta_l, theta_r, fields),
                           batched)
+
+
+#: Angles where a sign of zero, a quarter or a full turn, or a large argument of exp
+#: could move a bit; every ordered pair of them is one row.
+EDGE_ANGLES = (0.0, -0.0, np.pi / 2, 2.0 * np.pi, 1e6, -1e6)
+
+#: Field rows at the edges of each scenario's phases: equal loop integrals and a
+#: zero dipole of either sign in C, zero flux in AB, zero and equal arm integrals in A.
+EDGE_FIELDS = {
+    "A": [dict(mu=0.7, i_u_l=0.0, i_d_l=0.0, i_u_r=0.0, i_d_r=0.0),
+          dict(mu=0.7, i_u_l=0.3, i_d_l=0.3, i_u_r=-1.1, i_d_r=-1.1),
+          dict(mu=-0.0, i_u_l=0.3, i_d_l=-1.1, i_u_r=2.0, i_d_r=0.4)],
+    "A-plain": [{}],
+    "B": [{}],
+    "C": [dict(mu=1.3, lambda_l=0.7, lambda_r=0.7),
+          dict(mu=0.0, lambda_l=0.7, lambda_r=-0.4),
+          dict(mu=-0.0, lambda_l=0.7, lambda_r=-0.4),
+          dict(mu=1.3, lambda_l=-0.0, lambda_r=0.0)],
+    "AB": [dict(flux=0.0), dict(flux=-0.0)],
+}
+
+
+@pytest.mark.parametrize("case, row", [(case, row) for case in CASE_IDS
+                                       for row in range(len(EDGE_FIELDS[case]))])
+def test_edge_rows_are_rows_of_the_batched_kernel_bit_for_bit(case, row):
+    scenario = CASES[CASE_IDS.index(case)][0]
+    point = EDGE_FIELDS[case][row]
+    theta_l, theta_r = (np.array(a) for a in zip(*itertools.product(EDGE_ANGLES, repeat=2)))
+    fields = {name: np.full(theta_l.shape, value) for name, value in point.items()}
+    batched = scenario_probabilities(scenario, theta_l, theta_r, **fields)
+    topo = TopoPhaseSpec(PHASE_FIELDS[scenario][0], **point) if point else None
+    scalar = np.array([run_scenario(scenario, a, b, topo).as_array()
+                       for a, b in zip(theta_l.tolist(), theta_r.tolist())])
+    composed = _composed_from_constructors(scenario, theta_l, theta_r, fields)
+    assert np.array_equal(scalar.view(np.uint64), batched.view(np.uint64))
+    assert np.array_equal(composed.view(np.uint64), batched.view(np.uint64))
 
 
 @pytest.mark.parametrize("scenario, with_fields", CASES, ids=CASE_IDS)

@@ -11,6 +11,7 @@ from topobell.entangled import (
     run_scenario,
     scenario_probabilities,
 )
+from topobell.oracle import brute_force_distribution
 from topobell.verify import _uniform_columns
 
 
@@ -23,43 +24,8 @@ class TestTopoPhaseSpec:
         path = TopoPhaseSpec.path_integrals(1.0, 0.1, 0.2, 0.3, 0.4)
         assert path.mode is PhaseMode.PATH_INTEGRALS
 
-    def test_rejects_fields_outside_mode(self):
-        with pytest.raises(ValueError, match="flux"):
-            TopoPhaseSpec(PhaseMode.SPIN_CONDITIONED, mu=1.0, lambda_l=0.0,
-                          lambda_r=0.0, flux=1.0)
-
-    def test_rejects_missing_fields(self):
-        with pytest.raises(ValueError, match="lambda_r"):
-            TopoPhaseSpec(PhaseMode.SPIN_CONDITIONED, mu=1.0, lambda_l=0.0)
-
-    @pytest.mark.parametrize("mode, fields", [
-        ("spin-conditioned", {"mu": 1.0, "lambda_l": 0.0, "lambda_r": 0.0}),
-        (None, {}),
-    ])
-    def test_rejects_unknown_mode(self, mode, fields):
-        with pytest.raises(ValueError, match=f"unknown phase mode {mode!r}"):
-            TopoPhaseSpec(mode, **fields)
-
-    @pytest.mark.parametrize("build, label", [
-        (lambda: TopoPhaseSpec.spin_conditioned(1e308, 1e308, 0.0), "mu\\*lambda_l"),
-        (lambda: TopoPhaseSpec.spin_conditioned(1e308, 0.0, -1e308), "mu\\*lambda_r"),
-        (lambda: TopoPhaseSpec.spin_conditioned(1.0, 1e308, -1e308), "lambda_l - lambda_r"),
-        (lambda: TopoPhaseSpec.path_integrals(1e308, 0.0, 0.0, 0.0, 1e308), "mu\\*i_d_r"),
-    ])
-    def test_rejects_phase_products_that_overflow(self, build, label):
-        with pytest.raises(ValueError, match=label):
-            build()
-
 
 class TestDetectionDistribution:
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            DetectionDistribution(0.5, 0.5, 0.5, 0.5)
-
-    def test_rejects_negative_probability(self):
-        with pytest.raises(ValueError):
-            DetectionDistribution(-0.5, 0.5, 0.5, 0.5)
-
     @pytest.mark.parametrize("values", [
         (np.nan, np.nan, np.nan, np.nan),
         (np.nan, 0.5, 0.5, 0.0),
@@ -164,3 +130,111 @@ class TestDispatcher:
         for scenario, (topo, reference) in cases.items():
             assert_allclose(run_scenario(scenario, theta_l, theta_r, topo).as_array(),
                             reference.as_array(), atol=1e-12)
+
+
+# ---- every one-point message, in full and in the order of the checks --------
+
+_SPIN = TopoPhaseSpec.spin_conditioned(1.0, 0.5, -0.5)
+_AB = TopoPhaseSpec.aharonov_bohm(2.0)
+_NAN, _INF = float("nan"), float("inf")
+
+#: (id, arguments after the entry point, message). Where two inputs are bad, the
+#: message names the one checked first: the scenario, then the spec, then theta_l.
+POINT_MESSAGES = [
+    ("unknown-scenario", ("C", 0.1, 0.2, _SPIN), "unknown scenario 'C'"),
+    ("unknown-scenario-first", ("X", _NAN, 0.2, _AB), "unknown scenario 'X'"),
+    ("spec-for-B", (Scenario.B, 0.1, 0.2, _AB),
+     "scenario B takes no topological phase spec, got spin-independent-ab"),
+    ("no-spec-for-C", (Scenario.C, 0.1, 0.2, None),
+     "scenario C requires a spin-conditioned phase spec, got NoneType"),
+    ("no-spec-for-AB", (Scenario.AB, 0.1, 0.2, None),
+     "scenario AB requires a spin-independent-ab phase spec, got NoneType"),
+    ("wrong-mode-C", (Scenario.C, 0.1, 0.2, _AB),
+     "scenario C requires a spin-conditioned phase spec, got spin-independent-ab"),
+    ("wrong-mode-A", (Scenario.A, 0.1, 0.2, _SPIN),
+     "scenario A requires a path-integrals phase spec, got spin-conditioned"),
+    ("not-a-spec", (Scenario.C, 0.1, 0.2, {"mu": 1.0}),
+     "scenario C requires a spin-conditioned phase spec, got dict"),
+    ("spec-before-angle", (Scenario.AB, _NAN, 0.2, _SPIN),
+     "scenario AB requires a spin-independent-ab phase spec, got spin-conditioned"),
+    ("nan", (Scenario.B, _NAN, 0.2), "theta_l must be finite, got nan"),
+    ("inf", (Scenario.C, 0.1, _INF, _SPIN), "theta_r must be finite, got inf"),
+    ("minus-inf", (Scenario.A, -_INF, 0.2), "theta_l must be finite, got -inf"),
+    ("complex", (Scenario.AB, 1 + 2j, 0.2, _AB), "theta_l must be a real number, got (1+2j)"),
+    ("numpy-complex", (Scenario.B, 0.1, np.complex128(0.5)),
+     f"theta_r must be a real number, got {np.complex128(0.5)!r}"),
+    ("text", (Scenario.B, "abc", 0.2), "theta_l must be a real number, got 'abc'"),
+    ("shape-1", (Scenario.C, np.array([0.1]), 0.2, _SPIN),
+     "theta_l must be a scalar, got shape (1,)"),
+    ("theta-l-first", (Scenario.B, _INF, _NAN), "theta_l must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("entry", [run_scenario, brute_force_distribution],
+                         ids=["run_scenario", "brute_force_distribution"])
+@pytest.mark.parametrize("args, message", [case[1:] for case in POINT_MESSAGES],
+                         ids=[case[0] for case in POINT_MESSAGES])
+def test_one_point_messages_are_exact(entry, args, message):
+    with pytest.raises(ValueError) as exc:
+        entry(*args)
+    assert str(exc.value) == message
+
+
+#: (id, constructor call, message); the mode is checked first, then foreign
+#: fields, missing fields, each field in the mode's order, and each phase label.
+SPEC_MESSAGES = [
+    ("unknown-mode", lambda: TopoPhaseSpec("spin-conditioned", mu=_NAN),
+     "unknown phase mode 'spin-conditioned'"),
+    ("no-mode", lambda: TopoPhaseSpec(None), "unknown phase mode None"),
+    ("foreign-field", lambda: TopoPhaseSpec(PhaseMode.SPIN_CONDITIONED, mu=1.0, flux=_NAN),
+     "field 'flux' is not part of spin-conditioned mode"),
+    ("missing-field", lambda: TopoPhaseSpec(PhaseMode.SPIN_CONDITIONED, mu=_NAN, lambda_l=0.0),
+     "spin-conditioned mode requires field 'lambda_r'"),
+    ("nan-field", lambda: TopoPhaseSpec.spin_conditioned(_NAN, _INF, 0.0),
+     "field 'mu' must be finite, got nan"),
+    ("inf-field", lambda: TopoPhaseSpec.path_integrals(1.0, 0.0, 0.0, -_INF, _NAN),
+     "field 'i_u_r' must be finite, got -inf"),
+    ("nan-flux", lambda: TopoPhaseSpec.aharonov_bohm(_NAN), "field 'flux' must be finite, got nan"),
+    ("text-field", lambda: TopoPhaseSpec.aharonov_bohm("abc"),
+     "field 'flux' must be a real number, got 'abc'"),
+    ("complex-field", lambda: TopoPhaseSpec.spin_conditioned(1.0, 1j, 0.0),
+     "field 'lambda_l' must be a real number, got 1j"),
+    ("field-before-phase", lambda: TopoPhaseSpec.spin_conditioned(1e308, 1e308, _NAN),
+     "field 'lambda_r' must be finite, got nan"),
+    ("mu*lambda_l", lambda: TopoPhaseSpec.spin_conditioned(1e308, 1e308, 1e308),
+     "phase mu*lambda_l must be finite, got inf"),
+    ("mu*lambda_r", lambda: TopoPhaseSpec.spin_conditioned(-1e308, 0.0, 1e308),
+     "phase mu*lambda_r must be finite, got -inf"),
+    ("mu*(lambda_l - lambda_r)", lambda: TopoPhaseSpec.spin_conditioned(1.0, 1e308, -1e308),
+     "phase mu*(lambda_l - lambda_r) must be finite, got inf"),
+    ("mu*i_u_l", lambda: TopoPhaseSpec.path_integrals(1e308, 1e308, 0.0, 0.0, 1e308),
+     "phase mu*i_u_l must be finite, got inf"),
+    ("mu*i_d_r", lambda: TopoPhaseSpec.path_integrals(1e308, 0.0, 0.0, 0.0, 1e308),
+     "phase mu*i_d_r must be finite, got inf"),
+]
+
+#: (id, the four values, message); whether each value is a real number is checked
+#: first, then the range, then the sum.
+DISTRIBUTION_MESSAGES = [
+    ("bad-sum", (0.5, 0.5, 0.5, 0.5), "probabilities sum to 2.0, expected 1"),
+    ("out-of-range", (-0.5, 0.5, 0.5, 0.5), "probabilities out of [0, 1]: [-0.5, 0.5, 0.5, 0.5]"),
+    ("range-before-sum", (2.0, 0.0, 0.0, 0.0), "probabilities out of [0, 1]: [2.0, 0.0, 0.0, 0.0]"),
+    ("nan", (_NAN, 0.5, 0.5, 0.0), "probabilities out of [0, 1]: [nan, 0.5, 0.5, 0.0]"),
+    ("complex", (0.5 + 0j, 0.5, 0, 0),
+     "probabilities must be real numbers, got ((0.5+0j), 0.5, 0, 0)"),
+    ("numpy-complex", (np.complex128(0.5), 0.5, 0.0, 0.0),
+     f"probabilities must be real numbers, got ({np.complex128(0.5)!r}, 0.5, 0.0, 0.0)"),
+    ("text-before-range", ("a", 2.0, 0.0, 0.0), "probabilities must be real numbers, got "
+     "('a', 2.0, 0.0, 0.0)"),
+]
+
+
+@pytest.mark.parametrize("build, message", [case[1:] for case in SPEC_MESSAGES]
+                         + [((lambda v=values: DetectionDistribution(*v)), message)
+                            for _, values, message in DISTRIBUTION_MESSAGES],
+                         ids=[f"spec-{case[0]}" for case in SPEC_MESSAGES]
+                         + [f"distribution-{case[0]}" for case in DISTRIBUTION_MESSAGES])
+def test_spec_and_distribution_messages_are_exact(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
