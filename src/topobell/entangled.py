@@ -320,17 +320,11 @@ def _joint_probabilities(m_l: np.ndarray, m_r: np.ndarray,
     (..., 2, 2) detector pairs, or None for no branch phase. The amplitude
     at detectors (j, k) is (phi_1 M_L[j,0] M_R[k,1] - phi_2 M_L[j,1] M_R[k,0])
     / sqrt(2); the result is (..., 4) in :class:`DetectionDistribution` order.
-    From the products on it works in place: the same operations, fewer arrays.
     """
-    amp = m_l[..., :, 0, None] * m_r[..., None, :, 1]
+    ud = m_l[..., :, 0, None] * m_r[..., None, :, 1]
     du = m_l[..., :, 1, None] * m_r[..., None, :, 0]
-    if phi_ud is not None:
-        amp, du = phi_ud * amp, phi_du * du
-    amp -= du
-    amp *= _R
-    p = np.abs(amp)
-    p *= p
-    return p.reshape(amp.shape[:-2] + (4,))
+    amp = ud - du if phi_ud is None else phi_ud * ud - phi_du * du
+    return (np.abs(_R * amp) ** 2).reshape(amp.shape[:-2] + (4,))
 
 
 def run_scenario(scenario: Scenario, theta_l: float, theta_r: float,
@@ -399,13 +393,13 @@ def _probabilities(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.nda
                                            -(mu * fields["i_d_r"])))).reshape((3, -1))
             sides = _splitter_fronts(phases[1], phases[2])
             sides[..., 0] *= phases[0]  # @ diag(exp(i*theta), 1)
-            del phases  # freed before the joint step's temporaries: large batches ran faster
         else:
             sides = _splitter_fronts(np.exp(1j * np.array((theta_l, theta_r))).ravel())
         sides = _stacked(sides, (2,) + np.shape(theta_l))
         # mirrored right side: detector k reads splitter port 1-k
         return _joint_probabilities(sides[0], sides[1][..., ::-1, :])
-    sides = _interferometers(np.array((theta_l, theta_r)))
+    thetas = np.array((theta_l, theta_r))
+    sides = _interferometers(thetas)
     m_l, m_r = sides[0], sides[1]
     if scenario is Scenario.B:
         return _joint_probabilities(m_l, m_r)

@@ -24,8 +24,43 @@ class TestTopoPhaseSpec:
         path = TopoPhaseSpec.path_integrals(1.0, 0.1, 0.2, 0.3, 0.4)
         assert path.mode is PhaseMode.PATH_INTEGRALS
 
+    def test_rejects_fields_outside_mode(self):
+        with pytest.raises(ValueError, match="flux"):
+            TopoPhaseSpec(PhaseMode.SPIN_CONDITIONED, mu=1.0, lambda_l=0.0,
+                          lambda_r=0.0, flux=1.0)
+
+    def test_rejects_missing_fields(self):
+        with pytest.raises(ValueError, match="lambda_r"):
+            TopoPhaseSpec(PhaseMode.SPIN_CONDITIONED, mu=1.0, lambda_l=0.0)
+
+    @pytest.mark.parametrize("mode, fields", [
+        ("spin-conditioned", {"mu": 1.0, "lambda_l": 0.0, "lambda_r": 0.0}),
+        (None, {}),
+    ])
+    def test_rejects_unknown_mode(self, mode, fields):
+        with pytest.raises(ValueError, match=f"unknown phase mode {mode!r}"):
+            TopoPhaseSpec(mode, **fields)
+
+    @pytest.mark.parametrize("build, label", [
+        (lambda: TopoPhaseSpec.spin_conditioned(1e308, 1e308, 0.0), "mu\\*lambda_l"),
+        (lambda: TopoPhaseSpec.spin_conditioned(1e308, 0.0, -1e308), "mu\\*lambda_r"),
+        (lambda: TopoPhaseSpec.spin_conditioned(1.0, 1e308, -1e308), "lambda_l - lambda_r"),
+        (lambda: TopoPhaseSpec.path_integrals(1e308, 0.0, 0.0, 0.0, 1e308), "mu\\*i_d_r"),
+    ])
+    def test_rejects_phase_products_that_overflow(self, build, label):
+        with pytest.raises(ValueError, match=label):
+            build()
+
 
 class TestDetectionDistribution:
+    def test_rejects_bad_sum(self):
+        with pytest.raises(ValueError, match="sum"):
+            DetectionDistribution(0.5, 0.5, 0.5, 0.5)
+
+    def test_rejects_negative_probability(self):
+        with pytest.raises(ValueError):
+            DetectionDistribution(-0.5, 0.5, 0.5, 0.5)
+
     @pytest.mark.parametrize("values", [
         (np.nan, np.nan, np.nan, np.nan),
         (np.nan, 0.5, 0.5, 0.0),
@@ -185,10 +220,19 @@ def test_one_point_messages_are_exact(entry, args, message):
 SPEC_MESSAGES = [
     ("unknown-mode", lambda: TopoPhaseSpec("spin-conditioned", mu=_NAN),
      "unknown phase mode 'spin-conditioned'"),
+    ("unknown-mode-complete", lambda: TopoPhaseSpec("spin-conditioned", mu=1.0, lambda_l=0.0,
+                                                    lambda_r=0.0),
+     "unknown phase mode 'spin-conditioned'"),
     ("no-mode", lambda: TopoPhaseSpec(None), "unknown phase mode None"),
     ("foreign-field", lambda: TopoPhaseSpec(PhaseMode.SPIN_CONDITIONED, mu=1.0, flux=_NAN),
      "field 'flux' is not part of spin-conditioned mode"),
+    ("foreign-field-complete", lambda: TopoPhaseSpec(PhaseMode.SPIN_CONDITIONED, mu=1.0,
+                                                     lambda_l=0.0, lambda_r=0.0, flux=1.0),
+     "field 'flux' is not part of spin-conditioned mode"),
     ("missing-field", lambda: TopoPhaseSpec(PhaseMode.SPIN_CONDITIONED, mu=_NAN, lambda_l=0.0),
+     "spin-conditioned mode requires field 'lambda_r'"),
+    ("missing-field-finite", lambda: TopoPhaseSpec(PhaseMode.SPIN_CONDITIONED, mu=1.0,
+                                                   lambda_l=0.0),
      "spin-conditioned mode requires field 'lambda_r'"),
     ("nan-field", lambda: TopoPhaseSpec.spin_conditioned(_NAN, _INF, 0.0),
      "field 'mu' must be finite, got nan"),
@@ -202,6 +246,8 @@ SPEC_MESSAGES = [
     ("field-before-phase", lambda: TopoPhaseSpec.spin_conditioned(1e308, 1e308, _NAN),
      "field 'lambda_r' must be finite, got nan"),
     ("mu*lambda_l", lambda: TopoPhaseSpec.spin_conditioned(1e308, 1e308, 1e308),
+     "phase mu*lambda_l must be finite, got inf"),
+    ("mu*lambda_l-alone", lambda: TopoPhaseSpec.spin_conditioned(1e308, 1e308, 0.0),
      "phase mu*lambda_l must be finite, got inf"),
     ("mu*lambda_r", lambda: TopoPhaseSpec.spin_conditioned(-1e308, 0.0, 1e308),
      "phase mu*lambda_r must be finite, got -inf"),
