@@ -163,22 +163,24 @@ def _S_both_roles(cos, sin, c):
     """S under each role assignment at contrasts ``c`` and at zero contrast; no validation.
 
     ``cos`` and ``sin`` are (4, n) arrays over the slot angles (tL, tR,
-    tL', tR'), and ``c`` holds n contrasts. Returns a (2, 2, n) array: the
-    :class:`RoleAssignment` members in order, each with its S at ``c`` and
-    at 0, equal bit for bit to :func:`_S_from_trig` at those contrast rows.
-    ``cos`` and ``sin`` are spent: the result is written into ``cos``'s
-    buffer and ``sin`` is overwritten.
+    tL', tR'), and ``c`` holds n contrasts, all of one float dtype. Returns
+    a (2, 2, n) array of that dtype: the :class:`RoleAssignment` members in
+    order, each with its S at ``c`` and at 0. In float64 it equals
+    :func:`_S_from_trig` at those contrast rows bit for bit; chsh-bounds
+    also calls it in float32 to screen its draws. ``cos`` and ``sin`` are
+    spent: the result is written into ``cos``'s buffer and ``sin`` is
+    overwritten.
 
     The two assignments take their eight E terms from the six pairs of the
     four angles: each pair's X = cos cos + sin sin * c is taken once, with
     E = -X (negation is exact) and X symmetric in its two angles, and at
-    zero contrast X is cos cos. The pair terms fill one (2, 6, n) buffer,
-    three row slices at a time; both assignments' S then take five
-    whole-block operations.
+    zero contrast X is cos cos. The pair terms fill one (2, 6, n) buffer of
+    the inputs' dtype, three row slices at a time; both assignments' S then
+    take five whole-block operations.
     """
     n = cos.shape[-1]
     # X at c, then at 0, over the slot pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)
-    x = np.empty((2, 6, n))
+    x = np.empty((2, 6, n), dtype=cos.dtype)
     start = 0
     for i in range(3):
         rows = slice(start, start + 3 - i)

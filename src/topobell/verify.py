@@ -32,6 +32,17 @@ _ANGLE = (0.0, 2.0 * np.pi)
 #: Points per block of the chsh-bounds draws and of the per-scenario suites' draws.
 _CHSH_BLOCK = 2 ** 13
 
+#: chsh-bounds checks in float64 only the columns whose float32 excess over
+#: a bound is above -_SCREEN_MARGIN. Rounding the angles in [0, 2*pi) to
+#: float32 moves each pair term X = cos cos + sin sin * c of S by at most
+#: 2 * 2**-22, as X's slope in each angle is at most 1; the contrast's
+#: rounding and the float32 cos, sin and arithmetic add a few float32 ulps;
+#: S sums four X terms. So a column's float32 excess is within 6e-6 of its
+#: float64 excess (1.03e-6 at most over the default budget's 10**6 draws),
+#: and a column whose float64 excess is 0 or more, the only kind that can
+#: raise the worst, passes the screen with some 160 times that to spare.
+_SCREEN_MARGIN = 2.0 ** -10
+
 #: Draw range of each phase-spec field; the line integrals take (-3, 3).
 _FIELD_RANGES = {"mu": (-2.0, 2.0), "flux": (-6.0, 6.0)}
 
@@ -277,35 +288,56 @@ class _Shared:
             return next(self._iterator)
 
 
+def _excess(rows, contrasts):
+    """Each column's excess of S over 2*sqrt(1 + c*c) at its contrast c and over 2 at zero.
+
+    ``rows`` holds (4, n) angles and ``contrasts`` their n contrasts, both of
+    the float dtype the excesses are computed in. Returns a (2, n) array, each
+    entry the larger of the two role assignments'; ``rows`` is spent.
+    """
+    s = chsh._S_both_roles(np.cos(rows), np.sin(rows, out=rows), contrasts)
+    excess = np.max(s, axis=0)
+    excess[0] -= 2.0 * np.sqrt(1.0 + contrasts * contrasts)
+    excess[1] -= 2.0
+    return excess
+
+
 def _random_bounds(draws) -> float:
     """Worst excess of S over 2*sqrt(1 + c*c) at the drawn contrast c and over 2 at zero.
 
     Taken over the blocks of :func:`_chsh_draws` that this call takes from
     ``draws``: two threads that drain one stream each get the worst of
     their blocks, and the larger of the two is the worst of the stream.
-    Each block is a few whole-block numpy calls: one cos and one sin over
-    its (4, n) angles, one :func:`chsh._S_both_roles` for both role
-    assignments at both contrasts, and one maximum per bound. Calls only
-    private, untraced code, so it may run beside the other suites on a
-    worker thread.
+    Every block is screened in float32, whose cos and sin cost a small
+    fraction of float64's, and only the columns whose float32 excess is
+    above -``_SCREEN_MARGIN`` are computed again in float64. The worst
+    starts at 0, so only a column with a positive float64 excess can move
+    it, and every such column passes the screen (see ``_SCREEN_MARGIN``):
+    the result is the float64 worst over every column, bit for bit. Calls
+    only private, untraced code, so it may run beside the other suites on
+    a worker thread.
     """
     worst = 0.0
-    # fixed blocks bound the temporaries; the angles' buffer takes their sines
     for rows, contrasts in draws:
-        bound = 2.0 * np.sqrt(1.0 + contrasts * contrasts)
-        s = chsh._S_both_roles(np.cos(rows), np.sin(rows, out=rows), contrasts)
-        worst = max(worst, float(np.max(s[:, 0] - bound)), float(np.max(s[:, 1]) - 2.0))
-        del s  # S holds the block's cosines: free them before the next block's
+        screen = _excess(rows.astype(np.float32), contrasts.astype(np.float32))
+        near = np.max(screen, axis=0) > -_SCREEN_MARGIN
+        del screen  # free the block's screen before its float64 check and the next block
+        if near.any():
+            worst = max(worst, float(np.max(_excess(rows[:, near], contrasts[near]))))
     return worst
 
 
 def _suite_chsh_bounds(rng: np.random.Generator, draws: int, random_worst=None) -> SuiteResult:
     """The CHSH bounds over random draws, then over the fixed-angle curve.
 
-    ``random_worst``, if given, drains :func:`_chsh_draws` of this ``rng``
-    and returns its :func:`_random_bounds`, as :func:`run_suites` shares the
-    stream with its worker; otherwise it is drained here. The probe draws
-    on from where the stream ends.
+    The random half, :func:`_random_bounds`, screens every draw in float32
+    and checks in float64 the columns near a bound, which are all the
+    columns that can set its worst, so it reports the float64 worst over
+    every draw exactly. ``random_worst``, if given, drains
+    :func:`_chsh_draws` of this ``rng`` and returns its
+    :func:`_random_bounds`, as :func:`run_suites` shares the stream with
+    its worker; otherwise it is drained here. The probe draws on from
+    where the stream ends.
     """
     samples = _chsh_samples(draws)
     if random_worst is None:

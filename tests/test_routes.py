@@ -1,4 +1,4 @@
-"""The three routes share no physics code.
+"""The three routes share no physics code, and each cross-route suite calls two of them.
 
 Every cross-route suite in ``verify`` rests on the branch pipelines
 (``entangled``), the 4x4 operator oracle (``oracle``) and the closed forms
@@ -6,6 +6,8 @@ Every cross-route suite in ``verify`` rests on the branch pipelines
 form that called the pipeline's kernel would pass every suite with residual
 0, so these tests follow the global names each route's bytecode loads,
 transitively within ``topobell``, and require the routes to stay apart.
+A suite that compared a route with itself would pass the same way, so the
+last test replaces one route at a time with one that raises.
 """
 
 import dis
@@ -13,7 +15,7 @@ import types
 
 import pytest
 
-from topobell import chsh, closed_form, entangled, oracle
+from topobell import chsh, closed_form, entangled, oracle, verify
 
 #: Boundary checks every route may call: they reject input, they compute no physics.
 SHARED_CHECKS = {"entangled._checked_batch", "entangled._checked_point"}
@@ -116,3 +118,46 @@ def test_each_route_reads_the_listed_constants_and_types(route):
     _, constants, kinds = REACHED[route]
     assert constants == CONSTANTS[route]
     assert kinds == TYPES[route]
+
+
+#: Where the suites look up each route's entry point: (module, attribute).
+SUITE_ROUTES = {
+    "scenario_probabilities": (verify, "scenario_probabilities"),
+    "brute_force_probabilities": (verify, "brute_force_probabilities"),
+    **{f"closed_form.{name}": (closed_form, name) for name in dir(closed_form)
+       if name.startswith("scenario_")},
+    "chsh.expectation_closed_form": (chsh, "expectation_closed_form"),
+}
+
+#: Each cross-route suite at a small budget, and the two routes it compares.
+CROSS_ROUTE_SUITES = {
+    "scenario-b-closed-form": (verify._suite_scenario_b_closed_form,
+                               {"scenario_probabilities", "closed_form.scenario_b_probabilities"}),
+    "scenario-c-closed-form": (lambda: verify._suite_scenario_c_closed_form(
+                                   None, verify._scenario_c_grid()),
+                               {"scenario_probabilities", "closed_form.scenario_c_probabilities"}),
+    "oracle-equivalence": (lambda: verify._suite_oracle_equivalence(verify._rng(8), 10),
+                           {"scenario_probabilities", "brute_force_probabilities"}),
+    "chsh-consistency": (lambda: verify._suite_chsh_consistency(verify._scenario_c_grid()),
+                         {"scenario_probabilities", "chsh.expectation_closed_form"}),
+}
+
+
+class RouteCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("route", list(SUITE_ROUTES))
+@pytest.mark.parametrize("suite", list(CROSS_ROUTE_SUITES))
+def test_each_cross_route_suite_calls_its_two_routes(monkeypatch, suite, route):
+    run, routes = CROSS_ROUTE_SUITES[suite]
+
+    def broken(*args, **kwargs):
+        raise RouteCalled(route)
+
+    monkeypatch.setattr(*SUITE_ROUTES[route], broken)
+    if route in routes:
+        with pytest.raises(RouteCalled):
+            run()
+    else:
+        assert run().passed

@@ -190,12 +190,17 @@ def _restated_chsh_blocks(samples):
     return blocks, restated
 
 
-def _plant_fault(monkeypatch, samples, column):
-    """Make ``chsh._S_both_roles`` add 4 to every S at one angle column of the
-    chsh-bounds draws of ``samples`` columns; returns the sizes of the hit blocks.
+def _plant_fault(monkeypatch, samples, column, lift=(4.0, 4.0)):
+    """Make ``chsh._S_both_roles`` lift S at one angle column of the chsh-bounds
+    draws of ``samples`` columns; returns the (dtype, size) of each call that
+    holds the column.
 
-    S + 4 exceeds every bound (at most 2*sqrt(2)) by more than 1, whatever
-    the slack of the drawn point.
+    ``lift`` is added to both role assignments' S, its first entry at the
+    drawn contrast and its second at zero. The column is found by its
+    theta_l's cos and sin in the call's dtype, so both the float32 screen and
+    the float64 check of its block hit it. The default lift makes S exceed
+    every bound (at most 2*sqrt(2)) by more than 1, whatever the slack of the
+    drawn point.
     """
     blocks, _ = _restated_chsh_blocks(samples)
     planted = np.hstack([rows for rows, _ in blocks])[0, column]
@@ -204,39 +209,102 @@ def _plant_fault(monkeypatch, samples, column):
 
     def faulty(cos, sin, c):
         # slot theta_l, read before _S_both_roles spends cos and sin
-        hit = (cos[0] == np.cos(planted)) & (sin[0] == np.sin(planted))
+        angle = cos.dtype.type(planted)
+        hit = (cos[0] == np.cos(angle)) & (sin[0] == np.sin(angle))
         if hit.any():
-            seen.append(np.size(hit))
-        return s_both_roles(cos, sin, c) + 4.0 * hit
+            seen.append((cos.dtype, hit.size))
+        s = s_both_roles(cos, sin, c)
+        return s + np.asarray(lift, s.dtype)[:, None] * hit
 
     monkeypatch.setattr(chsh, "_S_both_roles", faulty)
     return seen
+
+
+#: What a plant in the last of 8,300 columns sees: the float32 screen of the last
+#: block's 108 columns, then the float64 check of the planted column alone, as no
+#: other column of those draws comes within the screen's margin of a bound.
+PLANTED_LAST_BLOCK = [(np.float32, 108), (np.float64, 1)]
 
 
 def test_chsh_bounds_checks_the_last_partial_block(monkeypatch):
     # 8,300 samples: one full block of 8,192 columns and a last one of 108
     seen = _plant_fault(monkeypatch, 8_300, -1)
     result = verify._suite_chsh_bounds(verify._rng(10), 83)
-    assert seen == [108]
+    assert seen == PLANTED_LAST_BLOCK
     assert not result.passed and result.worst_residual > 0.5
 
 
 def test_run_suites_fails_chsh_bounds_on_a_fault_in_column_0_of_the_first_full_block(monkeypatch):
     seen = _plant_fault(monkeypatch, 8_300, 0)
     result = verify.run_suites(83)[-1]
-    assert seen == [verify._CHSH_BLOCK]
+    assert seen == [(np.float32, verify._CHSH_BLOCK), (np.float64, 1)]
     assert result.name == "chsh-bounds"
     assert not result.passed and result.worst_residual > 0.5
+
+
+def _inflate_contrast(monkeypatch):
+    """Make ``chsh._S_both_roles`` take S at contrast sign(c)*sqrt(|c|) in place of c."""
+    s_both_roles = chsh._S_both_roles
+    monkeypatch.setattr(chsh, "_S_both_roles",
+                        lambda cos, sin, c: s_both_roles(cos, sin, np.sign(c) * np.sqrt(np.abs(c))))
 
 
 def test_chsh_bounds_fails_a_contrast_inflated_inside_S(monkeypatch):
     # S at contrast sign(c)*sqrt(|c|) stays under 2*sqrt(2), and the zero row keeps
     # contrast 0, so only the bound 2*sqrt(1 + c*c) at the drawn c sees it (+0.206)
-    s_both_roles = chsh._S_both_roles
-    monkeypatch.setattr(chsh, "_S_both_roles",
-                        lambda cos, sin, c: s_both_roles(cos, sin, np.sign(c) * np.sqrt(np.abs(c))))
+    _inflate_contrast(monkeypatch)
     result = verify._suite_chsh_bounds(verify._rng(10), 83)
     assert not result.passed and result.worst_residual > 0.2
+
+
+def test_chsh_bounds_fails_a_column_lifted_just_past_its_bound(monkeypatch):
+    # the last column sits far under its bound, where the screen alone would drop it;
+    # lifted to 2e-9 past it in both dtypes, its float32 excess is within the screen's
+    # margin, and the float64 check reports the excess over the 1e-9 tolerance
+    blocks, _ = _restated_chsh_blocks(8_300)
+    rows, contrasts = blocks[-1]
+    exact = float(np.max(verify._excess(rows[:, -1:].copy(), contrasts[-1:])[0]))
+    assert exact < -verify._SCREEN_MARGIN
+    seen = _plant_fault(monkeypatch, 8_300, -1, lift=(2e-9 - exact, 0.0))
+    result = verify._suite_chsh_bounds(verify._rng(10), 83)
+    assert seen == PLANTED_LAST_BLOCK
+    assert not result.passed and 1e-9 < result.worst_residual < 1e-8
+
+
+def test_chsh_screen_is_within_a_64th_of_its_margin_of_float64():
+    # every column of the budget-1000 draws, at both bounds
+    worst = 0.0
+    for rows, contrasts in verify._chsh_draws(verify._rng(10), verify._chsh_samples(1000)):
+        screen = verify._excess(rows.astype(np.float32), contrasts.astype(np.float32))
+        assert screen.dtype == np.float32
+        exact = verify._excess(rows.copy(), contrasts)
+        worst = max(worst, float(np.max(np.abs(screen - exact))))
+    assert worst <= verify._SCREEN_MARGIN / 64
+
+
+def _float64_random_bounds(samples):
+    """chsh-bounds' random half restated without the screen: float64 over every column."""
+    blocks, _ = _restated_chsh_blocks(samples)
+    worst = 0.0
+    for rows, contrasts in blocks:
+        bound = 2.0 * np.sqrt(1.0 + contrasts * contrasts)
+        s = chsh._S_both_roles(np.cos(rows), np.sin(rows), contrasts)
+        worst = max(worst, float(np.max(s[:, 0] - bound)), float(np.max(s[:, 1]) - 2.0))
+    return worst
+
+
+@pytest.mark.parametrize("inflate", [False, True], ids=["as-drawn", "contrast-inflated"])
+@pytest.mark.parametrize("draws", [1, 83, 1000])
+def test_random_bounds_equal_the_float64_loop_over_every_column(monkeypatch, draws, inflate):
+    # the drawn points stay under their bounds, so both give 0.0; with the contrast
+    # inflated inside S the worst is a positive excess that one column sets, and the
+    # screen must pass that column on to the float64 check
+    if inflate:
+        _inflate_contrast(monkeypatch)
+    samples = verify._chsh_samples(draws)
+    worst = verify._random_bounds(verify._chsh_draws(verify._rng(10), samples))
+    assert worst.hex() == _float64_random_bounds(samples).hex()
+    assert (worst > 0.1) is inflate
 
 
 @pytest.mark.parametrize("samples", [8_300, 100_000])
@@ -285,7 +353,7 @@ def test_threads_draining_one_stream_take_each_block_once():
 def test_run_suites_fails_chsh_bounds_on_a_fault_in_the_background_half(monkeypatch):
     seen = _plant_fault(monkeypatch, 8_300, -1)
     result = verify.run_suites(83)[-1]
-    assert seen == [108]
+    assert seen == PLANTED_LAST_BLOCK
     assert result.name == "chsh-bounds"
     assert not result.passed and result.worst_residual > 0.5
     # the worker's worst value is the one the suite computes inline
@@ -333,7 +401,7 @@ def test_run_suites_fails_chsh_bounds_on_a_fault_in_a_block_the_main_thread_take
     monkeypatch.setattr(verify, "_random_bounds", spy)
     result = verify.run_suites(83)[-1]
     assert takers == [threading.main_thread()] * 2
-    assert seen == [108]
+    assert seen == PLANTED_LAST_BLOCK
     assert result.name == "chsh-bounds"
     assert not result.passed and result.worst_residual > 0.5
     assert result == verify._suite_chsh_bounds(verify._rng(10), 83)
@@ -435,10 +503,11 @@ def test_scenario_suites_memory_is_bounded_by_one_block(suite):
 
 @pytest.mark.parametrize("blocks", [1, 3])
 def test_chsh_blocks_peak_below_23_rows_of_one_block(blocks):
-    # 22 float64 rows of a block: the four angle rows (then their sines), the
-    # contrasts, the bound, the four cosines and the twelve pair terms; a block frees
-    # them before the next. A cos and sin per angle row and twelve pair-term arrays
-    # peaked at 32 rows for one block, 2,102,688 B, and at 34 rows for more
+    # 15.6 float64 rows of a block: its five rows of draws, then in float32 its four
+    # angle rows (then their sines), four cosines, contrasts and twelve pair terms, the
+    # size of 2, 2, 0.5 and 6 float64 rows (1,019,176 B). The float64 check holds only
+    # the columns near a bound, and a block frees all of it before the next (15.7 rows,
+    # 1,027,344 B, for 3 blocks). Every column in float64 peaked at 22 (1,445,288 B)
     draws = verify._chsh_draws(verify._rng(10), blocks * verify._CHSH_BLOCK)
     worst, peak = _traced_peak(verify._random_bounds, draws)
     assert worst <= 1e-9
