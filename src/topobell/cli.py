@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _checks, chsh, verify
 from .entangled import PhaseMode, Scenario, TopoPhaseSpec, _spec_mode, run_scenario
-from .oracle import _evaluations, _search, grid_search_max_S
+from .oracle import _EVALUATIONS, _search, grid_search_max_S
 
 #: Default of ``--budget`` for sweep and optimize: grid evaluations a run may take.
 _GRID_BUDGET = 50_000_000
@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--points", required=True, type=int)
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
     swp.add_argument("--budget", type=_positive_int_arg, default=_GRID_BUDGET,
-                     help=f"most grid evaluations the sweep may take, {_evaluations()} "
+                     help=f"most grid evaluations the sweep may take, {_EVALUATIONS} "
                           "a point (default %(default)s)")
 
     opt = sub.add_parser("optimize", help="maximize S at fixed contrast")
@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      default=chsh.RoleAssignment.STANDARD.value)
     opt.add_argument("--budget", type=_positive_int_arg, default=_GRID_BUDGET,
                      help=f"most grid evaluations --method grid may take; it needs "
-                          f"{_evaluations()} (default %(default)s)")
+                          f"{_EVALUATIONS} (default %(default)s)")
     opt.add_argument("--format", choices=("json", "csv"), default="json")
 
     ver = sub.add_parser("verify", help="run every invariant suite")
@@ -189,7 +189,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.min < args.max:
         raise UsageError("--min must be smaller than --max")
     _checks.finite_scalar("--max - --min", args.max - args.min)
-    needed = args.points * _evaluations()
+    needed = args.points * _EVALUATIONS
     if needed > args.budget:
         print(f"error: sweep needs {needed} grid evaluations, budget is {args.budget}",
               file=sys.stderr)
@@ -223,9 +223,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         best_s = chsh.chsh_S(angles, c, roles)
         evaluations = 0
     else:
-        needed = _evaluations()
-        if needed > args.budget:
-            print(f"error: grid search needs {needed} evaluations, budget is {args.budget}",
+        if _EVALUATIONS > args.budget:
+            print(f"error: grid search needs {_EVALUATIONS} evaluations, budget is {args.budget}",
                   file=sys.stderr)
             return 1
         result = grid_search_max_S(c, roles)

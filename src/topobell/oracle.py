@@ -145,9 +145,8 @@ _RAMP = np.arange(_POINTS, dtype=float)
 _ROUND_ZERO = _RAMP * (TWO_PI / _POINTS)  # linspace's own arithmetic for that axis
 
 
-def _evaluations() -> int:
-    """(a, a') points a search evaluates, each the exact maximum over (b, b'): 3,456 a row."""
-    return _POINTS ** 2 * (_ROUNDS + 1)
+#: (a, a') points a search evaluates, each the exact maximum over (b, b'): 3,456 a row.
+_EVALUATIONS = _POINTS ** 2 * (_ROUNDS + 1)
 
 
 @dataclass(frozen=True)
@@ -283,7 +282,7 @@ def grid_search_max_S(c: float, roles: RoleAssignment) -> SearchResult:
     c = _checks.contrast("c", c, scalar=True)
     *angles, s = _search(np.array([c]))[:, 0].tolist()
     return SearchResult(best_angles=roles.bell_angles(*angles), best_s=s,
-                        evaluations=_evaluations())
+                        evaluations=_EVALUATIONS)
 
 
 def stationarity_check(angles: BellAngles, c: float, roles: RoleAssignment,

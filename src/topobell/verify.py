@@ -7,7 +7,6 @@ fails. Random draws use fixed seeds so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,35 +256,16 @@ def _chsh_draws(rng: np.random.Generator, samples: int):
 
     Block k is the k-th ``rng.random((5, n))``: four rows scaled to angles
     in [0, 2*pi), yielded as one (4, n) array, and a row mapped to n
-    contrasts in [-1, 1). Threads may drain the one iterator together; its
-    lock orders the draws, so block k holds the same points whichever
-    thread takes it. A drained stream moves ``rng`` on 5 * samples doubles.
+    contrasts in [-1, 1). A drained stream moves ``rng`` on 5 * samples
+    doubles.
     """
-    def blocks():
-        for start in range(0, samples, _CHSH_BLOCK):
-            block = rng.random((5, min(_CHSH_BLOCK, samples - start)))
-            rows, contrasts = block[:4], block[4]
-            rows *= 2.0 * np.pi
-            contrasts *= 2.0
-            contrasts -= 1.0
-            yield rows, contrasts
-
-    return _Shared(blocks())
-
-
-class _Shared:
-    """An iterator that several threads may drain together: one ``next`` at a time."""
-
-    def __init__(self, iterator):
-        self._iterator = iterator
-        self._lock = threading.Lock()
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        with self._lock:
-            return next(self._iterator)
+    for start in range(0, samples, _CHSH_BLOCK):
+        block = rng.random((5, min(_CHSH_BLOCK, samples - start)))
+        rows, contrasts = block[:4], block[4]
+        rows *= 2.0 * np.pi
+        contrasts *= 2.0
+        contrasts -= 1.0
+        yield rows, contrasts
 
 
 def _excess(rows, contrasts):
@@ -305,9 +285,7 @@ def _excess(rows, contrasts):
 def _random_bounds(draws) -> float:
     """Worst excess of S over 2*sqrt(1 + c*c) at the drawn contrast c and over 2 at zero.
 
-    Taken over the blocks of :func:`_chsh_draws` that this call takes from
-    ``draws``: two threads that drain one stream each get the worst of
-    their blocks, and the larger of the two is the worst of the stream.
+    Taken over every block of ``draws``, a :func:`_chsh_draws` stream.
     Every block is screened in float32, whose cos and sin cost a small
     fraction of float64's, and only the columns whose float32 excess is
     above -``_SCREEN_MARGIN`` are computed again in float64. The worst
@@ -315,7 +293,8 @@ def _random_bounds(draws) -> float:
     it, and every such column passes the screen (see ``_SCREEN_MARGIN``):
     the result is the float64 worst over every column, bit for bit. Calls
     only private, untraced code, so it may run beside the other suites on
-    a worker thread.
+    a worker thread: perfbench's span tracer keeps one stack for the
+    process and must see only the main thread's calls.
     """
     worst = 0.0
     for rows, contrasts in draws:
@@ -333,11 +312,10 @@ def _suite_chsh_bounds(rng: np.random.Generator, draws: int, random_worst=None) 
     The random half, :func:`_random_bounds`, screens every draw in float32
     and checks in float64 the columns near a bound, which are all the
     columns that can set its worst, so it reports the float64 worst over
-    every draw exactly. ``random_worst``, if given, drains
-    :func:`_chsh_draws` of this ``rng`` and returns its
-    :func:`_random_bounds`, as :func:`run_suites` shares the stream with
-    its worker; otherwise it is drained here. The probe draws on from
-    where the stream ends.
+    every draw exactly. ``random_worst``, if given, returns that worst for
+    :func:`_chsh_draws` of this ``rng``, as :func:`run_suites` takes it
+    from its worker once the stream is drained; otherwise the stream is
+    drained here. The probe draws on from where the stream ends.
     """
     samples = _chsh_samples(draws)
     if random_worst is None:
@@ -373,12 +351,12 @@ def run_suites(draws: int | None = None, inject_fault: str | None = None) -> lis
     bool is not one) or is below 1 raises ValueError. The fixed
     verification grids never shrink.
 
-    A one-thread ``ThreadPoolExecutor`` takes chsh-bounds' random blocks
-    while this thread runs the other eleven suites; then this thread takes
-    the blocks that are left, and chsh-bounds reports the larger of the two
-    worsts, the value the suite computes alone. The worker is joined
-    before this returns or raises, and what it raises is raised here. The
-    scenario-C grid is simulated once, for both suites that read it.
+    A one-thread ``ThreadPoolExecutor`` drains chsh-bounds' random blocks
+    in stream order while this thread runs the other eleven suites;
+    chsh-bounds joins it before its probe draw and reports the value the
+    suite computes alone. The worker is joined before this returns or
+    raises, and what it raises is raised here. The scenario-C grid is
+    simulated once, for both suites that read it.
     """
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; known: {KNOWN_FAULTS}")
@@ -389,11 +367,10 @@ def run_suites(draws: int | None = None, inject_fault: str | None = None) -> lis
     # imported here, not at the top: it adds milliseconds to every CLI start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    # chsh-bounds' random half: a worker beside the other suites, then both threads
+    # chsh-bounds' random half runs on a worker beside the other suites
     rng = _rng(10)
-    blocks = _chsh_draws(rng, _chsh_samples(heavy))
     with ThreadPoolExecutor(max_workers=1) as pool:
-        background = pool.submit(_random_bounds, blocks)
+        background = pool.submit(_random_bounds, _chsh_draws(rng, _chsh_samples(heavy)))
         c_grid = _scenario_c_grid()
         return [
             _suite_linalg(_rng(1)),
@@ -407,6 +384,5 @@ def run_suites(draws: int | None = None, inject_fault: str | None = None) -> lis
             _suite_degiorgio(_rng(7), light),
             _suite_oracle_equivalence(_rng(8), heavy),
             _suite_chsh_consistency(c_grid),
-            _suite_chsh_bounds(rng, heavy,
-                               lambda: max(_random_bounds(blocks), background.result())),
+            _suite_chsh_bounds(rng, heavy, background.result),
         ]

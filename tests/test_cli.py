@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from topobell import chsh, oracle
+from topobell import chsh, cli
 from topobell.cli import (_angle_arg, _build_parser, _finite_arg, _flag, _positive_int_arg,
                           main)
 
@@ -332,8 +332,8 @@ class TestSweep:
         assert (code, err) == (0, "")
         assert out == run_cli(capsys, *args)[1]
 
-    def test_the_budget_is_checked_against_the_rounds_at_call_time(self, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "_ROUNDS", 1)
+    def test_the_budget_is_checked_against_the_searchs_evaluations(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_EVALUATIONS", 1152)
         args = ["sweep", "--min", "0", "--max", "1", "--points", "2"]
         code, out, err = run_cli(capsys, *args, "--budget", "2303")
         assert (code, out) == (1, "")
@@ -417,16 +417,16 @@ class TestOptimize:
         assert (code, err) == (0, "")
         assert out == run_cli(capsys, *args)[1]
 
-    def test_the_grid_budget_is_checked_against_the_rounds_at_call_time(self, capsys,
+    def test_the_grid_budget_is_checked_against_the_searchs_evaluations(self, capsys,
                                                                         monkeypatch):
-        monkeypatch.setattr(oracle, "_ROUNDS", 2)
+        monkeypatch.setattr(cli, "_EVALUATIONS", 1728)
         args = ["optimize", "--method", "grid", "--mu", "1", "--lambda-l", "0.3"]
         code, out, err = run_cli(capsys, *args, "--budget", "1727")
         assert (code, out) == (1, "")
         assert err == "error: grid search needs 1728 evaluations, budget is 1727\n"
         code, out, err = run_cli(capsys, *args, "--budget", "1728")
         assert (code, err) == (0, "")
-        assert json.loads(out)[0]["evaluations"] == 1728
+        assert out == run_cli(capsys, *args)[1]
 
     def test_the_analytic_method_ignores_the_budget(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--method", "analytic", "--budget", "1")

@@ -195,7 +195,6 @@ class TestGridSearch:
         for rounds in range(ROUNDS + 1):
             monkeypatch.setattr(oracle, "_ROUNDS", rounds)
             result = grid_search_max_S(c, roles)
-            assert result.evaluations == POINTS ** 2 * (rounds + 1)
             assert result.best_s >= previous - 1e-15
             previous = result.best_s
 
@@ -209,9 +208,20 @@ class TestGridSearch:
         fresh = chsh.chsh_S(result.best_angles, 0.7, RoleAssignment.STANDARD)
         assert result.best_s == pytest.approx(fresh, abs=1e-12)
 
-    def test_reports_evaluation_count(self):
+    def test_reports_evaluation_count(self, monkeypatch):
+        bound = oracle._bound
+        sizes = []
+
+        def spy(a, a_prime, c):
+            value, total, difference = bound(a, a_prime, c)
+            sizes.append(value.size)
+            return value, total, difference
+
+        monkeypatch.setattr(oracle, "_bound", spy)
         result = grid_search_max_S(0.0, RoleAssignment.STANDARD)
-        assert result.evaluations == oracle._evaluations() == POINTS ** 2 * (ROUNDS + 1) == 3456
+        # one call per round over its (a, a') grid, then one at the winner for (b, b')
+        assert sizes == [POINTS ** 2] * (ROUNDS + 1) + [1]
+        assert result.evaluations == oracle._EVALUATIONS == sum(sizes[:-1]) == 3456
 
     @pytest.mark.parametrize("args", [(0.5, "standard")], ids=["roles"])
     def test_rejects_a_wrong_type_before_searching(self, monkeypatch, args):

@@ -24,7 +24,7 @@ REMOVED = {
     optics: ("custom_beam_splitter", "NonUnitaryError", "CUSTOM_SPLITTER_TOL",
              "polarizing_splitter_candidate", "spin_eigenstates", "_finite"),
     oracle: ("_ID", "_SWAP", "_require_type", "_left_product", "GridSpec", "BudgetExceededError"),
-    verify: ("DEFAULT_LIGHT_DRAWS", "DEFAULT_HEAVY_DRAWS", "_Background"),
+    verify: ("DEFAULT_LIGHT_DRAWS", "DEFAULT_HEAVY_DRAWS", "_Background", "_Shared"),
 }
 
 

@@ -36,16 +36,50 @@ def test_one_budget_sets_every_suites_draws(monkeypatch):
     assert taken == {name: 1 if name in pairwise else 9 for name in random_suites}
 
 
-def test_suite_names_are_the_ones_the_benchmark_reports(monkeypatch):
-    # the benchmark reads a suite it cannot find as zero seconds, so a renamed
-    # suite would go unreported rather than fail
+def _load_spans(monkeypatch):
+    """perfbench's span tracer module, imported from its file without writing bytecode."""
     spans_path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_suite_names_are_the_ones_the_benchmark_reports(monkeypatch):
+    # the benchmark reads a suite it cannot find as zero seconds, so a renamed
+    # suite would go unreported rather than fail
+    spans = _load_spans(monkeypatch)
     names = [result.name for result in verify.run_suites(100)]
     assert names == list(spans.VERIFY_SUITES)
+
+
+def test_run_suites_runs_every_traced_function_on_the_main_thread(monkeypatch):
+    # the span tracer keeps one stack for the process, so a traced call on
+    # chsh-bounds' worker would nest its span under whatever the main thread runs
+    spans = _load_spans(monkeypatch)
+    calls = []
+
+    class ThreadTracer(spans.Tracer):
+        def _wrap(self, layer, fn, measure=None):
+            def on_thread(*args, **kwargs):
+                calls.append((layer, threading.current_thread()))
+                return fn(*args, **kwargs)
+
+            return super()._wrap(layer, on_thread, measure)
+
+    tracer = ThreadTracer()
+    tracer.install()
+    try:
+        tracer.begin_unit()
+        results = verify.run_suites(100)
+    finally:
+        tracer.uninstall()
+    assert all(result.passed for result in results)
+    layers = {layer for layer, _ in calls}
+    assert {f"verify:{name}" for name in dir(verify) if name.startswith("_suite_")} <= layers
+    assert {"optics", "linalg", "closed_form", "chsh.S_values"} <= layers
+    assert [layer for layer, thread in calls if thread is not threading.main_thread()] == []
 
 
 def test_injected_sign_fault_fails_only_the_scenario_c_suite():
@@ -323,33 +357,6 @@ def test_chsh_draws_read_the_stream_block_by_block(samples):
     assert rng.bit_generator.state == restated_rng.bit_generator.state
 
 
-def test_threads_draining_one_stream_take_each_block_once():
-    samples = 40 * verify._CHSH_BLOCK + 5
-    alone = {contrasts.tobytes(): np.array(rows).tobytes()
-             for rows, contrasts in verify._chsh_draws(verify._rng(10), samples)}
-    draws = verify._chsh_draws(verify._rng(10), samples)
-    taken = [[] for _ in range(4)]  # more threads than cores, each draining into its own list
-
-    def drain(blocks):
-        blocks.extend(draws)
-
-    threads = [threading.Thread(target=drain, args=(blocks,)) for blocks in taken]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    together = [(contrasts.tobytes(), np.array(rows).tobytes())
-                for blocks in taken for rows, contrasts in blocks]
-    assert len(together) == len(alone) == 41
-    assert dict(together) == alone
-
-
 def test_run_suites_fails_chsh_bounds_on_a_fault_in_the_background_half(monkeypatch):
     seen = _plant_fault(monkeypatch, 8_300, -1)
     result = verify.run_suites(83)[-1]
@@ -360,51 +367,28 @@ def test_run_suites_fails_chsh_bounds_on_a_fault_in_the_background_half(monkeypa
     assert result == verify._suite_chsh_bounds(verify._rng(10), 83)
 
 
-def test_run_suites_drains_the_random_half_on_a_worker_and_the_main_thread(monkeypatch):
+@pytest.mark.parametrize("draws", [1, 100, 250])
+def test_run_suites_drains_the_random_half_on_the_worker_alone(monkeypatch, draws):
     random_bounds = verify._random_bounds
-    threads = []
+    callers, takers = [], []
 
-    def spy(draws):
-        threads.append(threading.current_thread())
-        return random_bounds(draws)
-
-    monkeypatch.setattr(verify, "_random_bounds", spy)
-    before = threading.active_count()
-    result = verify.run_suites(100)[-1]
-    assert threading.active_count() == before
-    assert len(threads) == 2
-    assert sorted(thread is threading.main_thread() for thread in threads) == [False, True]
-    assert result == verify._suite_chsh_bounds(verify._rng(10), 100)
-
-
-def test_run_suites_fails_chsh_bounds_on_a_fault_in_a_block_the_main_thread_takes(monkeypatch):
-    seen = _plant_fault(monkeypatch, 8_300, -1)
-    random_bounds = verify._random_bounds
-    drained = threading.Event()
-    takers = []
-
-    def taken(draws):
-        for block in draws:
+    def taken(blocks):
+        for block in blocks:
             takers.append(threading.current_thread())
             yield block
 
-    def spy(draws):
-        # the worker waits until the main thread has drained every block
-        if threading.current_thread() is not threading.main_thread():
-            drained.wait(timeout=60.0)
-            return random_bounds(taken(draws))
-        try:
-            return random_bounds(taken(draws))
-        finally:
-            drained.set()
+    def spy(blocks):
+        callers.append(threading.current_thread())
+        return random_bounds(taken(blocks))
 
     monkeypatch.setattr(verify, "_random_bounds", spy)
-    result = verify.run_suites(83)[-1]
-    assert takers == [threading.main_thread()] * 2
-    assert seen == PLANTED_LAST_BLOCK
-    assert result.name == "chsh-bounds"
-    assert not result.passed and result.worst_residual > 0.5
-    assert result == verify._suite_chsh_bounds(verify._rng(10), 83)
+    before = threading.active_count()
+    result = verify.run_suites(draws)[-1]
+    assert threading.active_count() == before
+    # one call, on the worker, that takes every block of the stream
+    assert len(callers) == 1 and callers[0] is not threading.main_thread()
+    assert takers == callers * -(-verify._chsh_samples(draws) // verify._CHSH_BLOCK)
+    assert result == verify._suite_chsh_bounds(verify._rng(10), draws)
 
 
 def test_scenario_b_grid_builds_one_side_matrix_per_angle(monkeypatch):
@@ -450,22 +434,6 @@ def test_run_suites_raises_what_the_worker_or_a_suite_raises(monkeypatch, name):
     monkeypatch.setattr(verify, name, broken)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"planted in {name}"):
-        verify.run_suites(100)
-    assert threading.active_count() == before
-
-
-def test_run_suites_raises_what_only_the_worker_raises(monkeypatch):
-    # the main thread's share of the blocks returns, so only the worker's result carries the error
-    random_bounds = verify._random_bounds
-
-    def spy(draws):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("planted on the worker")
-        return random_bounds(draws)
-
-    monkeypatch.setattr(verify, "_random_bounds", spy)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="planted on the worker"):
         verify.run_suites(100)
     assert threading.active_count() == before
 
