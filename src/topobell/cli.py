@@ -130,8 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run every invariant suite")
     ver.add_argument("--budget", type=_positive_int_arg, default=None,
                      help="random-draw budget (default 10000); pairwise suites take a tenth")
-    ver.add_argument("--inject-fault", choices=verify.KNOWN_FAULTS, default=None,
-                     help="test-harness hook: force a known failure")
 
     # argparse takes a token that starts with "-" for a flag unless it is a plain negative
     # decimal; here "-1e-3", "-90deg" and "-inf" are values too, for the flag's type to check
@@ -247,7 +245,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verify.run_suites(args.budget, inject_fault=args.inject_fault)
+    results = verify.run_suites(args.budget)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{result.name}: {status}  worst residual {result.worst_residual:.3e} "

@@ -19,13 +19,6 @@ from .oracle import brute_force_probabilities
 
 BASE_SEED = 20260810
 
-#: Test-harness fault hook: evaluates the scenario-C reference closed form
-#: with the sign of its interference term flipped, so the equivalence
-#: suite must fail. Exists to prove the check has teeth.
-FAULT_SCENARIO_C_SIGN = "scenario-c-sign"
-
-KNOWN_FAULTS = (FAULT_SCENARIO_C_SIGN,)
-
 _ANGLE = (0.0, 2.0 * np.pi)
 
 #: Points per block of the chsh-bounds draws and of the per-scenario suites' draws.
@@ -163,13 +156,10 @@ def _scenario_c_grid():
     return theta_l, theta_r, mu_lambda, simulated
 
 
-def _suite_scenario_c_closed_form(inject_fault: str | None, grid) -> SuiteResult:
+def _suite_scenario_c_closed_form(grid) -> SuiteResult:
     """The scenario-C grid against its closed form; ``grid``: :func:`_scenario_c_grid`."""
     theta_l, theta_r, mu_lambda, simulated = grid
-    two_ml = 2.0 * mu_lambda
-    if inject_fault == FAULT_SCENARIO_C_SIGN:
-        two_ml = np.pi - two_ml  # flips the interference term sign
-    reference = closed_form.scenario_c_probabilities(theta_l, theta_r, two_ml)
+    reference = closed_form.scenario_c_probabilities(theta_l, theta_r, 2.0 * mu_lambda)
     worst = float(np.max(np.abs(simulated - reference)))
     return SuiteResult("scenario-c-closed-form", worst, 1e-12)
 
@@ -342,7 +332,7 @@ def _suite_chsh_bounds(rng: np.random.Generator, draws: int, random_worst=None) 
     return SuiteResult("chsh-bounds", worst, 1e-9)
 
 
-def run_suites(draws: int | None = None, inject_fault: str | None = None) -> list[SuiteResult]:
+def run_suites(draws: int | None = None) -> list[SuiteResult]:
     """Run every invariant suite; returns one result per suite.
 
     ``draws`` is the random-draw budget (default 10^4): the per-scenario
@@ -358,8 +348,6 @@ def run_suites(draws: int | None = None, inject_fault: str | None = None) -> lis
     raises, and what it raises is raised here. The scenario-C grid is
     simulated once, for both suites that read it.
     """
-    if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
-        raise ValueError(f"unknown fault {inject_fault!r}; known: {KNOWN_FAULTS}")
     heavy = _checks.integer("draws", 10_000 if draws is None else draws)
     if heavy < 1:
         raise ValueError(f"draws must be at least 1, got {heavy}")
@@ -377,7 +365,7 @@ def run_suites(draws: int | None = None, inject_fault: str | None = None) -> lis
             _suite_optics(_rng(2)),
             _suite_distribution_validity(_rng(3), heavy),
             _suite_scenario_b_closed_form(),
-            _suite_scenario_c_closed_form(inject_fault, c_grid),
+            _suite_scenario_c_closed_form(c_grid),
             _suite_scenario_c_gauge(_rng(4), light),
             _suite_scenario_a_topo_invariance(_rng(5), light),
             _suite_scenario_ab_reduction(_rng(6), light),

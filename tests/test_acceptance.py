@@ -53,7 +53,7 @@ def test_criterion_01_scenario_b_closed_form():
 
 def test_criterion_02_scenario_c_closed_form():
     start = time.perf_counter()
-    result = verify._suite_scenario_c_closed_form(None, verify._scenario_c_grid())
+    result = verify._suite_scenario_c_closed_form(verify._scenario_c_grid())
     elapsed = time.perf_counter() - start
     _check(result, 1e-12)
     assert elapsed < 5.0, f"criterion 2 took {elapsed:.2f}s, budget 5s"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from topobell import chsh, cli
+from topobell import chsh, cli, closed_form
 from topobell.cli import (_angle_arg, _build_parser, _finite_arg, _flag, _positive_int_arg,
                           main)
 
@@ -485,13 +485,21 @@ class TestVerify:
         assert code == 0
         assert out == VERIFY_BUDGET_1000
 
-    def test_injected_fault_fails_and_names_the_suite(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--budget", "50",
-                               "--inject-fault", "scenario-c-sign")
+    def test_a_planted_fault_fails_and_names_the_suite(self, capsys, monkeypatch):
+        # the sign of scenario C's interference term flipped in its closed form
+        scenario_c = closed_form.scenario_c_probabilities
+        monkeypatch.setattr(closed_form, "scenario_c_probabilities",
+                            lambda tl, tr, k: scenario_c(tl, tr, np.pi - k))
+        code, out, _ = run_cli(capsys, "verify", "--budget", "50")
         assert code == 1
         failing = [line for line in out.strip().split("\n") if "FAIL" in line]
         assert len(failing) == 1
         assert failing[0].startswith("scenario-c-closed-form")
+
+    def test_there_is_no_fault_option(self, capsys):
+        code, err = usage_exit(capsys, "verify", "--inject-fault", "scenario-c-sign")
+        assert code == 2
+        assert "unrecognized arguments: --inject-fault" in err
 
     @pytest.mark.parametrize("budget", ["0", "-1", "abc"])
     def test_budget_must_be_a_positive_integer(self, capsys, budget):

@@ -24,7 +24,8 @@ REMOVED = {
     optics: ("custom_beam_splitter", "NonUnitaryError", "CUSTOM_SPLITTER_TOL",
              "polarizing_splitter_candidate", "spin_eigenstates", "_finite"),
     oracle: ("_ID", "_SWAP", "_require_type", "_left_product", "GridSpec", "BudgetExceededError"),
-    verify: ("DEFAULT_LIGHT_DRAWS", "DEFAULT_HEAVY_DRAWS", "_Background", "_Shared"),
+    verify: ("DEFAULT_LIGHT_DRAWS", "DEFAULT_HEAVY_DRAWS", "_Background", "_Shared",
+             "FAULT_SCENARIO_C_SIGN", "KNOWN_FAULTS"),
 }
 
 
@@ -43,6 +44,10 @@ def test_removed_names_are_gone(module, name):
 
 def test_the_grid_search_takes_only_a_contrast_and_roles():
     assert list(inspect.signature(oracle.grid_search_max_S).parameters) == ["c", "roles"]
+
+
+def test_run_suites_takes_only_a_budget():
+    assert list(inspect.signature(verify.run_suites).parameters) == ["draws"]
 
 
 def test_readme_library_example_runs():

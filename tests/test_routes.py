@@ -134,7 +134,7 @@ CROSS_ROUTE_SUITES = {
     "scenario-b-closed-form": (verify._suite_scenario_b_closed_form,
                                {"scenario_probabilities", "closed_form.scenario_b_probabilities"}),
     "scenario-c-closed-form": (lambda: verify._suite_scenario_c_closed_form(
-                                   None, verify._scenario_c_grid()),
+                                   verify._scenario_c_grid()),
                                {"scenario_probabilities", "closed_form.scenario_c_probabilities"}),
     "oracle-equivalence": (lambda: verify._suite_oracle_equivalence(verify._rng(8), 10),
                            {"scenario_probabilities", "brute_force_probabilities"}),

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topobell import chsh, entangled, optics, verify
+from topobell import chsh, closed_form, entangled, optics, verify
 from topobell.entangled import Scenario
 
 
@@ -82,18 +82,93 @@ def test_run_suites_runs_every_traced_function_on_the_main_thread(monkeypatch):
     assert [layer for layer, thread in calls if thread is not threading.main_thread()] == []
 
 
-def test_injected_sign_fault_fails_only_the_scenario_c_suite():
-    results = verify.run_suites(200, inject_fault=verify.FAULT_SCENARIO_C_SIGN)
-    by_name = {r.name: r for r in results}
-    assert not by_name["scenario-c-closed-form"].passed
-    assert by_name["scenario-c-closed-form"].worst_residual > 0.1
-    others = [r for r in results if r.name != "scenario-c-closed-form"]
-    assert all(r.passed for r in others)
+def _scaled(factor):
+    """A planted fault: the function's output times ``factor``."""
+    return lambda original: lambda *args, **fields: original(*args, **fields) * factor
 
 
-def test_unknown_fault_is_rejected():
-    with pytest.raises(ValueError, match="unknown fault"):
-        verify.run_suites(100, inject_fault="no-such-fault")
+def _rerouted(change):
+    """A planted fault on ``scenario_probabilities``: it runs the scenario and
+    fields that ``change(scenario, fields)`` returns in place of those asked for."""
+    def plant(original):
+        def faulty(scenario, theta_l, theta_r, **fields):
+            scenario, fields = change(scenario, fields)
+            return original(scenario, theta_l, theta_r, **fields)
+
+        return faulty
+
+    return plant
+
+
+#: One planted fault per suite: (module, name, the fault made from the original
+#: function, the suites that run_suites(100) then fails). Each is a plausible
+#: bug in one route; a suite it reaches beside its own is listed with it.
+PLANTED_FAULTS = {
+    "linalg-unitarity": (
+        verify, "phase_retarder", _scaled(1.001),
+        {"linalg-unitarity", "optics-compact-form"}),
+    "optics-compact-form": (
+        verify, "mach_zehnder", lambda original: lambda theta: original(-theta),
+        {"optics-compact-form"}),
+    "distribution-validity": (
+        verify, "scenario_probabilities", _scaled(1.0 + 1e-9),
+        {"distribution-validity", "scenario-b-closed-form", "scenario-c-closed-form",
+         "oracle-equivalence", "chsh-consistency"}),
+    "scenario-b-closed-form": (
+        closed_form, "scenario_b_probabilities",
+        lambda original: lambda *args: original(*args)[..., [1, 0, 3, 2]],
+        {"scenario-b-closed-form"}),
+    # the sign of the interference term flipped
+    "scenario-c-closed-form": (
+        closed_form, "scenario_c_probabilities",
+        lambda original: lambda tl, tr, k: original(tl, tr, np.pi - k),
+        {"scenario-c-closed-form"}),
+    "scenario-c-gauge": (
+        verify, "scenario_probabilities",
+        _rerouted(lambda s, f: (s, {**f, "lambda_r": 2.0 * f["lambda_r"]}
+                                if s is Scenario.C else f)),
+        {"scenario-c-gauge", "oracle-equivalence"}),
+    # the left I_d negated; swapping the left I_u and I_d would pass, as only
+    # I_u + I_d is observable on each side
+    "scenario-a-topo-invariance": (
+        verify, "scenario_probabilities",
+        _rerouted(lambda s, f: (s, {**f, "i_d_l": -f["i_d_l"]} if "i_d_l" in f else f)),
+        {"scenario-a-topo-invariance", "oracle-equivalence"}),
+    "scenario-ab-reduction": (
+        verify, "scenario_probabilities",
+        _rerouted(lambda s, f: (Scenario.C, {"mu": 1.0, "lambda_l": f["flux"], "lambda_r": 0.0})
+                  if s is Scenario.AB else (s, f)),
+        {"scenario-ab-reduction", "oracle-equivalence"}),
+    # scenario A without fields run as B
+    "degiorgio-offset": (
+        verify, "scenario_probabilities",
+        _rerouted(lambda s, f: (Scenario.B if s is Scenario.A and not f else s, f)),
+        {"degiorgio-offset", "scenario-a-topo-invariance"}),
+    "oracle-equivalence": (
+        verify, "brute_force_probabilities", _scaled(1.0 + 1e-9),
+        {"oracle-equivalence"}),
+    "chsh-consistency": (
+        chsh, "expectation_closed_form",
+        lambda original: lambda tl, tr, c: original(tl, tr, -c),
+        {"chsh-consistency"}),
+    # the fixed-angle half; _plant_fault below plants faults in the random half
+    "chsh-bounds": (
+        chsh, "fixed_angle_curve_S", lambda original: lambda mu_lambda: original(mu_lambda) + 1e-6,
+        {"chsh-bounds", "chsh-consistency"}),
+}
+
+
+def test_every_suite_has_a_planted_fault_that_fails_it():
+    assert list(PLANTED_FAULTS) == [result.name for result in verify.run_suites(1)]
+    assert all(suite in failing for suite, (*_, failing) in PLANTED_FAULTS.items())
+
+
+@pytest.mark.parametrize("suite", list(PLANTED_FAULTS))
+def test_each_suite_fails_its_planted_fault(monkeypatch, suite):
+    module, name, plant, failing = PLANTED_FAULTS[suite]
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    results = verify.run_suites(100)
+    assert {result.name for result in results if not result.passed} == failing
 
 
 @pytest.mark.parametrize("draws, message", [
@@ -420,7 +495,7 @@ def test_run_suites_simulates_the_scenario_c_grid_once(monkeypatch):
     assert len(grids) == 1
     # each suite gives the same result on a grid simulated apart
     grid = verify._scenario_c_grid()
-    assert results["scenario-c-closed-form"] == verify._suite_scenario_c_closed_form(None, grid)
+    assert results["scenario-c-closed-form"] == verify._suite_scenario_c_closed_form(grid)
     assert results["chsh-consistency"] == verify._suite_chsh_consistency(grid)
     assert len(grids) == 2
 
