@@ -56,8 +56,9 @@ def scenario_c_probabilities(theta_l, theta_r, two_mu_lambda) -> np.ndarray:
     """
     tl, tr = _checks.finite_array("theta_l", theta_l), _checks.finite_array("theta_r", theta_r)
     k = np.cos(_checks.finite_array("two_mu_lambda", two_mu_lambda))
-    same = 0.25 * (1.0 - np.cos(tl) * np.cos(tr) - np.sin(tl) * np.sin(tr) * k)
-    diff = 0.25 * (1.0 + np.cos(tl) * np.cos(tr) + np.sin(tl) * np.sin(tr) * k)
+    cos_cos, sin_sin = np.cos(tl) * np.cos(tr), np.sin(tl) * np.sin(tr) * k
+    same = 0.25 * (1.0 - cos_cos - sin_sin)
+    diff = 0.25 * (1.0 + cos_cos + sin_sin)
     return np.stack([same, diff, diff, same], axis=-1)
 
 

@@ -55,12 +55,21 @@ _MIRROR = np.eye(4, dtype=complex)[[1, 0, 3, 2]]  # 1 (x) swap: right-hand detec
 _READOUT = _MIRROR @ _SPLITTERS
 
 
-def _diag(d0, d1) -> np.ndarray:
-    """Stack (..., 2, 2) of diagonal matrices diag(d0, d1)."""
-    out = np.zeros(np.broadcast_shapes(np.shape(d0), np.shape(d1)) + (2, 2), dtype=complex)
-    out[..., 0, 0] = d0
-    out[..., 1, 1] = d1
-    return out
+def _kron_diagonals(left, right) -> np.ndarray:
+    """Diagonals (..., 4) of diag(*left) (x) diag(*right), left factor major.
+
+    ``left`` and ``right`` are (d0, d1) pairs of scalars or arrays that
+    broadcast. Each entry is one complex product taken as :func:`_kron`
+    takes it, by ``einsum``, so the result is ``_kron``'s diagonal bit for
+    bit; ``np.multiply`` may fuse a product's rounding and differ.
+    """
+    sides = []
+    for d0, d1 in (left, right):
+        side = np.empty(np.broadcast_shapes(np.shape(d0), np.shape(d1)) + (2,), dtype=complex)
+        side[..., 0], side[..., 1] = d0, d1
+        sides.append(side)
+    product = np.einsum("...i,...j->...ij", *sides)
+    return product.reshape(product.shape[:-2] + (4,))
 
 
 def brute_force_probabilities(scenario: Scenario, theta_l, theta_r, **fields) -> np.ndarray:
@@ -92,21 +101,23 @@ def _brute_force(scenario: Scenario, theta_l, theta_r, fields: dict) -> np.ndarr
 
     The branch phases scale the branches elementwise, so fields may keep
     their own shape. Each diagonal factor, a retarder pair or scenario A's
-    arm phases, scales the columns of the product to its left by its
-    diagonal; each product with a factor shared by every point, the
-    second splitter pair or the two singlet start vectors, is one 2-D
-    matmul over the whole stack (:func:`_right_product`).
+    arm phases, is built as its diagonal alone (:func:`_kron_diagonals`)
+    and scales the columns of the product to its left; each product with
+    a factor shared by every point, the second splitter pair or the two
+    singlet start vectors, is one 2-D matmul over the whole stack
+    (:func:`_right_product`).
     """
-    retarders = np.diagonal(_kron(_diag(np.exp(1j * theta_l), 1.0),
-                                  _diag(np.exp(1j * theta_r), 1.0)), axis1=-2, axis2=-1)
+    retarders = _kron_diagonals((np.exp(1j * theta_l), 1.0), (np.exp(1j * theta_r), 1.0))
     if scenario is Scenario.A:
-        chain = _READOUT
         if fields:
             mu = fields["mu"]
-            arm = _kron(*(_diag(np.exp(1j * mu * fields[f"i_u_{side}"]),
-                                np.exp(-1j * mu * fields[f"i_d_{side}"])) for side in "lr"))
-            chain = chain * np.diagonal(arm, axis1=-2, axis2=-1)[..., None, :]
-        chain = chain * retarders[..., None, :]
+            arms = _kron_diagonals(*((np.exp(1j * mu * fields[f"i_u_{side}"]),
+                                      np.exp(-1j * mu * fields[f"i_d_{side}"])) for side in "lr"))
+            # A's fields are broadcast to the angles' shape, so the retarders scale in place
+            chain = _READOUT * arms[..., None, :]
+            chain *= retarders[..., None, :]
+        else:
+            chain = _READOUT * retarders[..., None, :]
     else:
         chain = _right_product(_SPLITTERS * retarders[..., None, :], _SPLITTERS)
     branches = _right_product(chain, _SINGLET_BRANCHES)

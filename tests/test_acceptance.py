@@ -5,6 +5,7 @@ criterion. Every tolerance is pinned here; nothing is deferred.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -16,20 +17,7 @@ from topobell.oracle import grid_search_max_S
 RNG_SEED = 424242
 
 #: Default `topobell verify` stdout, byte for byte.
-VERIFY_DEFAULT = (
-    "linalg-unitarity: PASS  worst residual 2.229e-16 (tol 1.0e-12)\n"
-    "optics-compact-form: PASS  worst residual 3.564e-15 (tol 1.0e-12)\n"
-    "distribution-validity: PASS  worst residual 1.776e-15 (tol 1.0e-12)\n"
-    "scenario-b-closed-form: PASS  worst residual 7.772e-16 (tol 1.0e-12)\n"
-    "scenario-c-closed-form: PASS  worst residual 8.882e-16 (tol 1.0e-12)\n"
-    "scenario-c-gauge: PASS  worst residual 8.604e-16 (tol 1.0e-12)\n"
-    "scenario-a-topo-invariance: PASS  worst residual 6.106e-16 (tol 1.0e-12)\n"
-    "scenario-ab-reduction: PASS  worst residual 4.441e-16 (tol 1.0e-12)\n"
-    "degiorgio-offset: PASS  worst residual 6.106e-16 (tol 1.0e-12)\n"
-    "oracle-equivalence: PASS  worst residual 8.882e-16 (tol 1.0e-12)\n"
-    "chsh-consistency: PASS  worst residual 1.554e-15 (tol 1.0e-12)\n"
-    "chsh-bounds: PASS  worst residual 8.882e-16 (tol 1.0e-09)\n"
-)
+VERIFY_DEFAULT = Path(__file__).parent / "golden" / "verify_default.txt"
 
 
 def _check(result: verify.SuiteResult, tolerance: float) -> None:
@@ -145,7 +133,7 @@ def test_criterion_11_invariant_suites_pass(capsys):
     lines = [line for line in out.strip().split("\n") if line]
     assert len(lines) == 12
     assert all("PASS" in line for line in lines)
-    assert out == VERIFY_DEFAULT
+    assert out.encode() == VERIFY_DEFAULT.read_bytes()
     worst = max(verify.run_suites(200),
                 key=lambda r: r.worst_residual / r.tolerance)
     with capsys.disabled():

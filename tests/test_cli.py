@@ -12,7 +12,8 @@ from topobell import chsh, cli, closed_form
 from topobell.cli import (_angle_arg, _build_parser, _finite_arg, _flag, _positive_int_arg,
                           main)
 
-#: Golden stdout files of the simulate, sweep and optimize commands, byte for byte.
+#: Golden stdout files of the simulate, sweep and optimize commands, byte for byte;
+#: ``verify_budget_1000.txt`` is read by ``TestVerify``.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDENS = [
     ("sweep_readme.csv", ["sweep", "--min", "0", "--max", "3.14159", "--points", "25"]),
@@ -53,23 +54,6 @@ SCENARIO_FIELDS = {
     "C": ["mu", "lambda_l", "lambda_r"],
     "AB": ["flux"],
 }
-
-#: Golden stdout of ``verify --budget 1000``, byte for byte.
-VERIFY_BUDGET_1000 = (
-    "linalg-unitarity: PASS  worst residual 2.229e-16 (tol 1.0e-12)\n"
-    "optics-compact-form: PASS  worst residual 3.564e-15 (tol 1.0e-12)\n"
-    "distribution-validity: PASS  worst residual 1.776e-15 (tol 1.0e-12)\n"
-    "scenario-b-closed-form: PASS  worst residual 7.772e-16 (tol 1.0e-12)\n"
-    "scenario-c-closed-form: PASS  worst residual 8.882e-16 (tol 1.0e-12)\n"
-    "scenario-c-gauge: PASS  worst residual 6.106e-16 (tol 1.0e-12)\n"
-    "scenario-a-topo-invariance: PASS  worst residual 3.331e-16 (tol 1.0e-12)\n"
-    "scenario-ab-reduction: PASS  worst residual 4.441e-16 (tol 1.0e-12)\n"
-    "degiorgio-offset: PASS  worst residual 4.441e-16 (tol 1.0e-12)\n"
-    "oracle-equivalence: PASS  worst residual 7.772e-16 (tol 1.0e-12)\n"
-    "chsh-consistency: PASS  worst residual 1.554e-15 (tol 1.0e-12)\n"
-    "chsh-bounds: PASS  worst residual 8.882e-16 (tol 1.0e-09)\n"
-)
-
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -483,7 +467,7 @@ class TestVerify:
     def test_budget_1000_output_is_byte_identical_to_the_golden_lines(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--budget", "1000")
         assert code == 0
-        assert out == VERIFY_BUDGET_1000
+        assert out.encode() == (GOLDEN / "verify_budget_1000.txt").read_bytes()
 
     def test_a_planted_fault_fails_and_names_the_suite(self, capsys, monkeypatch):
         # the sign of scenario C's interference term flipped in its closed form

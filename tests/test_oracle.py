@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_unitary
-from test_batched import CASE_IDS, CASES, SEED, _draws
-from topobell import chsh, oracle
+from test_batched import CASE_IDS, CASES, SEED, _draws, _specs
+from topobell import chsh, entangled, oracle
 from topobell.chsh import BellAngles, RoleAssignment
 from topobell.entangled import Scenario, TopoPhaseSpec, run_scenario
 from topobell.oracle import (
@@ -30,10 +30,18 @@ class TestBruteForceDistribution:
 MIRROR = np.eye(4)[[1, 0, 3, 2]]
 
 
+def _diag(d0, d1):
+    """Stack (..., 2, 2) of diagonal matrices diag(d0, d1)."""
+    out = np.zeros(np.broadcast_shapes(np.shape(d0), np.shape(d1)) + (2, 2), dtype=complex)
+    out[..., 0, 0] = d0
+    out[..., 1, 1] = d1
+    return out
+
+
 def _textbook_probabilities(scenario, theta_l, theta_r, fields):
     """abs((chain @ singlet branches) . branch phases)**2, every factor a full 4x4 matrix."""
     def pair(left, right):
-        return oracle._kron(oracle._diag(*left), oracle._diag(*right))
+        return oracle._kron(_diag(*left), _diag(*right))
 
     retarders = pair((np.exp(1j * theta_l), 1.0), (np.exp(1j * theta_r), 1.0))
     phases = (1.0, 1.0)
@@ -83,6 +91,79 @@ def test_oracle_equals_its_textbook_chain_on_a_sparse_grid(scenario, fields):
     assert oracle_p.shape == (30, 30, 30 if fields else 1, 4)
     assert oracle_p.tobytes() == _textbook_probabilities(scenario, theta_l, theta_r,
                                                          fields).tobytes()
+
+
+def _dense_brute_force(scenario, theta_l, theta_r, fields):
+    """The oracle kernel with dense diagonal factors: each factor pair a full 4x4
+    ``oracle._kron`` of which ``np.diagonal`` keeps four entries."""
+    def pair_diagonal(left, right):
+        return np.diagonal(oracle._kron(_diag(*left), _diag(*right)), axis1=-2, axis2=-1)
+
+    retarders = pair_diagonal((np.exp(1j * theta_l), 1.0), (np.exp(1j * theta_r), 1.0))
+    if scenario is Scenario.A:
+        chain = oracle._READOUT
+        if fields:
+            mu = fields["mu"]
+            arm = pair_diagonal(*((np.exp(1j * mu * fields[f"i_u_{side}"]),
+                                   np.exp(-1j * mu * fields[f"i_d_{side}"])) for side in "lr"))
+            chain = chain * arm[..., None, :]
+        chain = chain * retarders[..., None, :]
+    else:
+        chain = oracle._right_product(oracle._SPLITTERS * retarders[..., None, :],
+                                      oracle._SPLITTERS)
+    branches = oracle._right_product(chain, oracle._SINGLET_BRANCHES)
+    if scenario is Scenario.C:
+        phi_ud, phi_du = (np.exp(-1j * fields["mu"] * (s_l * fields["lambda_l"]
+                                                      + s_r * fields["lambda_r"]))
+                          for (s_l, s_r) in ((1, -1), (-1, 1)))
+    elif scenario is Scenario.AB:
+        phi_ud = phi_du = np.exp(-1j * fields["flux"])
+    else:
+        return np.abs(branches[..., 0] + branches[..., 1]) ** 2
+    amplitudes = phi_ud[..., None] * branches[..., 0] + phi_du[..., None] * branches[..., 1]
+    return np.abs(amplitudes) ** 2
+
+
+def _bits(values):
+    """The raw 64-bit words of float or complex values: equal bits, not just equal values."""
+    values = np.asarray(values)
+    return values.astype(complex if np.iscomplexobj(values) else float).view(np.int64)
+
+
+def test_diagonal_kronecker_pairs_keep_the_dense_products_bits():
+    # np.array_equal on the words, so a zero's sign counts too
+    rng = np.random.default_rng([SEED, 35])
+
+    def phases(shape):
+        return np.exp(1j * rng.uniform(-10.0, 10.0, shape)) * rng.uniform(0.5, 2.0, shape)
+
+    for left_shape, right_shape in [((10_000,), (10_000,)), ((30, 1, 1), (1, 30, 1)),
+                                    ((7, 1), (5,)), ((), ())]:
+        for left, right in [((phases(left_shape), 1.0), (phases(right_shape), 1.0)),
+                            ((phases(left_shape), phases(left_shape)),
+                             (phases(right_shape), phases(right_shape)))]:
+            dense = np.diagonal(oracle._kron(_diag(*left), _diag(*right)), axis1=-2, axis2=-1)
+            assert np.array_equal(_bits(oracle._kron_diagonals(left, right)), _bits(dense))
+
+    theta = rng.uniform(0.0, 2.0 * np.pi, 30)
+    sparse = {Scenario.A: {name: rng.uniform(-2.0, 2.0, 30)[None, None, :]
+                           for name in ("mu", "i_u_l", "i_d_l", "i_u_r", "i_d_r")},
+              Scenario.C: {"mu": 1.3, "lambda_l": np.linspace(-3.0, 3.0, 30)[None, None, :],
+                           "lambda_r": 0.4}}
+    for scenario, with_fields in CASES:
+        batches = [_draws(scenario, with_fields, 5_000)]
+        if scenario in sparse and with_fields:
+            batches.append((theta[:, None, None], theta[None, :, None], sparse[scenario]))
+        for theta_l, theta_r, fields in batches:
+            checked = entangled._checked_batch(scenario, theta_l, theta_r, fields)
+            assert np.array_equal(
+                _bits(brute_force_probabilities(scenario, theta_l, theta_r, **fields)),
+                _bits(_dense_brute_force(scenario, *checked)))
+        theta_l, theta_r, fields = _draws(scenario, with_fields, 50)
+        for topo, point in zip(_specs(scenario, fields, 50), zip(theta_l, theta_r)):
+            dist = brute_force_distribution(scenario, *point, topo)
+            dense = _dense_brute_force(scenario, *entangled._checked_point(scenario, *point, topo))
+            assert np.array_equal(_bits(dist.as_array()), _bits(dense))
 
 
 SPIN = TopoPhaseSpec.spin_conditioned(1.0, 0.3, 0.0)
@@ -282,10 +363,6 @@ def _per_row_search(c):
         if values[i, j] > best_value:
             best_value, best = values[i, j], (axes[0][i], axes[1][j])
     return best
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.int64)
 
 
 class TestBatchedSearch:

@@ -100,7 +100,7 @@ def test_each_route_reaches_only_its_own_functions():
     functions = {route: reached[0] for route, reached in REACHED.items()}
     assert functions["pipeline"] >= {"entangled._interferometers",
                                      "entangled._joint_probabilities"}
-    assert functions["oracle"] >= {"oracle._kron"}
+    assert functions["oracle"] >= {"oracle._kron_diagonals"}
     for first in ROUTES:
         for second in ROUTES:
             if first < second:

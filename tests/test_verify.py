@@ -279,13 +279,15 @@ def test_optics_draws_the_same_stream():
     assert rng.bit_generator.state == restated.bit_generator.state
 
 
-def test_optics_stacked_product_equals_the_per_point_products():
-    # the suite's theta draws through bs @ R @ bs, once as the array call and once per point
-    theta = verify._rng(2).uniform(-10.0, 10.0, size=1000)
+@pytest.mark.parametrize("size", [1000, 1, 7])
+def test_optics_stacked_product_equals_the_per_point_products(size):
+    # the suite's theta draws through its one-matmul products and through bs @ R @ bs per point
+    theta = verify._rng(2).uniform(-10.0, 10.0, size=size)
     bs = optics.beam_splitter()
-    stacked = bs @ optics.phase_retarder(theta) @ bs
+    stacked = verify._raw_interferometers(theta)
     per_point = np.array([bs @ optics.phase_retarder(t) @ bs for t in theta])
-    np.testing.assert_array_equal(stacked, per_point)
+    assert stacked.shape == per_point.shape
+    assert stacked.tobytes() == per_point.tobytes()
 
 
 def _restated_chsh_blocks(samples):
